@@ -172,12 +172,14 @@ int main(int argc, char** argv) {
   churn_table.print(std::cout);
 
   // --- section 1.5: adversarial churn overhead ----------------------------
-  // Victim selection reads the live graph (degree scans, BFS balls), so
-  // adversarial regimes pay per-death work the oblivious regimes skip.
+  // Victim selection reads the live graph (the degree index, BFS balls),
+  // so adversarial regimes pay per-death work the oblivious regimes skip.
   // This section tracks that overhead as perf (events/sec, with plain PDGR
   // rerun at the same size as the in-section baseline) and pins the
-  // redirected-death trajectories as seed-pinned checksums. Sizes are a
-  // notch below section 1: the maxdeg scan is O(alive) per death.
+  // redirected-death trajectories as seed-pinned checksums. PDG+mindeg
+  // keeps many isolated nodes in its smallest bucket; SDGR+cutset removes
+  // arbitrary members of the streaming age ring. Sizes are a notch below
+  // section 1, where the pinned checksums were taken.
   const auto adv_n = std::max<std::uint32_t>(1000, n / 20);
   const std::uint64_t adv_steps = std::max<std::uint64_t>(10000, steps / 10);
   std::printf("\n--- adversarial churn overhead (n=%u, %llu steps each) "
@@ -190,7 +192,8 @@ int main(int argc, char** argv) {
   first = true;
   for (const char* name :
        {"PDGR", "PDGR+maxdeg(1)", "PDGR+eclipse(1)", "PDGR+cutset(1)",
-        "PDGR+massfail(0.1,1)", "SDGR+maxdeg(1)"}) {
+        "PDGR+massfail(0.1,1)", "SDGR+maxdeg(1)", "PDG+mindeg(1)",
+        "SDGR+cutset(1)"}) {
     ScenarioParams params;
     params.n = adv_n;
     params.d = 8;

@@ -25,9 +25,9 @@ NodeId AdversaryPolicy::select(const GraphReadView& view) {
   CHURNET_EXPECTS(view.alive_count() > 0);
   switch (config_.rule) {
     case AdversaryRule::kMaxDegree:
-      return select_extreme_degree(view, /*maximize=*/true);
+      return view.extreme_degree(/*maximize=*/true);
     case AdversaryRule::kMinDegree:
-      return select_extreme_degree(view, /*maximize=*/false);
+      return view.extreme_degree(/*maximize=*/false);
     case AdversaryRule::kCutSet:
       return select_cutset(view);
     case AdversaryRule::kEclipse:
@@ -39,28 +39,6 @@ NodeId AdversaryPolicy::select(const GraphReadView& view) {
 
 void AdversaryPolicy::on_death(NodeId id) {
   if (id == target_) target_ = kInvalidNode;
-}
-
-NodeId AdversaryPolicy::select_extreme_degree(const GraphReadView& view,
-                                              bool maximize) {
-  // Slot-ascending scan with strict improvement: ties resolve to the
-  // smallest slot, making the choice independent of any internal iteration
-  // order a view might otherwise expose.
-  NodeId best = kInvalidNode;
-  std::uint32_t best_degree = 0;
-  const std::uint32_t bound = view.slot_upper_bound();
-  for (std::uint32_t slot = 0; slot < bound; ++slot) {
-    const NodeId id = view.alive_at(slot);
-    if (!id.valid()) continue;
-    const std::uint32_t degree = view.degree(id);
-    if (!best.valid() || (maximize ? degree > best_degree
-                                   : degree < best_degree)) {
-      best = id;
-      best_degree = degree;
-    }
-  }
-  CHURNET_ASSERT(best.valid());
-  return best;
 }
 
 NodeId AdversaryPolicy::first_alive_other(const GraphReadView& view,

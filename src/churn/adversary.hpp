@@ -18,7 +18,8 @@
 //            alive neighbor, starving the target of links
 //
 // Determinism contract: selections are a pure function of (rule, seed,
-// view) — degree rules break ties toward the smallest slot, the cutset BFS
+// view) — degree rules take the view's extreme-degree node, whose ties the
+// view contract breaks toward the smallest slot, the cutset BFS
 // expands neighbors in sorted id order, and the eclipse victim is the
 // smallest neighbor id — so any conforming GraphReadView implementation
 // (including a test's shadow adjacency) reproduces the exact choice.
@@ -90,7 +91,6 @@ class AdversaryPolicy {
   const std::vector<NodeId>& cutset_boundary() const { return boundary_; }
 
  private:
-  NodeId select_extreme_degree(const GraphReadView& view, bool maximize);
   NodeId select_cutset(const GraphReadView& view);
   NodeId select_eclipse(const GraphReadView& view);
   void rebuild_cutset(const GraphReadView& view);

@@ -65,9 +65,10 @@ class GraphReadView {
   /// slot is empty / dead.
   virtual NodeId alive_at(std::uint32_t slot) const = 0;
 
-  /// Total degree (out + in, parallel edges with multiplicity) of an alive
-  /// node.
-  virtual std::uint32_t degree(NodeId node) const = 0;
+  /// The alive node of maximum (`maximize`) or minimum total degree (out +
+  /// in, parallel edges with multiplicity), the smallest slot on ties.
+  /// Requires alive_count() > 0.
+  virtual NodeId extreme_degree(bool maximize) const = 0;
 
   /// Appends the alive neighbors of `node` (with multiplicity, any order —
   /// consumers that need a canonical order sort).

@@ -10,40 +10,63 @@ StreamingChurn::StreamingChurn(std::uint32_t n) : n_(n), ring_(n) {
   CHURNET_EXPECTS(n >= 1);
 }
 
+std::uint32_t StreamingChurn::ring_next(std::uint32_t pos) const {
+  return pos + 1 == ring_.size() ? 0 : pos + 1;
+}
+
 NodeId StreamingChurn::pop_oldest() {
   CHURNET_ASSERT(size_ > 0);
-  const NodeId oldest = ring_[head_];
-  head_ = head_ + 1 == n_ ? 0 : head_ + 1;
+  // Skip the tombstones adversarial removals left at the head.
+  NodeId oldest;
+  do {
+    oldest = ring_[head_];
+    head_ = ring_next(head_);
+    --span_;
+  } while (!oldest.valid());
   --size_;
   return oldest;
 }
 
 void StreamingChurn::push_newest(NodeId id) {
   CHURNET_ASSERT(size_ < n_);
-  std::uint32_t tail = head_ + size_;
-  if (tail >= n_) tail -= n_;
+  // Only tombstones can fill the span: without them span_ == size_ < n_.
+  if (span_ == ring_.size()) compact_ring();
+  std::uint32_t tail = head_ + span_;
+  if (tail >= ring_.size()) tail -= static_cast<std::uint32_t>(ring_.size());
   ring_[tail] = id;
+  ++span_;
   ++size_;
+  if (adversary_.has_value()) {
+    if (id.slot >= ring_pos_.size()) ring_pos_.resize(id.slot + 1);
+    ring_pos_[id.slot] = tail;
+  }
 }
 
 void StreamingChurn::remove_from_ring(NodeId id) {
-  // Adversarial victims are arbitrary ring members; shift the younger
-  // suffix one position toward the head so age order is preserved. O(n)
-  // worst case, but only on adversarial rounds.
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    std::uint32_t pos = head_ + i;
-    if (pos >= n_) pos -= n_;
-    if (ring_[pos] != id) continue;
-    for (std::uint32_t j = i + 1; j < size_; ++j) {
-      std::uint32_t from = head_ + j;
-      if (from >= n_) from -= n_;
-      const std::uint32_t to = from == 0 ? n_ - 1 : from - 1;
-      ring_[to] = ring_[from];
+  // Adversarial victims are arbitrary ring members: tombstone the entry in
+  // place. Age order is untouched and pop_oldest skips the hole.
+  CHURNET_ASSERT(id.slot < ring_pos_.size() &&
+                 ring_[ring_pos_[id.slot]] == id &&
+                 "adversarial victim not in the streaming ring");
+  ring_[ring_pos_[id.slot]] = kInvalidNode;
+  --size_;
+}
+
+void StreamingChurn::compact_ring() {
+  // Squeeze the tombstones out in age order. Entries only move toward the
+  // head, so each is read before its position is overwritten.
+  std::uint32_t read = head_;
+  std::uint32_t write = head_;
+  for (std::uint32_t i = 0; i < span_; ++i) {
+    const NodeId id = ring_[read];
+    if (id.valid()) {
+      ring_[write] = id;
+      ring_pos_[id.slot] = write;
+      write = ring_next(write);
     }
-    --size_;
-    return;
+    read = ring_next(read);
   }
-  CHURNET_ASSERT(false && "adversarial victim not in the streaming ring");
+  span_ = size_;
 }
 
 std::optional<NodeId> StreamingChurn::begin_round() {
@@ -119,8 +142,14 @@ NodeId StreamingChurn::select_victim(const GraphReadView& view) {
 void StreamingChurn::set_adversary(AdversaryConfig config, std::uint64_t seed,
                                    std::string name) {
   CHURNET_EXPECTS(round_ == 0);
+  CHURNET_EXPECTS(n_ <= NodeId::kInvalidSlot / 2);
   adversary_.emplace(config, seed);
   name_ = std::move(name);
+  // Adversarial deaths tombstone arbitrary entries: twice the capacity
+  // means a compaction only after n tombstones, and the slot -> position
+  // map finds a victim's entry in O(1).
+  ring_.assign(2 * std::size_t{n_}, kInvalidNode);
+  ring_pos_.assign(n_, 0);
 }
 
 }  // namespace churnet

@@ -19,9 +19,13 @@
 // With set_adversary() installed, each full-network round's death is
 // redirected to the adversary with probability `budget`: the event carries
 // Victim::kAdversarial, the driver calls select_victim() against the live
-// graph, and on_death() removes the chosen node from the age ring (a linear
-// scan — adversarial victims are arbitrary, not the FIFO head). The round
-// count, pinned size, and birth schedule are unchanged, and with no
+// graph, and on_death() removes the chosen node from the age ring. Those
+// victims are arbitrary ring members, not the FIFO head, so with an
+// adversary the ring doubles to 2n and keeps a slot -> position map: a
+// removal tombstones the victim's entry in O(1), FIFO pops skip
+// tombstones, and the ring compacts when its span fills the 2n buffer
+// (at most once per n removals). The round count, pinned size, and birth
+// schedule are unchanged, and with no
 // adversary installed (or budget 0, which draws nothing) the event stream
 // is byte-identical to the plain schedule.
 #pragma once
@@ -102,17 +106,23 @@ class StreamingChurn final : public ChurnProcess {
   NodeId pop_oldest();
   void push_newest(NodeId id);
   void remove_from_ring(NodeId id);
+  void compact_ring();
+  std::uint32_t ring_next(std::uint32_t pos) const;
 
   std::uint32_t n_;
   std::uint64_t round_ = 0;
   bool birth_pending_ = false;
   bool adversarial_pending_ = false;  // death emitted, victim not yet realized
   // Fixed-capacity ring buffer of alive nodes in age order; head_ indexes
-  // the oldest. Capacity is exactly n: begin_round() pops before
-  // record_birth() pushes, so size_ never exceeds n.
+  // the oldest entry and span_ entries follow it. Capacity is n for the
+  // plain schedule (begin_round() pops before record_birth() pushes, so
+  // size_ never exceeds n and span_ == size_), 2n with an adversary, whose
+  // removals leave tombstones (invalid ids) inside the span.
   std::vector<NodeId> ring_;
   std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
+  std::uint32_t span_ = 0;  // entries from head_, tombstones included
+  std::uint32_t size_ = 0;  // live entries
+  std::vector<std::uint32_t> ring_pos_;  // slot -> ring position (adversary)
   std::optional<AdversaryPolicy> adversary_;
   std::string name_ = "stream";
 };

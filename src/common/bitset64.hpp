@@ -92,6 +92,17 @@ class Bitset64 {
     return total;
   }
 
+  /// Lowest set bit, or size() when no bit is set.
+  std::uint64_t find_first() const {
+    for (std::uint64_t w = 0; w < words_.size(); ++w) {
+      if (words_[w] != 0) {
+        return w * kWordBits +
+               static_cast<std::uint64_t>(std::countr_zero(words_[w]));
+      }
+    }
+    return bit_size_;
+  }
+
   /// Calls fn(bit) for every set bit in ascending order.
   template <typename Fn>
   void for_each_set(Fn&& fn) const {

@@ -196,6 +196,8 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
   });
 
   edge_count_ += total;
+  // The passes above bypass the per-edge mutators.
+  if (degree_index_) build_degree_index();
 }
 
 }  // namespace churnet

@@ -55,6 +55,15 @@ void DynamicGraph::append_alive_nodes(std::vector<NodeId>& out) const {
   }
 }
 
+void DynamicGraph::build_degree_index() const {
+  if (!degree_index_) degree_index_.emplace();
+  degree_index_->reset(static_cast<std::uint32_t>(core_.capacity()));
+  for (const std::uint32_t slot : alive_slots_) {
+    const SlotCore& core = core_[slot];
+    degree_index_->insert(slot, live_out_edges(core) + core.in_count);
+  }
+}
+
 bool DynamicGraph::check_consistency() const {
   std::uint64_t seen_edges = 0;
   for (std::uint32_t s = 0; s < core_.size(); ++s) {
@@ -93,6 +102,15 @@ bool DynamicGraph::check_consistency() const {
       const OutEdge& out = out_pool_[source_core.out_base + in_edge.out_index];
       if (out.peer != s) return false;
       if (out.in_pos != i) return false;
+    }
+  }
+  if (degree_index_) {
+    if (degree_index_->size() != alive_slots_.size()) return false;
+    for (const std::uint32_t s : alive_slots_) {
+      const SlotCore& core = core_[s];
+      if (!degree_index_->holds(s, live_out_edges(core) + core.in_count)) {
+        return false;
+      }
     }
   }
   return seen_edges == edge_count_;

@@ -11,6 +11,9 @@
 //                                       nodes were orphaned so the model
 //                                       layer can regenerate them (Def 3.13)
 //   * random_alive / random_alive_other -- uniform sampling for requests
+//   * extreme_degree                 -- the max/min-degree node (degree
+//                                       adversaries), from a bucket-queue
+//                                       index built on the first call
 //
 // Edges are stored directed (owner -> target) mirroring the paper's
 // "requests", but the graph is undirected for processes: neighbors(u) is the
@@ -31,11 +34,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "graph/change_feed.hpp"
+#include "graph/degree_index.hpp"
 #include "graph/node_id.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -97,6 +102,7 @@ class DynamicGraph {
     alive_slots_.push_back(slot_index);
     const NodeId id{slot_index, core.generation};
     if (feed_ != nullptr) feed_->record_birth(id, out_slots, birth_time);
+    if (degree_index_) degree_index_->insert(slot_index, 0);
     return id;
   }
 
@@ -110,6 +116,7 @@ class DynamicGraph {
     telemetry::count(telemetry::Counter::kChurnEvents);
     SlotCore& core = core_of(node);
     CHURNET_EXPECTS(core.alive != 0);
+    if (degree_index_) degree_index_->erase(node.slot);
 
     // The victim's edge runs name ~degree random peers; issue all the
     // prefetches up front so the detach loops overlap their cache misses
@@ -134,6 +141,7 @@ class DynamicGraph {
         feed_->record_edge_clear(node, i,
                                  NodeId{edge.peer, core_[edge.peer].generation});
       }
+      if (degree_index_) degree_index_->decrement(edge.peer);
       detach_in_entry(core_[edge.peer], edge.in_pos);
       edge.peer = NodeId::kInvalidSlot;
       --edge_count_;
@@ -154,6 +162,7 @@ class DynamicGraph {
       if (feed_ != nullptr) {
         feed_->record_edge_clear(source, in_edge.out_index, node);
       }
+      if (degree_index_) degree_index_->decrement(in_edge.peer);
       scratch.orphans.push_back(OutSlotRef{source, in_edge.out_index});
     }
     if (core.in_cap > 0) {
@@ -203,6 +212,10 @@ class DynamicGraph {
     ++target_core.in_count;
     ++edge_count_;
     if (feed_ != nullptr) feed_->record_edge_set(owner, index, target);
+    if (degree_index_) {
+      degree_index_->increment(owner.slot);
+      degree_index_->increment(target.slot);
+    }
   }
 
   /// Makes out-slot `index` of `owner` dangling, detaching it from its
@@ -216,6 +229,10 @@ class DynamicGraph {
     if (feed_ != nullptr) {
       feed_->record_edge_clear(owner, index,
                                NodeId{edge.peer, core_[edge.peer].generation});
+    }
+    if (degree_index_) {
+      degree_index_->decrement(owner.slot);
+      degree_index_->decrement(edge.peer);
     }
     detach_in_entry(core_[edge.peer], edge.in_pos);
     edge.peer = NodeId::kInvalidSlot;
@@ -305,17 +322,27 @@ class DynamicGraph {
   }
   /// Number of non-dangling out-edges.
   std::uint32_t out_degree(NodeId node) const {
-    const SlotCore& core = core_of(node);
-    std::uint32_t degree = 0;
-    for (std::uint32_t i = 0; i < core.out_count; ++i) {
-      degree += out_pool_[core.out_base + i].peer != NodeId::kInvalidSlot;
-    }
-    return degree;
+    return live_out_edges(core_of(node));
   }
   std::uint32_t in_degree(NodeId node) const { return core_of(node).in_count; }
   /// out_degree + in_degree (parallel edges counted with multiplicity).
   std::uint32_t degree(NodeId node) const {
     return out_degree(node) + in_degree(node);
+  }
+
+  /// The alive node of maximum (`maximize`) or minimum degree(), the
+  /// smallest slot on ties; invalid on an empty graph. The first call
+  /// builds a bucket-queue degree index (graph/degree_index.hpp) in
+  /// O(slots + edges); every later mutation keeps it current, so later
+  /// calls are a cached-bucket lookup. The index is kept for the graph's
+  /// lifetime; a graph never asked pays one predicted branch per mutation.
+  /// The first call fills that cache, so it must not race other calls on
+  /// the same graph.
+  NodeId extreme_degree(bool maximize) const {
+    if (!degree_index_) build_degree_index();
+    const std::uint32_t slot = degree_index_->extreme_slot(maximize);
+    if (slot == DegreeIndex::kNoSlot) return kInvalidNode;
+    return NodeId{slot, core_[slot].generation};
   }
 
   /// Appends all current neighbors of `node` (out-targets then in-sources,
@@ -455,6 +482,18 @@ class DynamicGraph {
   }
   SlotCore& core_of(NodeId node) { return core_[checked_slot(node)]; }
 
+  std::uint32_t live_out_edges(const SlotCore& core) const {
+    std::uint32_t edges = 0;
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      edges += out_pool_[core.out_base + i].peer != NodeId::kInvalidSlot;
+    }
+    return edges;
+  }
+
+  /// (Re)fills degree_index_ from the arenas: every alive slot at its
+  /// current degree.
+  void build_degree_index() const;
+
   /// Swap-with-last removal from a node's in-list; fixes the moved entry's
   /// back-pointer in its source's out-slot run.
   void detach_in_entry(SlotCore& target_core, std::uint32_t in_pos) {
@@ -499,6 +538,9 @@ class DynamicGraph {
   std::uint64_t next_birth_seq_ = 0;
   std::uint64_t edge_count_ = 0;
   ChangeFeed* feed_ = nullptr;  // optional delta recording (attach_change_feed)
+  // Built by the first extreme_degree() call, then kept current by every
+  // mutator; mutable because that first call is a const query.
+  mutable std::optional<DegreeIndex> degree_index_;
 };
 
 }  // namespace churnet

@@ -30,8 +30,9 @@ class DynamicGraphView final : public GraphReadView {
     return graph_.slot_alive(slot) ? graph_.alive_id_at(slot) : kInvalidNode;
   }
 
-  std::uint32_t degree(NodeId node) const override {
-    return graph_.degree(node);
+  /// Answered by the graph's degree index (built on the first call).
+  NodeId extreme_degree(bool maximize) const override {
+    return graph_.extreme_degree(maximize);
   }
 
   void append_neighbors(NodeId node, std::vector<NodeId>& out) const override {

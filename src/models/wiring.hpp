@@ -30,11 +30,17 @@ struct WiringLimits {
 /// Arena reservation hint for continuous-churn models: the stationary
 /// population lambda/mu plus four standard deviations of headroom (the
 /// M/G/inf stationary size is Poisson(lambda/mu)), so steady-state pool
-/// growth is a rare tail event.
+/// growth is a rare tail event. Capped at kMaxReserveHint slots (a NaN or
+/// infinite ratio lands on the cap too): a reservation is only a hint, and
+/// past the cap the arenas grow geometrically instead of allocating up
+/// front for a population the run may never reach.
+inline constexpr double kMaxReserveHint = 1 << 20;
+
 inline std::uint32_t stationary_reserve_hint(double lambda, double mu) {
   const double expected = lambda / mu;
-  return static_cast<std::uint32_t>(expected + 4.0 * std::sqrt(expected) +
-                                    8.0);
+  const double hint = expected + 4.0 * std::sqrt(expected) + 8.0;
+  return static_cast<std::uint32_t>(hint < kMaxReserveHint ? hint
+                                                           : kMaxReserveHint);
 }
 
 }  // namespace churnet

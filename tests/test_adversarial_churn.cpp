@@ -4,18 +4,22 @@
 //   * differential oracles: every AdversaryPolicy rule is checked against
 //     an independent reference implementation on a shadow adjacency (a
 //     second GraphReadView), and against the live DynamicGraph through
-//     DynamicGraphView — the selections must agree exactly;
+//     DynamicGraphView — the selections must agree exactly. The graph's
+//     degree index is checked against the reference slot scan under random
+//     mutation and at every death of live SDG/SDGR/PDG/PDGR runs;
 //   * integration oracles: network-level runs assert the per-death
 //     invariants (maxdeg victims really have maximum degree, streaming
-//     keeps its pinned size and round schedule);
+//     keeps its pinned size and round schedule), and the streaming age
+//     ring's tombstones reproduce the suffix-shift ring pop for pop;
 //   * byte-identity: budget-0 adversarial runs reproduce the base regime's
 //     graph bit-for-bit, and adversarial/burst sweeps are thread-count
 //     invariant (1-thread CSV == 8-thread CSV);
 //   * burst laws: massfail/flashcrowd burst sizes are exact per burst and
 //     the pre-burst population tracks the closed-form fixed point;
-//   * allocation hygiene: steady-state BurstChurn::next and degree-rule
-//     selection never touch the global allocator (counting operator new,
-//     same pattern as test_graph_stress.cpp);
+//   * allocation hygiene: steady-state BurstChurn::next, degree-rule
+//     selection and warmed adversarial networks never touch the global
+//     allocator (counting operator new, same pattern as
+//     test_graph_stress.cpp);
 //   * grammar: the new spellings parse/round-trip, malformed ones are
 //     rejected with actionable reasons, and the catalog, the known-name
 //     list and the factory stay mutually complete.
@@ -29,6 +33,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "churn/adversary.hpp"
@@ -89,11 +94,45 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace churnet {
 namespace {
 
+// ---- reference scan for the degree rules -----------------------------------
+
+/// Reference oracle for the degree rules: slot-ascending scan with strict
+/// improvement, written independently of the graph's degree index.
+template <typename AliveAt, typename DegreeOf>
+NodeId scan_extreme_degree(std::uint32_t slot_bound, const AliveAt& alive_at,
+                           const DegreeOf& degree_of, bool maximize) {
+  NodeId best = kInvalidNode;
+  long long best_score = 0;
+  for (std::uint32_t slot = 0; slot < slot_bound; ++slot) {
+    const NodeId id = alive_at(slot);
+    if (!id.valid()) continue;
+    const auto degree = static_cast<long long>(degree_of(id));
+    const long long score = maximize ? degree : -degree;
+    if (!best.valid() || score > best_score) {
+      best = id;
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+/// The reference scan over a live graph's own degree() counts.
+NodeId reference_extreme_degree(const DynamicGraph& graph, bool maximize) {
+  return scan_extreme_degree(
+      graph.slot_upper_bound(),
+      [&graph](std::uint32_t slot) {
+        return graph.slot_alive(slot) ? graph.alive_id_at(slot)
+                                      : kInvalidNode;
+      },
+      [&graph](NodeId id) { return graph.degree(id); }, maximize);
+}
+
 // ---- shadow adjacency: an independent GraphReadView ------------------------
 
 /// A GraphReadView backed by plain vectors — no DynamicGraph machinery —
 /// so policy selections can be checked against reference implementations
-/// and against the production adapter on mirrored topology.
+/// and against the production adapter on mirrored topology. Its degree
+/// question is answered by the reference scan.
 class ShadowView final : public GraphReadView {
  public:
   explicit ShadowView(std::uint32_t slots) : alive_(slots), adj_(slots) {}
@@ -139,8 +178,10 @@ class ShadowView final : public GraphReadView {
 
   NodeId alive_at(std::uint32_t slot) const override { return alive_[slot]; }
 
-  std::uint32_t degree(NodeId node) const override {
-    return static_cast<std::uint32_t>(adj_[node.slot].size());
+  NodeId extreme_degree(bool maximize) const override {
+    return scan_extreme_degree(
+        slot_upper_bound(), [this](std::uint32_t slot) { return alive_[slot]; },
+        [this](NodeId id) { return adj_[id.slot].size(); }, maximize);
   }
 
   void append_neighbors(NodeId node,
@@ -154,25 +195,6 @@ class ShadowView final : public GraphReadView {
 };
 
 NodeId at(std::uint32_t slot) { return NodeId{slot, 0}; }
-
-/// Reference oracle for the degree rules: slot-ascending scan, strict
-/// improvement (written independently of the production scan).
-NodeId reference_extreme_degree(const GraphReadView& view, bool maximize) {
-  NodeId best = kInvalidNode;
-  long long best_score = 0;
-  for (std::uint32_t slot = 0; slot < view.slot_upper_bound(); ++slot) {
-    const NodeId id = view.alive_at(slot);
-    if (!id.valid()) continue;
-    const long long score = maximize
-                                ? static_cast<long long>(view.degree(id))
-                                : -static_cast<long long>(view.degree(id));
-    if (!best.valid() || score > best_score) {
-      best = id;
-      best_score = score;
-    }
-  }
-  return best;
-}
 
 // ---- differential oracles: degree rules -------------------------------------
 
@@ -192,33 +214,70 @@ TEST(AdversaryPolicy, MaxDegreePicksHubSmallestSlotOnTies) {
 
   AdversaryPolicy min_policy({AdversaryRule::kMinDegree, 1.0}, 7);
   EXPECT_EQ(min_policy.select(view), at(2));  // degree 1, beats slot 5
+
+  // The live graph's degree index breaks the same ties.
+  DynamicGraph graph;
+  for (std::uint32_t s = 0; s < 6; ++s) ASSERT_EQ(graph.add_node(3, 0.0), at(s));
+  std::uint32_t used[6] = {};
+  for (const auto& [a, b] : {std::pair{0u, 1u}, {1u, 3u}, {1u, 4u}, {3u, 2u},
+                             {3u, 5u}, {0u, 4u}}) {
+    graph.set_out_edge(at(a), used[a]++, at(b));
+  }
+  EXPECT_EQ(graph.extreme_degree(/*maximize=*/true), at(1));
+  EXPECT_EQ(graph.extreme_degree(/*maximize=*/false), at(2));
 }
 
 TEST(AdversaryPolicy, DegreeRulesMatchReferenceAcrossRandomKillSequences) {
+  // The live graph's degree index against the reference scan under random
+  // births, wirings, unwirings and kills (with slot reuse), the index
+  // switched on either before any edge exists or at the first selection.
+  constexpr std::uint32_t kOutSlots = 6;
   Rng rng(99);
+  RemovalScratch scratch;
   for (int trial = 0; trial < 20; ++trial) {
-    const std::uint32_t slots = 20 + static_cast<std::uint32_t>(
+    DynamicGraph graph;
+    const std::uint32_t nodes = 20 + static_cast<std::uint32_t>(
                                          rng.below(30));
-    ShadowView view(slots);
-    for (std::uint32_t s = 0; s < slots; ++s) view.birth(at(s));
-    const int edges = static_cast<int>(rng.below(4 * slots));
-    for (int e = 0; e < edges; ++e) {
-      const auto a = static_cast<std::uint32_t>(rng.below(slots));
-      const auto b = static_cast<std::uint32_t>(rng.below(slots));
-      if (a != b) view.link(at(a), at(b));
-    }
+    for (std::uint32_t s = 0; s < nodes; ++s) graph.add_node(kOutSlots, 0.0);
     const bool maximize = (trial % 2) == 0;
+    if (trial % 4 < 2) (void)graph.extreme_degree(maximize);
+    const auto wire_one = [&] {
+      const NodeId owner = graph.random_alive(rng);
+      const auto index = static_cast<std::uint32_t>(rng.below(kOutSlots));
+      if (graph.out_target(owner, index).valid()) return;
+      const NodeId target = graph.random_alive_other(rng, owner);
+      if (target.valid()) graph.set_out_edge(owner, index, target);
+    };
+    for (std::uint32_t e = 0; e < 2 * nodes; ++e) wire_one();
+
     AdversaryPolicy policy(
         {maximize ? AdversaryRule::kMaxDegree : AdversaryRule::kMinDegree,
          1.0},
         1234);
-    // Kill down to a handful of nodes, checking every selection.
-    while (view.alive_count() > 3) {
-      const NodeId expected = reference_extreme_degree(view, maximize);
+    const DynamicGraphView view(graph);
+    // Kill down to a handful of nodes, mutating between kills and
+    // checking every selection.
+    while (graph.alive_count() > 3) {
+      for (int op = 0; op < 4; ++op) {
+        const std::uint64_t kind = rng.below(8);
+        if (kind == 0) {
+          graph.add_node(kOutSlots, 0.0);
+        } else if (kind < 6) {
+          wire_one();
+        } else {
+          const NodeId owner = graph.random_alive(rng);
+          const auto index = static_cast<std::uint32_t>(rng.below(kOutSlots));
+          if (graph.out_target(owner, index).valid()) {
+            graph.clear_out_edge(owner, index);
+          }
+        }
+      }
+      const NodeId expected = reference_extreme_degree(graph, maximize);
       const NodeId chosen = policy.select(view);
       ASSERT_EQ(chosen, expected);
-      view.kill(chosen);
+      graph.remove_node(chosen, scratch);
       policy.on_death(chosen);
+      ASSERT_TRUE(graph.check_consistency());
     }
   }
 }
@@ -416,6 +475,185 @@ TEST(AdversarialNetworks, StreamingMaxdegKeepsScheduleAndKillsHubs) {
   EXPECT_EQ(net.round(), start_round + 200);
   EXPECT_EQ(deaths, 200);
   EXPECT_EQ(net.graph().alive_count(), config.n);
+}
+
+// ---- the degree index on live networks --------------------------------------
+
+/// Steps `net` while checking, at every death, that the graph's degree
+/// index answers both degree questions exactly as the reference scan. The
+/// death hook fires after victim selection and before the removal, so every
+/// adversarial death is checked on the very state its victim was chosen
+/// from; under a full budget the victim itself must be the reference's.
+void check_index_at_every_death(AnyNetwork& net, bool maximize, double budget,
+                                int steps, const std::string& label) {
+  int deaths = 0;
+  NetworkHooks hooks;
+  hooks.on_death = [&](NodeId victim, double) {
+    const DynamicGraph& graph = net.graph();
+    for (const bool rule_max : {true, false}) {
+      ASSERT_EQ(graph.extreme_degree(rule_max),
+                reference_extreme_degree(graph, rule_max))
+          << label << (rule_max ? " max" : " min") << " at death " << deaths;
+    }
+    if (budget >= 1.0) {
+      EXPECT_EQ(victim, reference_extreme_degree(graph, maximize)) << label;
+    }
+    ++deaths;
+  };
+  net.set_hooks(std::move(hooks));
+  for (int i = 0; i < steps; ++i) net.step();
+  net.set_hooks({});
+  EXPECT_GT(deaths, steps / 4) << label;
+  EXPECT_TRUE(net.graph().check_consistency()) << label;
+}
+
+TEST(DegreeIndex, MatchesReferenceAtEveryDeathOfLiveNetworks) {
+  const ScenarioRegistry& registry = ScenarioRegistry::extended();
+  int seed = 0;
+  for (const char* model : {"SDG", "SDGR", "PDG", "PDGR"}) {
+    for (const char* rule : {"maxdeg", "mindeg"}) {
+      for (const double budget : {0.25, 1.0}) {
+        std::ostringstream churn;
+        churn << rule << '(' << budget << ')';
+        ScenarioParams params;
+        params.n = 150;
+        params.d = 4;
+        params.seed = static_cast<std::uint64_t>(100 + seed++);
+        params.churn = churn.str();
+        AnyNetwork net = registry.at(model).make_warmed(params);
+        check_index_at_every_death(net, std::string(rule) == "maxdeg",
+                                   budget, 400,
+                                   std::string(model) + "+" + churn.str());
+      }
+    }
+  }
+}
+
+TEST(DegreeIndex, MatchesReferenceUnderBoundedInDegree) {
+  // Bounded wiring leaves requests dangling and retries them, so degrees
+  // move through set_out_edge calls the unbounded path never makes.
+  ScenarioParams params;
+  params.n = 150;
+  params.d = 6;
+  params.seed = 77;
+  params.max_in_degree = 7;
+  params.churn = "mindeg(1)";
+  AnyNetwork net = ScenarioRegistry::extended().at("PDGR").make_warmed(params);
+  check_index_at_every_death(net, /*maximize=*/false, 1.0, 600,
+                             "PDGR+mindeg(1) max_in_degree 7");
+}
+
+TEST(DegreeIndex, BulkGenesisRebuildsAnActiveIndex) {
+  // Switch the index on over the empty graph, so the streaming growth
+  // phase (bulk-wired: no hooks, unbounded) must rebuild it.
+  ScenarioParams params;
+  params.n = 150;
+  params.d = 4;
+  params.seed = 5;
+  params.churn = "maxdeg(0.25)";
+  AnyNetwork net = ScenarioRegistry::extended().at("SDGR").make(params);
+  EXPECT_FALSE(net.graph().extreme_degree(true).valid());
+  net.warm_up();
+  ASSERT_TRUE(net.graph().check_consistency());
+  check_index_at_every_death(net, /*maximize=*/true, 0.25, 400,
+                             "SDGR+maxdeg(0.25) index before genesis");
+}
+
+// ---- the streaming ring: tombstones vs the suffix-shift reference ----------
+
+/// The streaming age ring as it was before tombstones: an adversarial
+/// removal shifts the younger suffix one place toward the head. Kept as the
+/// reference the tombstone ring must reproduce pop for pop.
+class SuffixShiftRing {
+ public:
+  explicit SuffixShiftRing(std::uint32_t n) : n_(n), ring_(n) {}
+
+  std::uint32_t size() const { return size_; }
+
+  /// The member of age rank `rank` (0 = oldest).
+  NodeId at(std::uint32_t rank) const { return ring_[(head_ + rank) % n_]; }
+
+  void push_newest(NodeId id) {
+    ring_[(head_ + size_) % n_] = id;
+    ++size_;
+  }
+
+  NodeId pop_oldest() {
+    const NodeId oldest = ring_[head_];
+    head_ = (head_ + 1) % n_;
+    --size_;
+    return oldest;
+  }
+
+  void remove(NodeId id) {
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      if (at(i) != id) continue;
+      for (std::uint32_t j = i + 1; j < size_; ++j) {
+        const std::uint32_t from = (head_ + j) % n_;
+        ring_[from == 0 ? n_ - 1 : from - 1] = ring_[from];
+      }
+      --size_;
+      return;
+    }
+    FAIL() << "victim not in the reference ring";
+  }
+
+ private:
+  std::uint32_t n_;
+  std::vector<NodeId> ring_;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+};
+
+TEST(StreamingRing, TombstonesMatchSuffixShiftReferenceThroughCompactions) {
+  // Random adversarial victims (any age) mixed with FIFO deaths, slots
+  // recycled with bumped generations as the graph does: every FIFO victim
+  // must be the reference's oldest member, across many 2n compactions.
+  constexpr std::uint32_t kN = 37;
+  for (const double budget : {0.1, 0.5, 1.0}) {
+    StreamingChurn churn(kN);
+    churn.set_adversary({AdversaryRule::kMaxDegree, budget}, 99, "maxdeg");
+    SuffixShiftRing reference(kN);
+    Rng rng(7);
+    std::vector<std::uint32_t> generation(kN, 0);
+    std::vector<std::uint32_t> free_slots;
+    std::uint32_t next_slot = 0;
+    std::uint64_t adversarial = 0;
+    for (std::uint32_t round = 0; round < 200 * kN; ++round) {
+      ChurnProcess::Step step = churn.next(reference.size());
+      if (!step.is_birth) {
+        NodeId victim;
+        if (step.victim == ChurnProcess::Victim::kAdversarial) {
+          victim = reference.at(static_cast<std::uint32_t>(
+              rng.below(reference.size())));
+          reference.remove(victim);
+          ++adversarial;
+        } else {
+          ASSERT_EQ(step.victim, ChurnProcess::Victim::kScheduled);
+          victim = reference.pop_oldest();
+          ASSERT_EQ(step.victim_id, victim) << "round " << round;
+        }
+        churn.on_death(victim, step.time);
+        ++generation[victim.slot];
+        free_slots.push_back(victim.slot);
+        step = churn.next(reference.size());
+      }
+      ASSERT_TRUE(step.is_birth);
+      std::uint32_t slot = next_slot;
+      if (free_slots.empty()) {
+        ++next_slot;
+      } else {
+        slot = free_slots.back();
+        free_slots.pop_back();
+      }
+      const NodeId born{slot, generation[slot]};
+      churn.on_birth(born, step.time);
+      reference.push_newest(born);
+      ASSERT_EQ(churn.alive(), reference.size());
+    }
+    // Enough tombstones for at least ten compactions of the 2n ring.
+    EXPECT_GT(adversarial, 10u * kN) << "budget " << budget;
+  }
 }
 
 // ---- byte-identity: budget 0 == base regime ---------------------------------
@@ -651,6 +889,27 @@ TEST(AdversarialChurnAllocation, SteadyStatePathsAllocateNothing) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "steady-state burst/selection path touched the allocator";
+
+  // Warmed adversarial networks: the degree index, the tombstone ring and
+  // the cutset queue all reach their high-water capacities in the
+  // conditioning window and recycle them afterwards.
+  const ScenarioRegistry& registry = ScenarioRegistry::extended();
+  for (const char* model : {"PDGR", "SDGR"}) {
+    for (const char* rule : {"maxdeg(1)", "mindeg(1)", "cutset(1)"}) {
+      ScenarioParams params;
+      params.n = 1000;
+      params.d = 8;
+      params.seed = 41;
+      params.churn = rule;
+      AnyNetwork net = registry.at(model).make_warmed(params);
+      for (int i = 0; i < 8000; ++i) net.step();  // conditioning window
+      const std::uint64_t start =
+          g_allocations.load(std::memory_order_relaxed);
+      for (int i = 0; i < 4000; ++i) net.step();
+      EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - start, 0u)
+          << model << "+" << rule << " touched the allocator";
+    }
+  }
 }
 
 // ---- spec grammar -----------------------------------------------------------

@@ -171,7 +171,7 @@ std::vector<ReproTarget> make_targets() {
       "flooding coverage versus adversary budget (maxdeg/mindeg/cutset/"
       "eclipse at budgets 0.25/0.5/1) and under massfail/flashcrowd "
       "bursts, with the oblivious models as the budget-0 baseline",
-      "~45 min full scale",
+      "~1 min full scale",
       base_spec({"SDGR", "SDGR+maxdeg(0.25)", "SDGR+maxdeg(0.5)",
                  "SDGR+maxdeg(1)", "SDGR+mindeg(0.5)", "SDGR+cutset(0.5)",
                  "SDGR+eclipse(0.5)", "PDGR", "PDGR+maxdeg(0.25)",
