@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
           worst_ratio = std::min(
               worst_ratio,
               probe_expansion(snap, probe_rng, {}).min_ratio);
-          const FloodTrace trace = flood_streaming(net, flood_options);
+          const FloodTrace trace = flood_dynamic(net, flood_options);
           if (trace.completed) {
             ++completions;
             flood_steps.add(static_cast<double>(trace.completion_step));
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
               worst_ratio,
               probe_expansion(snap, probe_rng, {}).min_ratio);
           const FloodTrace trace =
-              flood_poisson_discretized(net, flood_options);
+              flood_dynamic(net, flood_options);
           if (trace.completed) {
             ++completions;
             flood_steps.add(static_cast<double>(trace.completion_step));

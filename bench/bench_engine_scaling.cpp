@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     params.d = d;
     params.seed = ctx.seed;
     AnyNetwork net = scenario.make_warmed(params);
-    thread_local FloodScratch scratch;
+    thread_local ProtocolScratch scratch;
     FloodOptions options;
     options.max_steps = static_cast<std::uint64_t>(
         30.0 * std::log2(static_cast<double>(n)));

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       options.stream = ++stream;
       const TrialResult result = TrialRunner(options).run(
           "coverage", [&scenario, streaming, n, d](const TrialContext& ctx) {
-            thread_local FloodScratch scratch;
+            thread_local ProtocolScratch scratch;
             FloodOptions flood_options;
             flood_options.max_steps = static_cast<std::uint64_t>(
                 4.0 * std::log2(static_cast<double>(n))) + d;
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     options.stream = 200 + ++stream;
     const TrialResult result = TrialRunner(options).run(
         "steps_to_90", [&sdg, size](const TrialContext& ctx) {
-          thread_local FloodScratch scratch;
+          thread_local ProtocolScratch scratch;
           ScenarioParams params;
           params.n = size;
           params.d = 8;

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     const TrialResult result = TrialRunner(runner_options)
         .run(recorder.metric_names(),
              [&scenario, n, d, &recorder, &options](const TrialContext& ctx) {
-          thread_local FloodScratch scratch;
+          thread_local ProtocolScratch scratch;
           ScenarioParams params;
           params.n = n;
           params.d = d;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       options.stop_at_fraction =
           static_cast<double>(d + 2) / static_cast<double>(n);
       // Stop as soon as the flood outgrows d+1 (not a failure) or dies.
-      const FloodTrace trace = flood_streaming(net, options);
+      const FloodTrace trace = flood_dynamic(net, options);
       peaks.add(static_cast<double>(trace.peak_informed));
       if (trace.died_out && trace.peak_informed <= d + 1) ++failures;
     }
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       options.max_steps = 20ull * n;  // lifetimes are Exp(n): allow the tail
       options.stop_at_fraction =
           static_cast<double>(d + 2) / static_cast<double>(n);
-      const FloodTrace trace = flood_poisson_discretized(net, options);
+      const FloodTrace trace = flood_dynamic(net, options);
       peaks.add(static_cast<double>(trace.peak_informed));
       if (trace.died_out && trace.peak_informed <= d + 1) ++failures;
     }
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       FloodOptions options;
       options.max_steps = 4ull * size;
       options.stop_on_die_out = false;
-      const FloodTrace trace = flood_streaming(net, options);
+      const FloodTrace trace = flood_dynamic(net, options);
       if (trace.completed) {
         ++completed;
         completion.add(static_cast<double>(trace.completion_step));

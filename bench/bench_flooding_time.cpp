@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
         {"sdgr_rounds", "pdgr_steps", "pdgr_async_time", "static_bfs",
          "completions"},
         [&, size](const TrialContext& ctx) {
-          thread_local FloodScratch scratch;
+          thread_local ProtocolScratch scratch;
           const auto budget = static_cast<std::uint64_t>(
               30.0 * std::log2(static_cast<double>(size)));
           FloodOptions flood_options;

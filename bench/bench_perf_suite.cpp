@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   json << "    \"flood\": {\n      \"config\": {\"n\": " << flood_n
        << ", \"reps\": " << flood_reps << "},\n      \"scenarios\": {\n";
   first = true;
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   for (const char* name : {"SDGR", "PDGR"}) {
     const std::uint32_t d = *name == 'S' ? 21 : 35;
     const Scenario& scenario = registry.at(name);
@@ -277,8 +277,9 @@ int main(int argc, char** argv) {
 
   // --- section 2.5: ten-million-node trial (bitset frontier path) ---------
   // One SDG trial at the tentpole scale, phase by phase: the n-round
-  // streaming growth (bulk-wired genesis), one complete flood from the
-  // next newborn, then a steady-state churn segment. Deterministic fields
+  // streaming growth (bulk-wired genesis), one capped flood from the next
+  // newborn, a steady-state churn segment, then the sweep's shape — an
+  // uncapped flood of the warmed network. Deterministic fields
   // pin the realization (identical at every intra-thread count); the
   // rates are the headline single-machine numbers in README's perf table.
   {
@@ -325,28 +326,52 @@ int main(int argc, char** argv) {
       series.add(alive);
     }
     const std::uint64_t checksum = graph_checksum(net.graph());
+    const std::uint64_t churned_alive = net.graph().alive_count();
+    const std::uint64_t churned_edges = net.graph().edge_count();
+
+    // The sweep's flood shape: the now warmed network flooded once more
+    // with default options, i.e. to completion — on SDG that means waiting
+    // for the isolated nodes to die, a long run of nearly idle steps.
+    const auto warm_start = std::chrono::steady_clock::now();
+    const FloodTrace warm = flood_dynamic(net, FloodOptions{}, scratch);
+    const double warm_elapsed = seconds_since(warm_start);
+    Fnv warm_series;
+    for (const std::uint64_t informed : warm.informed_per_step) {
+      warm_series.add(informed);
+    }
+    for (const std::uint64_t alive : warm.alive_per_step) {
+      warm_series.add(alive);
+    }
+
     std::printf("growth: %.2fs (%.2e rounds/sec)   flood: %llu steps in "
                 "%.2fs (frac %.4f)   steady churn: %.2e rounds/sec\n",
                 growth_elapsed, growth_rate,
                 static_cast<unsigned long long>(trace.steps), flood_elapsed,
                 trace.final_fraction, churn_rate);
+    std::printf("warm flood (default options): %llu steps in %.2fs "
+                "(completed %d)\n",
+                static_cast<unsigned long long>(warm.steps), warm_elapsed,
+                warm.completed ? 1 : 0);
     json << "    \"flood_large_n\": {\n      \"config\": {\"n\": " << large_n
          << ", \"d\": 8, \"scenario\": \"SDG\", \"churn_rounds\": "
          << churn_rounds << "},\n"
-         << "      \"deterministic\": {\"alive\": "
-         << net.graph().alive_count()
-         << ", \"edges\": " << net.graph().edge_count()
+         << "      \"deterministic\": {\"alive\": " << churned_alive
+         << ", \"edges\": " << churned_edges
          << ", \"flood_steps\": " << trace.steps
          << ", \"completed\": " << (trace.completed ? 1 : 0)
          << ", \"peak_informed\": " << trace.peak_informed
          << ", \"series_checksum\": \"" << hex(series.hash)
          << "\", \"graph_checksum\": \"" << hex(checksum)
+         << "\", \"warm_flood_steps\": " << warm.steps
+         << ", \"warm_flood_completed\": " << (warm.completed ? 1 : 0)
+         << ", \"warm_series_checksum\": \"" << hex(warm_series.hash)
          << "\"},\n      \"perf\": {\"intra_threads\": " << intra_threads
          << ", \"growth_rounds_per_sec\": " << fmt_fixed(growth_rate, 1)
          << ", \"churn_rounds_per_sec\": " << fmt_fixed(churn_rate, 1)
          << ", \"growth_wall_seconds\": " << fmt_fixed(growth_elapsed, 4)
          << ", \"flood_wall_seconds\": " << fmt_fixed(flood_elapsed, 4)
          << ", \"churn_wall_seconds\": " << fmt_fixed(churn_elapsed, 4)
+         << ", \"warm_flood_wall_seconds\": " << fmt_fixed(warm_elapsed, 4)
          << "}\n    },\n";
   }
 

@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
           params.d = d;
           params.seed = ctx.seed;
           AnyNetwork net = scenario.make_warmed(params);
-          thread_local FloodScratch scratch;  // reused across reps per worker
+          thread_local ProtocolScratch scratch;  // reused per worker
           FloodOptions flood_options;
           flood_options.max_steps = static_cast<std::uint64_t>(
               30.0 * std::log2(static_cast<double>(flood_n)));
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
       params.d = 21;
       params.seed = ctx.seed;
       AnyNetwork net = scenario.make_warmed(params);
-      thread_local FloodScratch scratch;
+      thread_local ProtocolScratch scratch;
       const FloodTrace trace = net.flood({}, scratch);
       return trace.completed ? static_cast<double>(trace.completion_step)
                              : std::nan("");

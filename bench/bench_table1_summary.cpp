@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       options.max_steps = 3ull * config.n;
       options.stop_at_fraction =
           static_cast<double>(d + 2) / static_cast<double>(config.n);
-      const FloodTrace trace = flood_streaming(net, options);
+      const FloodTrace trace = flood_dynamic(net, options);
       failures += (trace.died_out && trace.peak_informed <= d + 1) ? 1 : 0;
     }
     table.add_row(
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       options.max_steps = 20ull * std::min(n, 1000u);
       options.stop_at_fraction =
           static_cast<double>(d + 2) / std::min(n, 1000u);
-      const FloodTrace trace = flood_poisson_discretized(net, options);
+      const FloodTrace trace = flood_dynamic(net, options);
       failures += (trace.died_out && trace.peak_informed <= d + 1) ? 1 : 0;
     }
     table.add_row(
@@ -211,13 +211,13 @@ int main(int argc, char** argv) {
         StreamingNetwork net(config);
         net.warm_up();
         net.run_rounds(n);
-        coverage.add(flood_streaming(net, options).final_fraction);
+        coverage.add(flood_dynamic(net, options).final_fraction);
       } else {
         PoissonNetwork net(PoissonConfig::with_n(n, d, EdgePolicy::kNone,
                                                  derive_seed(seed, 10, rep)));
         net.warm_up(8.0);
         coverage.add(
-            flood_poisson_discretized(net, options).final_fraction);
+            flood_dynamic(net, options).final_fraction);
       }
     }
     table.add_row({model == 0 ? "T3.8" : "T4.13",
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
                                derive_seed(seed, 11, rep)};
         StreamingNetwork net(config);
         net.warm_up();
-        const FloodTrace trace = flood_streaming(net, options);
+        const FloodTrace trace = flood_dynamic(net, options);
         completions += trace.completed ? 1 : 0;
         if (trace.completed) {
           steps.add(static_cast<double>(trace.completion_step));
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
         PoissonNetwork net(PoissonConfig::with_n(
             n, d, EdgePolicy::kRegenerate, derive_seed(seed, 12, rep)));
         net.warm_up(8.0);
-        const FloodTrace trace = flood_poisson_discretized(net, options);
+        const FloodTrace trace = flood_dynamic(net, options);
         completions += trace.completed ? 1 : 0;
         if (trace.completed) {
           steps.add(static_cast<double>(trace.completion_step));

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
           FloodOptions options;
           options.max_steps =
               static_cast<std::uint64_t>(30.0 * std::log2(n));
-          const FloodTrace trace = flood_streaming(net, options);
+          const FloodTrace trace = flood_dynamic(net, options);
           if (trace.completed) {
             ++completions;
             flood_steps.add(static_cast<double>(trace.completion_step));

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         FloodOptions options;
         options.max_steps = static_cast<std::uint64_t>(
             8.0 * std::log2(static_cast<double>(n)));
-        const FloodTrace trace = flood_poisson_discretized(net, options);
+        const FloodTrace trace = flood_dynamic(net, options);
         coverage.add(trace.final_fraction);
         die_outs += trace.died_out ? 1 : 0;
         completions += trace.completed ? 1 : 0;

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
         ScenarioParams rep_params = params;
         rep_params.seed = ctx.seed;  // the only seed a replication uses
         AnyNetwork rep_net = scenario.make_warmed(rep_params);
-        thread_local FloodScratch scratch;  // zero allocation after trial 1
+        thread_local ProtocolScratch scratch;  // zero allocation after trial 1
         const FloodTrace rep_trace = rep_net.flood({}, scratch);
         return std::vector<double>{
             rep_trace.completed

@@ -42,7 +42,6 @@
 #include "expansion/spectral.hpp"          // IWYU pragma: export
 #include "flooding/async_flooding.hpp"     // IWYU pragma: export
 #include "flooding/flood_driver.hpp"       // IWYU pragma: export
-#include "flooding/flooding.hpp"           // IWYU pragma: export
 #include "flooding/onion_skin.hpp"         // IWYU pragma: export
 #include "graph/algorithms.hpp"            // IWYU pragma: export
 #include "graph/dynamic_graph.hpp"         // IWYU pragma: export

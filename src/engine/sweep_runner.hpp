@@ -10,8 +10,8 @@
 // full sample matrix, a tidy long-format CSV (one row per observation:
 // scenario, churn, protocol, n, d, replication, seed, metric, value) and
 // a JSON summary. Dissemination metrics (completion, coverage, message
-// complexity) run the cell's protocol through the generic driver; flood
-// cells reproduce the plain flood driver bit for bit.
+// complexity) run the cell's protocol through the dissemination driver;
+// flood cells are plain flooding (flood_dynamic) bit for bit.
 //
 // A sweep can additionally attach a metric-observer set (observe/,
 // DESIGN.md §6): SweepSpec::observers names it ("expansion(8)+spectral"),
@@ -54,7 +54,7 @@ class JsonValue;
 /// One metric the sweep can measure per replication. All metrics are
 /// evaluated on a freshly built, warmed network; dissemination metrics run
 /// one pass of the cell's protocol (default: flood) under the model's own
-/// semantics — flood cells reproduce the plain flood driver bit for bit.
+/// semantics — flood cells are plain flooding (flood_dynamic) bit for bit.
 enum class SweepMetric : std::uint8_t {
   kAlive,                 // |N| after warm-up
   kMeanDegree,            // snapshot mean degree

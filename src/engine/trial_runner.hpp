@@ -19,7 +19,7 @@
 //
 // The trial body must be thread-safe with respect to shared state it
 // captures (the intended pattern: build everything from ctx.seed inside
-// the body; see thread_local FloodScratch reuse in the bench binaries).
+// the body; see thread_local ProtocolScratch reuse in the bench binaries).
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,7 @@
-// Generic incremental flooding driver over any dynamic network model.
+// Flooding vocabulary shared by the one dissemination driver
+// (protocols/dissemination.hpp): run options, the trace, the per-run
+// bitset scratch, the per-model step semantics, and the slot-level
+// boundary scan plain flooding runs on.
 //
 // One frontier algorithm serves every model (DESIGN.md, decision 6): a node
 // can only become informed through (a) an edge incident to a node informed
@@ -23,20 +26,22 @@
 //   * StaticFloodSemantics: synchronous flooding on a churn-free network
 //     (BFS rounds); the source is drawn uniformly since nobody is born.
 //
-// The driver installs its own network hooks for the duration of the call and
-// clears them on return; callers must not rely on hooks across a flood.
-//
 // All per-run state lives in a caller-supplied FloodScratch whose membership
 // sets are word-packed bitsets (common/bitset64.hpp, DESIGN.md "Frontier
 // representation"): repeated trials reuse the same allocations, clears are
 // O(words) streams with no epoch counters to wrap, and the receiver-dedup
-// commit is a fused AND-NOT word scan. The flood-only fast path additionally
-// works in raw slots (no generation loads) and can shard the boundary scan
-// across a worker pool (FloodOptions::intra_threads) with byte-identical
-// output at every thread count (common/intra.hpp).
+// commit is a fused AND-NOT over only the candidate words a step touched.
+// The slot scan works in raw slots (no generation loads) and can shard the
+// boundary across a worker pool (FloodOptions::intra_threads) with
+// byte-identical output at every thread count (common/intra.hpp).
+//
+// flood_dynamic() — plain flooding on a typed model — is a forwarder to
+// disseminate_dynamic() with FloodProtocol, declared next to the driver.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -46,8 +51,6 @@
 #include "common/intra.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/node_id.hpp"
-#include "models/edge_policy.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace churnet {
 
@@ -110,13 +113,16 @@ struct CreatedEdge {
 /// before a slot can be recycled, so a set bit always describes the slot's
 /// current occupant.
 ///
-/// Two candidate representations coexist. The protocol driver records
+/// Two candidate representations coexist; the protocol picks one
+/// (DisseminationProtocol::candidates()). Protocols that propose record
 /// (sender, receiver) NodeId pairs in `candidates` (propose order is
 /// load-bearing: commit order, stats, and on_informed indices follow it),
-/// with `mark_candidate` bits deduplicating receivers on the flood fast
-/// path. The flood driver skips the pair list entirely: receivers are
-/// candidate *bits* only, and commit_candidates() turns them into the next
-/// frontier with one fused AND-NOT word scan.
+/// with `mark_candidate` bits deduplicating receivers where one message
+/// per receiver suffices. Plain flooding skips the pair list entirely:
+/// receivers are candidate *bits* in slot space, each candidate word
+/// flagged in a summary level (one bit per word, the degree-index
+/// pattern), and commit_candidates() turns them into the next frontier
+/// with a fused AND-NOT over only the flagged words.
 class FloodScratch {
  public:
   using Word = Bitset64::Word;
@@ -126,6 +132,7 @@ class FloodScratch {
     ensure(slot_bound);
     informed_.clear_all();
     candidate_.clear_all();
+    touched_.clear_all();
     death_.clear_all();
     informed_count_ = 0;
     frontier.clear();
@@ -152,7 +159,7 @@ class FloodScratch {
     ++informed_count_;
     return true;
   }
-  /// Slot variant for the flood fast path; the slot must be in range
+  /// Slot variant for the slot path; the slot must be in range
   /// (ensure_slots ran this step).
   bool mark_informed_slot(std::uint32_t slot) {
     if (!informed_.test_and_set(slot)) return false;
@@ -168,10 +175,10 @@ class FloodScratch {
   }
   std::uint64_t informed_count() const { return informed_count_; }
 
-  // ---- per-step candidate dedup (streaming semantics) ------------------
+  // ---- per-step candidates ---------------------------------------------
 
-  /// Starts a new proposal step for the protocol driver: clears the
-  /// previous step's candidate marks (walking the recorded pairs — O(step
+  /// Starts a new proposal step on the pair path: clears the previous
+  /// step's candidate marks (walking the recorded pairs — O(step
   /// candidates), not O(slots)) and the pair list itself.
   void begin_step() {
     for (const auto& [sender, receiver] : candidates) {
@@ -179,43 +186,68 @@ class FloodScratch {
     }
     candidates.clear();
   }
-  /// Returns true the first time `node` is proposed this step.
+  /// Pair-path receiver dedup: true the first time `node` is proposed
+  /// this step.
   bool mark_candidate(NodeId node) {
     ensure(node.slot + 1);
     return candidate_.test_and_set(node.slot);
   }
-  /// Flood fast path: membership-only candidate mark (in-range slot —
-  /// ensure_slots ran this step). The atomic variant is for workers of a
-  /// sharded scan marking concurrently: bitwise OR commutes, so the
-  /// resulting set is exact for every interleaving.
-  void mark_candidate_slot(std::uint32_t slot) { candidate_.set(slot); }
+  /// Slot path: membership-only candidate mark (in-range slot —
+  /// ensure_slots ran this step); the first mark in a word flags it in the
+  /// summary. The atomic variant is for workers of a sharded scan marking
+  /// concurrently: bitwise OR commutes, and exactly one worker sees its
+  /// word go from zero, so both levels are exact for every interleaving.
+  void mark_candidate_slot(std::uint32_t slot) {
+    CHURNET_ASSERT(slot < candidate_.size());
+    Word& word = candidate_.words()[slot / Bitset64::kWordBits];
+    if (word == 0) touched_.set(slot / Bitset64::kWordBits);
+    word |= Word{1} << (slot % Bitset64::kWordBits);
+  }
   void mark_candidate_slot_atomic(std::uint32_t slot) {
-    candidate_.set_atomic(slot);
+    CHURNET_ASSERT(slot < candidate_.size());
+    const Word before =
+        std::atomic_ref<Word>(candidate_.words()[slot / Bitset64::kWordBits])
+            .fetch_or(Word{1} << (slot % Bitset64::kWordBits),
+                      std::memory_order_relaxed);
+    if (before == 0) touched_.set_atomic(slot / Bitset64::kWordBits);
   }
 
-  /// Flood fast path commit: I_t gains (candidates AND NOT deaths) in one
-  /// word scan; newly informed slots are appended to `frontier_out` in
-  /// slot order and the candidate set is consumed (left empty).
-  void commit_candidates(std::vector<std::uint32_t>& frontier_out) {
+  /// Slot-path commit: I_t gains (candidates AND NOT deaths), visiting only
+  /// the candidate words the summary flags, in ascending order, so newly
+  /// informed slots are appended to `frontier_out` in slot order. Both
+  /// levels are consumed (left empty). Returns the number of distinct
+  /// candidates (informed or not).
+  std::uint64_t commit_candidates(std::vector<std::uint32_t>& frontier_out) {
+    Word* touched = touched_.words();
     Word* cand = candidate_.words();
     const Word* dead = death_.words();
     Word* informed = informed_.words();
-    const std::uint64_t words = candidate_.word_count();
-    for (std::uint64_t w = 0; w < words; ++w) {
-      const Word add = cand[w] & ~dead[w];
-      cand[w] = 0;
-      if (add == 0) continue;
-      // Candidates were uninformed at scan time and nothing else informs.
-      CHURNET_ASSERT((informed[w] & add) == 0);
-      informed[w] |= add;
-      informed_count_ += std::popcount(add);
-      Word bits = add;
-      while (bits != 0) {
-        frontier_out.push_back(static_cast<std::uint32_t>(
-            w * Bitset64::kWordBits + std::countr_zero(bits)));
-        bits &= bits - 1;
+    std::uint64_t distinct = 0;
+    for (std::uint64_t s = 0; s < touched_.word_count(); ++s) {
+      for (Word flags = std::exchange(touched[s], 0); flags != 0;
+           flags &= flags - 1) {
+        const std::uint64_t w =
+            s * Bitset64::kWordBits + std::countr_zero(flags);
+        const Word marked = std::exchange(cand[w], 0);
+        distinct += std::popcount(marked);
+        const Word add = marked & ~dead[w];
+        // Candidates were uninformed at scan time and nothing else informs.
+        CHURNET_ASSERT((informed[w] & add) == 0);
+        informed[w] |= add;
+        informed_count_ += std::popcount(add);
+        for (Word bits = add; bits != 0; bits &= bits - 1) {
+          frontier_out.push_back(static_cast<std::uint32_t>(
+              w * Bitset64::kWordBits + std::countr_zero(bits)));
+        }
       }
     }
+    return distinct;
+  }
+
+  /// True when no candidate bit and no summary bit is set — the state
+  /// every slot-path step starts from. O(words).
+  bool candidates_empty() const {
+    return candidate_.count() == 0 && touched_.count() == 0;
   }
 
   // ---- deaths during the current churn interval ------------------------
@@ -242,7 +274,7 @@ class FloodScratch {
   std::vector<CreatedEdge> created;
   std::vector<std::pair<NodeId, NodeId>> candidates;  // (sender, receiver)
 
-  // Flood fast-path buffers (slot-only mirrors of the above).
+  // Slot-path buffers (slot-only mirrors of the above).
   std::vector<std::uint32_t> frontier_slots;
   std::vector<std::uint32_t> neighbor_slots;
   // (sender, receiver) slots under pair-survival semantics.
@@ -261,12 +293,15 @@ class FloodScratch {
     informed_.resize(size);
     candidate_.resize(size);
     death_.resize(size);
+    touched_.resize(candidate_.word_count());
   }
 
-  // All three are kept the same size by ensure(), so fused word scans
-  // never bounds-check.
+  // informed_, candidate_ and death_ are kept the same size by ensure(),
+  // so fused word scans never bounds-check; touched_ has one bit per
+  // candidate word.
   Bitset64 informed_;
   Bitset64 candidate_;
+  Bitset64 touched_;
   Bitset64 death_;
   std::vector<NodeId> deaths_;
   std::uint64_t informed_count_ = 0;
@@ -336,21 +371,30 @@ inline void record_step(FloodTrace& trace, const FloodOptions& options,
 /// and the chunk-order merge are identical at every intra_threads value.
 constexpr std::size_t kScanChunk = 4096;
 
-/// Scans the boundary of I_{t-1}: every uninformed neighbor of a frontier
-/// node becomes a candidate — a candidate bit under receiver-survival
-/// semantics, a (sender, receiver) slot pair under pair survival. Reads
-/// the graph and the informed set only; with intra > 1 the frontier is
-/// sharded over a worker pool (candidate bits commute; pairs are merged
-/// in chunk order, reproducing the sequential append order exactly).
+/// The slot path's propose step: scans the boundary of I_{t-1} — every
+/// uninformed neighbor of a frontier node, then every edge created in the
+/// previous interval with exactly one informed endpoint — and returns the
+/// number of boundary messages (sender, receiver pairs). Receivers become
+/// candidate bits under receiver-survival semantics, (sender, receiver)
+/// slot pairs in `cand_pairs` under pair survival. Reads the graph and the
+/// informed set only; with intra > 1 the frontier is sharded over a worker
+/// pool (candidate bits commute and per-chunk message counts add; pairs
+/// are merged in chunk order, reproducing the sequential append order
+/// exactly).
 template <typename Semantics>
-void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
-                   unsigned intra) {
+std::uint64_t scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
+                            unsigned intra) {
+  constexpr bool kPairs = Semantics::kPairCandidates;
   const std::vector<std::uint32_t>& frontier = scratch.frontier_slots;
-  const std::size_t chunk_count =
-      (frontier.size() + kScanChunk - 1) / kScanChunk;
-  if (intra <= 1 || chunk_count < 2) {
-    auto& neighbors = scratch.neighbor_slots;
-    for (const std::uint32_t u : frontier) {
+  if constexpr (kPairs) scratch.cand_pairs.clear();
+  // Offers every uninformed neighbor of frontier[begin, end) to `offer`;
+  // returns the number of offers.
+  const auto scan = [&](std::size_t begin, std::size_t end,
+                        std::vector<std::uint32_t>& neighbors,
+                        const auto& offer) {
+    std::uint64_t messages = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t u = frontier[i];
       // Frontier members were alive and informed at last step's commit and
       // nothing has advanced since; the bit doubles as a liveness check.
       if (!scratch.is_informed_slot(u)) continue;
@@ -358,210 +402,82 @@ void scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
       graph.append_neighbor_slots(u, neighbors);
       for (const std::uint32_t v : neighbors) {
         if (scratch.is_informed_slot(v)) continue;
-        if constexpr (Semantics::kPairCandidates) {
-          scratch.cand_pairs.emplace_back(u, v);
-        } else {
-          scratch.mark_candidate_slot(v);
-        }
+        offer(u, v);
+        ++messages;
       }
     }
-    return;
-  }
+    return messages;
+  };
+  const auto offer = [&scratch](std::uint32_t sender, std::uint32_t receiver) {
+    if constexpr (kPairs) {
+      scratch.cand_pairs.emplace_back(sender, receiver);
+    } else {
+      scratch.mark_candidate_slot(receiver);
+    }
+  };
 
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(intra, chunk_count));
-  if (scratch.shard_neighbors.size() < workers) {
-    scratch.shard_neighbors.resize(workers);
-  }
-  if constexpr (Semantics::kPairCandidates) {
-    if (scratch.shard_pairs.size() < chunk_count) {
+  std::uint64_t messages = 0;
+  const std::size_t chunk_count =
+      (frontier.size() + kScanChunk - 1) / kScanChunk;
+  if (intra <= 1 || chunk_count < 2) {
+    messages = scan(0, frontier.size(), scratch.neighbor_slots, offer);
+  } else {
+    const unsigned workers =
+        static_cast<unsigned>(std::min<std::size_t>(intra, chunk_count));
+    if (scratch.shard_neighbors.size() < workers) {
+      scratch.shard_neighbors.resize(workers);
+    }
+    if (kPairs && scratch.shard_pairs.size() < chunk_count) {
       scratch.shard_pairs.resize(chunk_count);
     }
-  }
-  for_each_chunk(intra, chunk_count, [&](std::size_t c, unsigned worker) {
-    auto& neighbors = scratch.shard_neighbors[worker];
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs = nullptr;
-    if constexpr (Semantics::kPairCandidates) {
-      pairs = &scratch.shard_pairs[c];
-      pairs->clear();
-    }
-    const std::size_t begin = c * kScanChunk;
-    const std::size_t end = std::min(frontier.size(), begin + kScanChunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t u = frontier[i];
-      if (!scratch.is_informed_slot(u)) continue;
-      neighbors.clear();
-      graph.append_neighbor_slots(u, neighbors);
-      for (const std::uint32_t v : neighbors) {
-        if (scratch.is_informed_slot(v)) continue;
-        if constexpr (Semantics::kPairCandidates) {
-          pairs->emplace_back(u, v);
-        } else {
-          scratch.mark_candidate_slot_atomic(v);
-        }
+    std::atomic<std::uint64_t> sharded_messages{0};
+    for_each_chunk(intra, chunk_count, [&](std::size_t c, unsigned worker) {
+      const std::size_t begin = c * kScanChunk;
+      const std::size_t end = std::min(frontier.size(), begin + kScanChunk);
+      std::uint64_t chunk_messages = 0;
+      if constexpr (kPairs) {
+        auto& pairs = scratch.shard_pairs[c];
+        pairs.clear();
+        chunk_messages = scan(begin, end, scratch.shard_neighbors[worker],
+                              [&pairs](std::uint32_t u, std::uint32_t v) {
+                                pairs.emplace_back(u, v);
+                              });
+      } else {
+        chunk_messages = scan(begin, end, scratch.shard_neighbors[worker],
+                              [&scratch](std::uint32_t, std::uint32_t v) {
+                                scratch.mark_candidate_slot_atomic(v);
+                              });
+      }
+      sharded_messages.fetch_add(chunk_messages, std::memory_order_relaxed);
+    });
+    messages = sharded_messages.load(std::memory_order_relaxed);
+    if constexpr (kPairs) {
+      for (std::size_t c = 0; c < chunk_count; ++c) {
+        const auto& pairs = scratch.shard_pairs[c];
+        scratch.cand_pairs.insert(scratch.cand_pairs.end(), pairs.begin(),
+                                  pairs.end());
       }
     }
-  });
-  if constexpr (Semantics::kPairCandidates) {
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      const auto& pairs = scratch.shard_pairs[c];
-      scratch.cand_pairs.insert(scratch.cand_pairs.end(), pairs.begin(),
-                                pairs.end());
-    }
   }
+  for (const CreatedEdge& edge : scratch.created) {
+    // An edge created in the previous interval counts from now on,
+    // provided it still exists (both endpoints alive).
+    if (!graph.is_alive(edge.owner) || !graph.is_alive(edge.target)) {
+      continue;
+    }
+    const bool owner_informed = scratch.is_informed_slot(edge.owner.slot);
+    const bool target_informed = scratch.is_informed_slot(edge.target.slot);
+    if (owner_informed == target_informed) continue;
+    if (owner_informed) {
+      offer(edge.owner.slot, edge.target.slot);
+    } else {
+      offer(edge.target.slot, edge.owner.slot);
+    }
+    ++messages;
+  }
+  return messages;
 }
 
 }  // namespace detail_flood
-
-/// Runs one flooding process on `net` under its declared flood semantics
-/// (`Net::flood_semantics`). The network should be warmed up; it is advanced
-/// by one semantic step per flooding step. All allocations are reused across
-/// calls through `scratch`.
-template <typename Net>
-FloodTrace flood_dynamic(Net& net, const FloodOptions& options,
-                         FloodScratch& scratch) {
-  using Semantics = typename Net::flood_semantics;
-  const telemetry::PhaseTimer phase_span(telemetry::Phase::kDissemination);
-  FloodTrace trace;
-  scratch.begin_trial(net.graph().slot_upper_bound());
-  const unsigned intra = effective_intra_threads(options.intra_threads);
-
-  NodeId source = kInvalidNode;
-  NetworkHooks hooks;
-  hooks.on_birth = [&source](NodeId node, double) {
-    if (!source.valid()) source = node;
-  };
-  hooks.on_edge_created = [&scratch](NodeId owner, std::uint32_t,
-                                     NodeId target, bool, double) {
-    scratch.created.push_back({owner, target});
-  };
-  hooks.on_death = [&scratch](NodeId node, double) {
-    scratch.note_death(node);
-  };
-  net.set_hooks(std::move(hooks));
-
-  if constexpr (Semantics::kSourceIsNewborn) {
-    // Advance to the next birth: that newborn is the source (the paper's
-    // convention: flooding starts from the node joining at time t0).
-    while (!source.valid()) net.step();
-  } else {
-    CHURNET_EXPECTS(net.graph().alive_count() > 0);
-    source = net.graph().random_alive(net.rng());
-  }
-  // The source's own birth edges are covered by the frontier.
-  scratch.created.clear();
-  scratch.clear_deaths();
-  scratch.mark_informed(source);
-  scratch.frontier_slots.push_back(source.slot);
-
-  trace.peak_informed = 1;
-  detail_flood::record_step(trace, options, 1, net.graph().alive_count());
-
-  for (std::uint64_t step = 1; step <= options.max_steps; ++step) {
-    const DynamicGraph& graph = net.graph();
-    // Serial point: no resize may happen inside the sharded scan.
-    scratch.ensure_slots(graph.slot_upper_bound());
-
-    // Boundary of I_{t-1} in G_{t-1}, examined incrementally. Under
-    // pair-candidate semantics every (sender, receiver) pair is kept (any
-    // surviving sender suffices); otherwise receivers are deduplicated as
-    // candidate bits.
-    if constexpr (Semantics::kPairCandidates) scratch.cand_pairs.clear();
-    detail_flood::scan_boundary<Semantics>(graph, scratch, intra);
-    for (const CreatedEdge& edge : scratch.created) {
-      // An edge created in the previous interval counts from now on,
-      // provided it still exists (both endpoints alive).
-      if (!graph.is_alive(edge.owner) || !graph.is_alive(edge.target)) {
-        continue;
-      }
-      const bool owner_informed = scratch.is_informed_slot(edge.owner.slot);
-      const bool target_informed =
-          scratch.is_informed_slot(edge.target.slot);
-      std::uint32_t sender = 0;
-      std::uint32_t receiver = 0;
-      if (owner_informed && !target_informed) {
-        sender = edge.owner.slot;
-        receiver = edge.target.slot;
-      } else if (target_informed && !owner_informed) {
-        sender = edge.target.slot;
-        receiver = edge.owner.slot;
-      } else {
-        continue;
-      }
-      if constexpr (Semantics::kPairCandidates) {
-        scratch.cand_pairs.emplace_back(sender, receiver);
-      } else {
-        scratch.mark_candidate_slot(receiver);
-      }
-    }
-    scratch.created.clear();
-    scratch.clear_deaths();
-
-    // One semantic step of churn; hooks record deaths and new edges.
-    Semantics::advance(net);
-
-    for (const NodeId dead : scratch.deaths()) {
-      scratch.unmark_informed(dead);
-    }
-
-    // I_t = (I_{t-1} ∪ ∂(I_{t-1})) ∩ N_t.
-    scratch.frontier_slots.clear();
-    if constexpr (Semantics::kPairCandidates) {
-      for (const auto& [u, v] : scratch.cand_pairs) {
-        if (scratch.died_this_step_slot(u) ||
-            scratch.died_this_step_slot(v)) {
-          continue;
-        }
-        CHURNET_ASSERT(net.graph().slot_alive(v));
-        if (scratch.mark_informed_slot(v)) scratch.frontier_slots.push_back(v);
-      }
-    } else {
-      // The interval's deaths are subtracted word-wise: a newborn reusing
-      // a victim's slot is filtered exactly like the stamp path filtered
-      // it via the generation mismatch.
-      scratch.commit_candidates(scratch.frontier_slots);
-    }
-
-    trace.steps = step;
-    const std::uint64_t informed_count = scratch.informed_count();
-    const std::uint64_t alive_count = net.graph().alive_count();
-    trace.peak_informed = std::max(trace.peak_informed, informed_count);
-    detail_flood::record_step(trace, options, informed_count, alive_count);
-    trace.final_fraction = alive_count == 0
-                               ? 0.0
-                               : static_cast<double>(informed_count) /
-                                     static_cast<double>(alive_count);
-
-    if (Semantics::completed(informed_count, alive_count)) {
-      trace.completed = true;
-      trace.completion_step = step;
-      break;
-    }
-    if (informed_count == 0) {
-      trace.died_out = true;
-      trace.die_out_step = step;
-      if (options.stop_on_die_out) break;
-    }
-    if (options.stop_at_fraction < 1.0 &&
-        trace.final_fraction >= options.stop_at_fraction) {
-      break;
-    }
-    if constexpr (Semantics::kChurnFree) {
-      // No churn can ever create a new boundary edge: an empty frontier is
-      // a fixed point (the graph's reachable set is exhausted, BFS-style).
-      if (scratch.frontier_slots.empty()) break;
-    }
-  }
-
-  net.set_hooks({});
-  return trace;
-}
-
-/// Convenience overload with a private (per-call) scratch.
-template <typename Net>
-FloodTrace flood_dynamic(Net& net, const FloodOptions& options = {}) {
-  FloodScratch scratch;
-  return flood_dynamic(net, options, scratch);
-}
 
 }  // namespace churnet

@@ -363,7 +363,7 @@ class DynamicGraph {
     }
   }
 
-  /// Slot-only variant for the flood fast path: appends neighbor *slots*
+  /// Slot-only variant for the flood slot path: appends neighbor *slots*
   /// (out-targets then in-sources, with multiplicity — the exact
   /// append_neighbors order) without touching the peers' generation words.
   /// Live peers are alive by construction, so slot identity is enough for

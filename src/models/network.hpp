@@ -9,12 +9,13 @@
 //
 // AnyNetwork type-erases the concept for runtime scenario selection (the
 // ScenarioRegistry hands out AnyNetwork instances chosen by name). It also
-// carries the model's flooding semantics, so `AnyNetwork::flood` runs the
-// generic frontier driver on whatever model is inside. The observation
+// carries the model's flooding semantics, so `AnyNetwork::disseminate`
+// runs the one dissemination driver on whatever model is inside, and
+// `AnyNetwork::flood` is plain flooding through it. The observation
 // pipeline (observe/pipeline.hpp) drives this same surface — step() for
-// window rounds, snapshot() for the shared snapshot, flood()/disseminate()
-// for coverage observers — so metric observers attach to every model,
-// current and future, without per-model code.
+// window rounds, snapshot() for the shared snapshot, disseminate() for
+// coverage observers — so metric observers attach to every model, current
+// and future, without per-model code.
 #pragma once
 
 #include <concepts>
@@ -23,7 +24,6 @@
 
 #include "common/assertx.hpp"
 #include "common/rng.hpp"
-#include "flooding/flood_driver.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/snapshot.hpp"
 #include "models/edge_policy.hpp"
@@ -53,7 +53,8 @@ concept DynamicNetwork = requires(Net& net, const Net& cnet, double time,
 };
 
 /// A DynamicNetwork that additionally declares flooding semantics for the
-/// generic driver (flooding/flood_driver.hpp) — what AnyNetwork can wrap.
+/// dissemination driver (protocols/dissemination.hpp) — what AnyNetwork
+/// can wrap.
 template <typename Net>
 concept FloodableNetwork =
     DynamicNetwork<Net> && requires { typename Net::flood_semantics; };
@@ -61,9 +62,9 @@ concept FloodableNetwork =
 /// Type-erased dynamic network for runtime scenario selection.
 ///
 /// Owns the wrapped model. Satisfies DynamicNetwork itself, so generic code
-/// written against the concept runs unchanged on an AnyNetwork; flooding
-/// goes through `flood()`, which dispatches to the generic driver under the
-/// wrapped model's semantics.
+/// written against the concept runs unchanged on an AnyNetwork;
+/// dissemination goes through `disseminate()`, which dispatches to the
+/// driver under the wrapped model's semantics.
 class AnyNetwork {
  public:
   AnyNetwork() = default;
@@ -87,17 +88,19 @@ class AnyNetwork {
   double now() const { return checked().now(); }
   Snapshot snapshot() const { return checked().snapshot(); }
 
-  /// Runs the wrapped model's flooding process via the generic driver.
-  FloodTrace flood(const FloodOptions& options, FloodScratch& scratch) {
-    return checked().flood(options, scratch);
+  /// Runs the wrapped model's flooding process: FloodProtocol through
+  /// disseminate(). The terminal informed set is scratch.flood's.
+  FloodTrace flood(const FloodOptions& options, ProtocolScratch& scratch) {
+    FloodProtocol protocol;
+    return disseminate(protocol, ProtocolOptions{options}, scratch).trace;
   }
   FloodTrace flood(const FloodOptions& options = {}) {
-    FloodScratch scratch;
+    ProtocolScratch scratch;
     return flood(options, scratch);
   }
 
-  /// Runs `protocol` on the wrapped model via the generic dissemination
-  /// driver, under the model's own flood semantics (protocols/).
+  /// Runs `protocol` on the wrapped model via the dissemination driver,
+  /// under the model's own flood semantics (protocols/).
   ProtocolResult disseminate(DisseminationProtocol& protocol,
                              const ProtocolOptions& options,
                              ProtocolScratch& scratch) {
@@ -133,8 +136,6 @@ class AnyNetwork {
     virtual const DynamicGraph& graph() const = 0;
     virtual double now() const = 0;
     virtual Snapshot snapshot() const = 0;
-    virtual FloodTrace flood(const FloodOptions& options,
-                             FloodScratch& scratch) = 0;
     virtual ProtocolResult disseminate(DisseminationProtocol& protocol,
                                        const ProtocolOptions& options,
                                        ProtocolScratch& scratch) = 0;
@@ -156,10 +157,6 @@ class AnyNetwork {
     const DynamicGraph& graph() const override { return net.graph(); }
     double now() const override { return net.now(); }
     Snapshot snapshot() const override { return net.snapshot(); }
-    FloodTrace flood(const FloodOptions& options,
-                     FloodScratch& scratch) override {
-      return flood_dynamic(net, options, scratch);
-    }
     ProtocolResult disseminate(DisseminationProtocol& protocol,
                                const ProtocolOptions& options,
                                ProtocolScratch& scratch) override {

@@ -6,8 +6,8 @@ namespace {
 /// Steps 1-3 of the pass (reset, window, the set's shared snapshot); the
 /// caller optionally runs a dissemination before collecting values. Both
 /// modes route the measurement through ObserverSet::observe, so the one
-/// shared snapshot serves every consumer (snapshot observers and, in the
-/// flood/protocol entries, the dissemination-start state) instead of each
+/// shared snapshot serves every consumer (snapshot observers and, in
+/// observe_protocol, the dissemination-start state) instead of each
 /// capturing its own.
 void run_window_and_observe(AnyNetwork& net, ObserverSet& observers,
                             std::uint64_t seed, bool incremental) {
@@ -44,16 +44,6 @@ std::vector<double> collect(const ObserverSet& observers) {
 std::vector<double> observe_network(AnyNetwork& net, ObserverSet& observers,
                                     std::uint64_t seed, bool incremental) {
   run_window_and_observe(net, observers, seed, incremental);
-  return collect(observers);
-}
-
-std::vector<double> observe_flood(AnyNetwork& net, ObserverSet& observers,
-                                  std::uint64_t seed,
-                                  const FloodOptions& options,
-                                  FloodScratch& scratch, bool incremental) {
-  run_window_and_observe(net, observers, seed, incremental);
-  const FloodTrace trace = net.flood(options, scratch);
-  observers.on_dissemination(trace, /*stats=*/nullptr);
   return collect(observers);
 }
 

@@ -13,8 +13,8 @@
 //   3. ObserverSet::observe      -- the set builds its one shared dense
 //      snapshot iff some observer needs it, offers it via on_snapshot, and
 //      lets delta-fed observers publish via on_observe; the same shared
-//      snapshot serves the dissemination-start census in the flood /
-//      protocol entries instead of a second capture;
+//      snapshot serves the dissemination-start census in observe_protocol
+//      instead of a second capture;
 //   4. optionally one dissemination run (flood or any protocol), offered
 //      via on_dissemination;
 //   5. append_values             -- one value per declared metric column.
@@ -42,22 +42,15 @@ namespace churnet {
 
 /// Runs one observation pass (window + shared snapshot) on a warmed
 /// network and returns the set's metric values. Dissemination observers in
-/// the set report NaN (nothing spread); use the overloads below to observe
-/// a flood or protocol run.
+/// the set report NaN (nothing spread); use observe_protocol to observe a
+/// dissemination run.
 std::vector<double> observe_network(AnyNetwork& net, ObserverSet& observers,
                                     std::uint64_t seed,
                                     bool incremental = false);
 
-/// As above, plus one flood run (the paper's process) between the snapshot
-/// and value collection; the trace is offered to dissemination observers.
-std::vector<double> observe_flood(AnyNetwork& net, ObserverSet& observers,
-                                  std::uint64_t seed,
-                                  const FloodOptions& options,
-                                  FloodScratch& scratch,
-                                  bool incremental = false);
-
-/// As above with a dissemination protocol run instead of plain flooding;
-/// observers additionally see the run's message accounting.
+/// As above, plus one dissemination run (FloodProtocol for the paper's
+/// process) between the snapshot and value collection; the trace and the
+/// run's message accounting are offered to dissemination observers.
 std::vector<double> observe_protocol(AnyNetwork& net, ObserverSet& observers,
                                      std::uint64_t seed,
                                      DisseminationProtocol& protocol,

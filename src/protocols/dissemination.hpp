@@ -1,21 +1,33 @@
-// Generic dissemination driver: flood_dynamic's step loop with the
-// per-step message generation delegated to a DisseminationProtocol.
+// The dissemination driver: the one step loop every rumor-spreading run
+// goes through, plain flooding included (DESIGN.md, decision 6).
 //
-// The loop structure is byte-for-byte the flood driver's (DESIGN.md,
-// decision 6): candidates are proposed from G_{t-1} and I_{t-1}, one
-// semantic step of churn runs (Net::flood_semantics picks the survival
-// rule, completion predicate and advance primitive), deaths un-inform
-// their nodes, and surviving candidates are committed in propose order.
-// With FloodProtocol plugged in, the informed sets and event sequence are
-// bit-identical to flood_dynamic on every model — the refactor is proven,
-// not assumed (tests/test_protocol_equivalence.cpp). Gossip protocols
-// reuse the identical churn bookkeeping, so PUSH/PULL on a churning
-// network get the paper's exact survival semantics for free.
+// Each step proposes candidates from G_{t-1} and I_{t-1}, runs one
+// semantic step of churn (Net::flood_semantics picks the survival rule,
+// completion predicate and advance primitive), un-informs the nodes that
+// died, and commits the surviving candidates. Gossip protocols reuse the
+// identical churn bookkeeping, so PUSH/PULL on a churning network get the
+// paper's exact survival semantics for free.
 //
-// On top of the flood loop the driver adds: multi-source starts (extras
-// drawn from the protocol RNG, never the network's), message-complexity
-// accounting (ProtocolStats), and protocol callbacks (on_informed for
-// hop/state tracking, on_death for slot recycling).
+// The protocol decides how candidates are represented
+// (DisseminationProtocol::candidates()):
+//
+//   * kSlotSet (plain flooding): the driver scans the boundary itself in
+//     raw slots (detail_flood::scan_boundary, optionally sharded) and
+//     commits receivers word-wise, visiting only the candidate words the
+//     step touched. Under pair survival it keeps (sender, receiver) slot
+//     pairs instead. The frontier is slot-ordered; ProtocolScratch::informed
+//     stays empty and no protocol hook is called.
+//   * kFirstPerReceiver / kEvery: the protocol proposes (sender, receiver)
+//     NodeId pairs through a StepView, and the driver commits them in
+//     propose order, calling on_informed / on_death.
+//
+// Both give the same informed sets, traces and ProtocolStats for flooding
+// (tests/test_protocol_equivalence.cpp). On top of the flood loop the
+// driver adds multi-source starts (extras drawn from the protocol RNG,
+// never the network's) and message-complexity accounting.
+//
+// flood_dynamic() at the bottom is plain flooding on a typed model:
+// FloodProtocol through this driver.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +36,7 @@
 
 #include "common/assertx.hpp"
 #include "models/edge_policy.hpp"
+#include "protocols/gossip.hpp"
 #include "protocols/protocol.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -51,13 +64,65 @@ inline bool informed_boundary_exists(const DynamicGraph& graph,
   return false;
 }
 
+/// Slot-path commit of one step's `messages`. Receiver survival:
+/// candidates AND NOT deaths, word by word; every message beyond the first
+/// to a receiver was a duplicate. Pair survival: per pair, counted as the
+/// pair path counts.
+template <typename Semantics>
+void commit_slots(FloodScratch& fs, std::uint64_t messages,
+                  ProtocolStats& stats) {
+  fs.frontier_slots.clear();
+  if constexpr (Semantics::kPairCandidates) {
+    for (const auto& [u, v] : fs.cand_pairs) {
+      if (fs.died_this_step_slot(u) || fs.died_this_step_slot(v)) continue;
+      if (fs.mark_informed_slot(v)) {
+        ++stats.useful_deliveries;
+        fs.frontier_slots.push_back(v);
+      } else {
+        ++stats.duplicate_deliveries;
+      }
+    }
+  } else {
+    const std::uint64_t distinct = fs.commit_candidates(fs.frontier_slots);
+    stats.useful_deliveries += fs.frontier_slots.size();
+    stats.duplicate_deliveries += messages - distinct;
+  }
+}
+
+/// Pair-path commit: surviving deliveries in propose order.
+template <typename Semantics>
+void commit_pairs(const DynamicGraph& graph, ProtocolScratch& scratch,
+                  DisseminationProtocol& protocol, ProtocolStats& stats) {
+  FloodScratch& fs = scratch.flood;
+  fs.frontier.clear();
+  for (std::size_t i = 0; i < fs.candidates.size(); ++i) {
+    const auto [u, v] = fs.candidates[i];
+    if constexpr (Semantics::kPairCandidates) {
+      if (fs.died_this_step(u) || fs.died_this_step(v)) continue;
+      CHURNET_ASSERT(graph.is_alive(v));
+    } else {
+      if (!graph.is_alive(v)) continue;  // the interval's death
+    }
+    if (fs.mark_informed(v)) {
+      ++stats.useful_deliveries;
+      fs.frontier.push_back(v);
+      scratch.informed.push_back(v);
+      protocol.on_informed(v, u, i);
+    } else {
+      ++stats.duplicate_deliveries;
+    }
+  }
+}
+
 }  // namespace detail_protocol
 
 /// Runs one dissemination process on `net` under its declared flood
-/// semantics. The network should be warmed up; all allocations are reused
+/// semantics. The network should be warmed up; it is advanced by one
+/// semantic step per dissemination step. All allocations are reused
 /// across calls through `scratch`, and the protocol is reset via
 /// begin_run, so one (protocol, scratch) pair serves a whole replication
-/// loop without steady-state allocation.
+/// loop without steady-state allocation. The driver installs its own
+/// network hooks for the duration of the call and clears them on return.
 template <typename Net>
 ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
                                    const ProtocolOptions& options,
@@ -72,12 +137,15 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
   scratch.informed.clear();
   protocol.begin_run(options.seed, net.graph().slot_upper_bound());
 
+  const Candidates candidates = protocol.candidates();
+  const bool slot_set = candidates == Candidates::kSlotSet;
   const double delivery_q =
       std::clamp(protocol.delivery_probability(), 0.0, 1.0);
-  // The receiver-dedup fast path is only sound when one surviving boundary
-  // message is as good as many: receiver-only survival and a lossless link.
+  CHURNET_EXPECTS(!slot_set || delivery_q >= 1.0);
+  // Receiver dedup is only sound when one surviving boundary message is as
+  // good as many: receiver-only survival and a lossless link.
   const bool dedup = !Semantics::kPairCandidates &&
-                     protocol.dedup_receivers() && delivery_q >= 1.0;
+                     candidates != Candidates::kEvery && delivery_q >= 1.0;
 
   NodeId source = kInvalidNode;
   NetworkHooks hooks;
@@ -101,26 +169,26 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
   // The sources' own birth edges are covered by the frontier.
   fs.created.clear();
   fs.clear_deaths();
-  fs.mark_informed(source);
-  fs.frontier.push_back(source);
-  scratch.informed.push_back(source);
-  protocol.on_informed(source, kInvalidNode,
-                       DisseminationProtocol::kNoCandidate);
-
+  const auto inform_source = [&](NodeId node) {
+    if (!fs.mark_informed(node)) return;
+    if (slot_set) {
+      fs.frontier_slots.push_back(node.slot);
+      return;
+    }
+    fs.frontier.push_back(node);
+    scratch.informed.push_back(node);
+    protocol.on_informed(node, kInvalidNode,
+                         DisseminationProtocol::kNoCandidate);
+  };
+  inform_source(source);
   // Extra sources: uniform alive nodes from the protocol RNG (the network
   // realization stays identical to a single-source run under the same
   // network seed). Capped at the alive count; the loop guard guarantees an
   // uninformed alive node exists, so the rejection sampling terminates.
-  const std::uint64_t want_sources =
-      std::min<std::uint64_t>(options.sources, net.graph().alive_count());
-  while (fs.informed_count() < std::max<std::uint64_t>(want_sources, 1)) {
-    const NodeId extra = net.graph().random_alive(protocol.rng());
-    if (fs.mark_informed(extra)) {
-      fs.frontier.push_back(extra);
-      scratch.informed.push_back(extra);
-      protocol.on_informed(extra, kInvalidNode,
-                           DisseminationProtocol::kNoCandidate);
-    }
+  const std::uint64_t want_sources = std::max<std::uint64_t>(
+      std::min<std::uint64_t>(options.sources, net.graph().alive_count()), 1);
+  while (fs.informed_count() < want_sources) {
+    inform_source(net.graph().random_alive(protocol.rng()));
   }
 
   trace.peak_informed = fs.informed_count();
@@ -129,12 +197,19 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
 
   const unsigned intra = effective_intra_threads(options.flood.intra_threads);
   for (std::uint64_t step = 1; step <= options.flood.max_steps; ++step) {
-    // Serial point: workers of a sharded propose may not trigger a resize.
+    // Serial point: workers of a sharded scan may not trigger a resize.
     fs.ensure_slots(net.graph().slot_upper_bound());
-    fs.begin_step();  // clears last step's candidate marks + pair list
-    StepView view(net.graph(), scratch, stats, dedup, delivery_q,
-                  &protocol.rng(), step, intra);
-    protocol.propose(view);
+    std::uint64_t messages = 0;
+    if (slot_set) {
+      messages = detail_flood::scan_boundary<Semantics>(net.graph(), fs,
+                                                        intra);
+      stats.messages_sent += messages;
+    } else {
+      fs.begin_step();  // clears last step's candidate marks + pair list
+      StepView view(net.graph(), scratch, stats, dedup, delivery_q,
+                    &protocol.rng(), step, intra);
+      protocol.propose(view);
+    }
     fs.created.clear();
     fs.clear_deaths();
 
@@ -143,27 +218,15 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
 
     for (const NodeId dead : fs.deaths()) {
       fs.unmark_informed(dead);
-      protocol.on_death(dead);
+      if (!slot_set) protocol.on_death(dead);
     }
 
-    // Commit surviving deliveries in propose order.
-    fs.frontier.clear();
-    for (std::size_t i = 0; i < fs.candidates.size(); ++i) {
-      const auto [u, v] = fs.candidates[i];
-      if constexpr (Semantics::kPairCandidates) {
-        if (fs.died_this_step(u) || fs.died_this_step(v)) continue;
-        CHURNET_ASSERT(net.graph().is_alive(v));
-      } else {
-        if (!net.graph().is_alive(v)) continue;  // the interval's death
-      }
-      if (fs.mark_informed(v)) {
-        ++stats.useful_deliveries;
-        fs.frontier.push_back(v);
-        scratch.informed.push_back(v);
-        protocol.on_informed(v, u, i);
-      } else {
-        ++stats.duplicate_deliveries;
-      }
+    // I_t = (I_{t-1} ∪ surviving deliveries) ∩ N_t.
+    if (slot_set) {
+      detail_protocol::commit_slots<Semantics>(fs, messages, stats);
+    } else {
+      detail_protocol::commit_pairs<Semantics>(net.graph(), scratch,
+                                               protocol, stats);
     }
 
     trace.steps = step;
@@ -192,15 +255,15 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
       break;
     }
     if constexpr (Semantics::kChurnFree) {
-      // Frontier-driven protocols (flood, TTL) can only ever propose from
-      // new informs or new edges: with neither, the run is a fixed point.
+      // Anything but kEvery (flood, TTL) only ever proposes from new
+      // informs or new edges: with neither, the run is a fixed point.
       // Randomized gossip can idle and retry, so on its zero-progress
       // rounds check whether an informed-to-uninformed edge still exists;
       // once the reachable component is saturated (e.g. a disconnected
       // baseline), no coin can ever help and the run is over — without
       // this, a non-completing gossip run would burn the full max_steps.
-      if (fs.frontier.empty()) {
-        if (protocol.frontier_driven()) break;
+      if (slot_set ? fs.frontier_slots.empty() : fs.frontier.empty()) {
+        if (candidates != Candidates::kEvery) break;
         if (!detail_protocol::informed_boundary_exists(net.graph(),
                                                        scratch)) {
           break;
@@ -223,6 +286,22 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
                                    const ProtocolOptions& options = {}) {
   ProtocolScratch scratch;
   return disseminate_dynamic(net, protocol, options, scratch);
+}
+
+/// Plain flooding (the paper's process) on a typed model: FloodProtocol
+/// through the driver. The terminal informed set is scratch.flood's.
+template <typename Net>
+FloodTrace flood_dynamic(Net& net, const FloodOptions& options,
+                         ProtocolScratch& scratch) {
+  FloodProtocol protocol;
+  return disseminate_dynamic(net, protocol, ProtocolOptions{options}, scratch)
+      .trace;
+}
+
+template <typename Net>
+FloodTrace flood_dynamic(Net& net, const FloodOptions& options = {}) {
+  ProtocolScratch scratch;
+  return flood_dynamic(net, options, scratch);
 }
 
 }  // namespace churnet

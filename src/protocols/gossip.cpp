@@ -14,12 +14,13 @@ namespace {
 /// chunk-order replay are identical at every intra_threads value.
 constexpr std::size_t kProposeChunk = 4096;
 
-/// The flood boundary scan shared by FloodProtocol and TtlFloodProtocol:
-/// frontier nodes (filtered by `forwards`) offer to every uninformed
-/// neighbor, then edges created during the previous interval with exactly
-/// one informed (and forwarding) endpoint offer across. This is verbatim
-/// the candidate generation of flood_dynamic — the equivalence tests pin
-/// it bit-for-bit. `send(u, v)` performs the actual emission, so TTL can
+/// The pair-path flood boundary scan shared by FloodProtocol and
+/// TtlFloodProtocol: frontier nodes (filtered by `forwards`) offer to every
+/// uninformed neighbor, then edges created during the previous interval
+/// with exactly one informed (and forwarding) endpoint offer across. This
+/// is the NodeId mirror of the driver's slot scan
+/// (detail_flood::scan_boundary) — the equivalence tests pin the two
+/// bit-for-bit. `send(u, v)` performs the actual emission, so TTL can
 /// attach hop payloads to recorded candidates.
 ///
 /// With view.intra_threads() > 1 and a large frontier, the frontier scan

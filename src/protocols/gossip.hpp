@@ -1,8 +1,8 @@
 // Concrete dissemination protocols (protocols/protocol.hpp):
 //
-//   FloodProtocol      full flooding — the paper's process re-expressed
-//                      through the protocol layer; bit-identical to
-//                      flooding/flood_driver.hpp (the degenerate case)
+//   FloodProtocol      full flooding — the paper's process; the driver
+//                      runs it on slot-set candidates (its propose() is
+//                      the pair path, used when a wrapper needs sends)
 //   TtlFloodProtocol   hop-bounded flooding: a node informed at hop h
 //                      forwards only while h < ttl (ttl -> inf == flood)
 //   PushProtocol       PUSH gossip: every informed node sends to `fanout`
@@ -17,10 +17,10 @@
 //                      probability q with any inner protocol
 //
 // All protocol randomness comes from the protocol-owned RNG; flooding and
-// TTL flooding consume none, so the frontier fast paths stay exact. Gossip
-// sampling iterates deterministically ordered node lists (the run's inform
-// order for PUSH, the graph's alive order for PULL/PUSH-PULL), keeping
-// every run reproducible from (network seed, protocol seed).
+// TTL flooding draw none of their own. Gossip sampling iterates
+// deterministically ordered node lists (the run's inform order for PUSH,
+// the graph's alive order for PULL/PUSH-PULL), keeping every run
+// reproducible from (network seed, protocol seed).
 #pragma once
 
 #include <cstdint>
@@ -34,13 +34,14 @@
 namespace churnet {
 
 /// Full flooding: every informed node offers the rumor over every incident
-/// edge, incrementally via the frontier + created-edge state.
+/// edge, incrementally via the frontier + created-edge state. The driver
+/// scans that boundary itself (kSlotSet); propose() emits the same
+/// messages as pairs for wrappers that need one send per message.
 class FloodProtocol : public DisseminationProtocol {
  public:
   std::string name() const override { return "flood"; }
   void propose(StepView& view) override;
-  bool frontier_driven() const override { return true; }
-  bool dedup_receivers() const override { return true; }
+  Candidates candidates() const override { return Candidates::kSlotSet; }
 };
 
 /// Hop-bounded flooding: the source is at hop 0, a delivery from a hop-h
@@ -56,8 +57,10 @@ class TtlFloodProtocol : public DisseminationProtocol {
   void on_informed(NodeId node, NodeId sender,
                    std::size_t candidate_index) override;
   void on_death(NodeId node) override;
-  bool frontier_driven() const override { return true; }
-  bool dedup_receivers() const override { return true; }
+  /// Hops follow the first sender in propose order.
+  Candidates candidates() const override {
+    return Candidates::kFirstPerReceiver;
+  }
 
   std::uint32_t ttl() const { return ttl_; }
   /// Hop at which `node` was informed this run; only valid while informed.
@@ -141,8 +144,12 @@ class LossyProtocol : public DisseminationProtocol {
     inner_->on_informed(node, sender, candidate_index);
   }
   void on_death(NodeId node) override { inner_->on_death(node); }
-  bool frontier_driven() const override { return inner_->frontier_driven(); }
-  bool dedup_receivers() const override { return inner_->dedup_receivers(); }
+  /// Every send needs its own loss coin, so a slot set becomes pairs.
+  Candidates candidates() const override {
+    const Candidates inner = inner_->candidates();
+    return inner == Candidates::kSlotSet ? Candidates::kFirstPerReceiver
+                                         : inner;
+  }
   double delivery_probability() const override { return q_; }
 
   const DisseminationProtocol& inner() const { return *inner_; }

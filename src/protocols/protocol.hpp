@@ -2,14 +2,15 @@
 // dynamic network, generalized from full flooding the same way ChurnProcess
 // generalized churn (DESIGN.md, "Protocol layer").
 //
-// The generic driver (protocols/dissemination.hpp) owns the step loop —
-// advance the network one semantic step, track deaths and fresh edges,
-// commit surviving deliveries, test completion — exactly as the flood
-// driver does. What differs between protocols is *which messages are
-// offered each step*: a DisseminationProtocol's propose() emits this
-// step's (sender, receiver) transmission attempts through a StepView, and
-// the driver does the rest. Full flooding re-expressed this way is proven
-// bit-identical to flooding/flood_driver.hpp
+// The driver (protocols/dissemination.hpp) owns the step loop — advance
+// the network one semantic step, track deaths and fresh edges, commit
+// surviving deliveries, test completion. What differs between protocols is
+// *which messages are offered each step*: a DisseminationProtocol's
+// propose() emits this step's (sender, receiver) transmission attempts
+// through a StepView, and the driver does the rest. Plain flooding is the
+// exception: it declares Candidates::kSlotSet and the driver runs its
+// boundary scan in slot space without calling propose() at all; the same
+// FloodProtocol behind a pair-path wrapper is proven equivalent
 // (tests/test_protocol_equivalence.cpp).
 //
 // Message accounting: every send() is one rumor-bearing transmission
@@ -18,11 +19,11 @@
 // (useful_deliveries) or is wasted on an already-informed one
 // (duplicate_deliveries). Protocols that probe without carrying the rumor
 // (PULL contacting an uninformed neighbor) count those probes as
-// overhead_messages. Under the flood fast path (receiver-deduplicated
-// streaming semantics, lossless), duplicate boundary messages are
-// suppressed at propose time and accounted directly as
-// duplicate_deliveries — the informed sets are unchanged, only the
-// per-message survival check is elided (see dissemination.hpp).
+// overhead_messages. Where the driver deduplicates receivers (receiver
+// survival, a lossless link, a protocol that is not kEvery), duplicate
+// boundary messages are accounted directly as duplicate_deliveries at
+// propose time — the informed sets are unchanged, only the per-message
+// survival check is elided (see dissemination.hpp).
 //
 // Protocols never touch the network's RNG: all protocol randomness (gossip
 // fanout choices, loss coins) comes from a protocol-owned Rng reseeded per
@@ -78,12 +79,12 @@ struct ProtocolStats {
   }
 };
 
-/// Driver-level knobs for one dissemination run; mirrors (and embeds)
-/// FloodOptions so flood-path semantics carry over unchanged.
+/// Driver-level knobs for one dissemination run; embeds FloodOptions, so
+/// ProtocolOptions{flood_options} is a plain flood's configuration.
 struct ProtocolOptions {
   FloodOptions flood;
-  /// Seed of the protocol-owned RNG (gossip choices, loss coins). The
-  /// flood protocol consumes none, preserving flood-driver bit-identity.
+  /// Seed of the protocol-owned RNG (gossip choices, loss coins, extra
+  /// sources). The flood protocol draws from it only for extra sources.
   std::uint64_t seed = 0;
   /// Number of initially informed nodes. The first source follows the
   /// model's own convention (newborn / uniform); extras are uniform alive
@@ -91,17 +92,19 @@ struct ProtocolOptions {
   std::uint32_t sources = 1;
 };
 
-/// Reusable per-run state: the flood driver's bitset-backed scratch plus
-/// the protocol layer's buffers. Zero allocation after the first trial of
-/// a replication loop, like FloodScratch itself.
+/// Reusable per-run state: the bitset-backed FloodScratch (whose informed
+/// set is the run's terminal informed set on every path) plus the pair
+/// path's buffers. Zero allocation after the first trial of a replication
+/// loop.
 struct ProtocolScratch {
   FloodScratch flood;
   /// Every node informed this run, in inform order (never shrunk on death;
-  /// consumers filter by liveness). PUSH-style protocols iterate it.
+  /// consumers filter by liveness). PUSH-style protocols iterate it. Left
+  /// empty on the slot path.
   std::vector<NodeId> informed;
   /// Reusable alive-node buffer for PULL-style full scans.
   std::vector<NodeId> alive;
-  /// Sharded-propose buffers (frontier-driven protocols with
+  /// Sharded-propose buffers (pair-path boundary scans with
   /// intra_threads > 1): per-chunk (sender, receiver) outputs, merged in
   /// chunk order so the send() sequence matches the sequential scan, and
   /// per-worker neighbor staging.
@@ -122,12 +125,12 @@ struct ProtocolResult {
 class StepView {
  public:
   StepView(const DynamicGraph& graph, ProtocolScratch& scratch,
-           ProtocolStats& stats, bool dedup_receivers, double delivery_q,
+           ProtocolStats& stats, bool dedup, double delivery_q,
            Rng* loss_rng, std::uint64_t step, unsigned intra_threads = 1)
       : graph_(graph),
         scratch_(scratch),
         stats_(stats),
-        dedup_(dedup_receivers),
+        dedup_(dedup),
         delivery_q_(delivery_q),
         loss_rng_(loss_rng),
         step_(step),
@@ -169,7 +172,7 @@ class StepView {
   }
 
   /// Offers one rumor transmission sender -> receiver. Applies the lossy
-  /// coin and (on the lossless flood fast path) receiver deduplication.
+  /// coin and (where the driver deduplicates) receiver deduplication.
   /// Returns true iff a delivery candidate was recorded — exactly then the
   /// candidate index protocols see in on_informed advances by one.
   bool send(NodeId sender, NodeId receiver) {
@@ -204,6 +207,24 @@ class StepView {
   Rng* loss_rng_;
   std::uint64_t step_;
   unsigned intra_threads_;
+};
+
+/// How one step's delivery candidates are represented — the protocol's
+/// choice, since only it knows what its messages carry.
+enum class Candidates {
+  /// Receivers as slot bits (slot pairs under pair survival), produced by
+  /// the driver's own boundary scan and committed word-wise. Only for
+  /// plain flooding: a stateless, lossless protocol whose sends are every
+  /// boundary edge. The driver calls none of propose, on_informed or
+  /// on_death.
+  kSlotSet,
+  /// (sender, receiver) pairs in propose order; under receiver survival
+  /// and a lossless link only the first per receiver is kept (TTL: its
+  /// sender fixes the receiver's hop).
+  kFirstPerReceiver,
+  /// Every send is its own candidate (gossip: duplicates are the
+  /// protocol's waste and are all accounted).
+  kEvery,
 };
 
 /// A dissemination protocol: proposes each step's transmission attempts
@@ -249,16 +270,11 @@ class DisseminationProtocol {
   /// must be dropped: the slot can be recycled within the same run).
   virtual void on_death(NodeId node) { (void)node; }
 
-  /// True when propose() only ever emits from the frontier/created-edge
-  /// incremental state (flood, TTL flood): on a churn-free network an
-  /// empty frontier is then a fixed point and the driver stops early.
-  virtual bool frontier_driven() const { return false; }
-
-  /// True when receiver deduplication preserves the protocol's semantics
-  /// (flooding: any one boundary message suffices). The driver enables the
-  /// dedup fast path only under receiver-survival semantics AND a lossless
-  /// link; gossip protocols return false so every duplicate is accounted.
-  virtual bool dedup_receivers() const { return false; }
+  /// How the driver represents this protocol's candidates (see
+  /// Candidates). Anything but kEvery also means propose() only ever emits
+  /// from the frontier/created-edge state, so on a churn-free network an
+  /// empty frontier is a fixed point and the driver stops early.
+  virtual Candidates candidates() const { return Candidates::kEvery; }
 
   /// Per-message delivery probability; 1.0 = lossless. Overridden by the
   /// lossy-link wrapper.

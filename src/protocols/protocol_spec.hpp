@@ -9,8 +9,8 @@
 //               | "push-pull" ['(' k ')'] | "ttl" '(' h ')'
 //   modifier := "lossy" '(' q ')' | "sources" '(' s ')'
 //
-//   flood           full flooding (the paper's process; the degenerate
-//                   protocol, bit-identical to the flood driver)
+//   flood           full flooding (the paper's process; the driver runs
+//                   it on slot-set candidates, see dissemination.hpp)
 //   push(k)         PUSH gossip, fanout k >= 1 (default 1)
 //   pull(k)         PULL gossip, fanout k >= 1 (default 1)
 //   push-pull(k)    PUSH-PULL gossip, fanout k >= 1 (default 1)

@@ -149,7 +149,7 @@ TEST(BoundedDegree, FloodingStillCompletes) {
     FloodOptions options;
     options.max_steps = static_cast<std::uint64_t>(
         12.0 * std::log2(400.0));
-    completions += flood_streaming(net, options).completed ? 1 : 0;
+    completions += flood_dynamic(net, options).completed ? 1 : 0;
   }
   EXPECT_EQ(completions, 5);
 }

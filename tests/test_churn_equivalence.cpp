@@ -19,12 +19,12 @@
 #include "churn/poisson_churn.hpp"
 #include "churn/streaming_churn.hpp"
 #include "engine/scenario.hpp"
-#include "flooding/flood_driver.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/snapshot.hpp"
 #include "models/poisson_network.hpp"
 #include "models/streaming_network.hpp"
 #include "models/wiring.hpp"
+#include "protocols/dissemination.hpp"
 
 namespace churnet {
 namespace {

@@ -81,7 +81,7 @@ TEST(ScenarioRegistry, SameSeedSameNetworkThroughAnyNetwork) {
   config.seed = 77;
   StreamingNetwork typed(config);
   typed.warm_up();
-  const FloodTrace tt = flood_streaming(typed);
+  const FloodTrace tt = flood_dynamic(typed);
   EXPECT_EQ(ta.informed_per_step, tt.informed_per_step);
   EXPECT_EQ(ta.completion_step, tt.completion_step);
 }
@@ -228,7 +228,7 @@ TEST(TrialRunner, DeterministicAcrossThreadCounts) {
     params.seed = ctx.seed;
     AnyNetwork net =
         ScenarioRegistry::paper().at("SDGR").make_warmed(params);
-    FloodScratch scratch;
+    ProtocolScratch scratch;
     const FloodTrace trace = net.flood({}, scratch);
     return std::vector<double>{
         trace.completed ? static_cast<double>(trace.completion_step)

@@ -271,7 +271,7 @@ void expect_bitset_matches_legacy(const MakeNet& make_net,
       legacy_flood_dynamic(legacy_net, options, legacy_scratch);
 
   auto bitset_net = make_net();
-  FloodScratch bitset_scratch;
+  ProtocolScratch bitset_scratch;
   const FloodTrace bitset =
       flood_dynamic(bitset_net, options, bitset_scratch);
 
@@ -282,10 +282,11 @@ void expect_bitset_matches_legacy(const MakeNet& make_net,
                bitset_net.graph().slot_upper_bound());
   for (std::uint32_t slot = 0; slot < bound; ++slot) {
     const NodeId id{slot, 0};  // both membership sets are slot-indexed
-    ASSERT_EQ(bitset_scratch.is_informed(id), legacy_scratch.is_informed(id))
+    ASSERT_EQ(bitset_scratch.flood.is_informed(id),
+              legacy_scratch.is_informed(id))
         << "slot " << slot;
   }
-  EXPECT_EQ(bitset_scratch.informed_count(),
+  EXPECT_EQ(bitset_scratch.flood.informed_count(),
             legacy_scratch.informed_count());
   EXPECT_EQ(bitset_net.graph().alive_count(),
             legacy_net.graph().alive_count());
@@ -427,13 +428,13 @@ std::uint64_t flood_checksum(const char* scenario_name, std::uint32_t n,
   params.intra_threads = intra_threads;
   AnyNetwork net =
       ScenarioRegistry::paper().at(scenario_name).make_warmed(params);
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   FloodOptions options;
   options.intra_threads = intra_threads;
   const FloodTrace trace = net.flood(options, scratch);
   Fnv fnv;
   add_trace(fnv, trace);
-  add_terminal_informed(fnv, net.graph(), scratch);
+  add_terminal_informed(fnv, net.graph(), scratch.flood);
   return fnv.hash;
 }
 

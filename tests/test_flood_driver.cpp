@@ -1,12 +1,13 @@
-// Equivalence tests for the generic flooding driver (flood_driver.hpp):
-// flood_streaming / flood_poisson_discretized (now thin wrappers over
-// flood_dynamic) must reproduce the seed repo's dedicated drivers
-// bit-for-bit at fixed seeds. The reference implementations below are
+// Equivalence tests for plain flooding through the dissemination driver
+// (flood_dynamic, protocols/dissemination.hpp): it must reproduce the seed
+// repo's dedicated streaming and Poisson drivers bit-for-bit at fixed
+// seeds. The reference implementations below are
 // verbatim copies of those seed drivers (unordered_set bookkeeping, no
 // scratch reuse); the traces — full per-step series included — must match
 // exactly because neither implementation consumes network randomness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -240,7 +241,7 @@ TEST(FloodDriver, MatchesSeedStreamingDriverBitForBit) {
 
       StreamingNetwork net(config);
       net.warm_up();
-      const FloodTrace actual = flood_streaming(net);
+      const FloodTrace actual = flood_dynamic(net);
 
       SCOPED_TRACE(testing::Message()
                    << "policy=" << static_cast<int>(policy)
@@ -263,7 +264,7 @@ TEST(FloodDriver, MatchesSeedPoissonDriverBitForBit) {
 
       PoissonNetwork net(config);
       net.warm_up(5.0);
-      const FloodTrace actual = flood_poisson_discretized(net, {});
+      const FloodTrace actual = flood_dynamic(net, {});
 
       SCOPED_TRACE(testing::Message()
                    << "policy=" << static_cast<int>(policy)
@@ -288,7 +289,7 @@ TEST(FloodDriver, MatchesSeedDriversWithEarlyStopOptions) {
   StreamingNetwork snet(sconfig);
   snet.warm_up();
   expect_traces_identical(seed_flood_streaming(sref, options),
-                          flood_streaming(snet, options));
+                          flood_dynamic(snet, options));
 
   const auto pconfig =
       PoissonConfig::with_n(500, 12, EdgePolicy::kRegenerate, 42);
@@ -297,11 +298,11 @@ TEST(FloodDriver, MatchesSeedDriversWithEarlyStopOptions) {
   PoissonNetwork pnet(pconfig);
   pnet.warm_up(5.0);
   expect_traces_identical(seed_flood_poisson_discretized(pref, options),
-                          flood_poisson_discretized(pnet, options));
+                          flood_dynamic(pnet, options));
 }
 
 TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   for (int trial = 0; trial < 3; ++trial) {
     StreamingConfig config;
     config.n = 300;
@@ -311,11 +312,11 @@ TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
 
     StreamingNetwork fresh(config);
     fresh.warm_up();
-    const FloodTrace expected = flood_streaming(fresh, {});
+    const FloodTrace expected = flood_dynamic(fresh, {});
 
     StreamingNetwork reused(config);
     reused.warm_up();
-    const FloodTrace actual = flood_streaming(reused, {}, scratch);
+    const FloodTrace actual = flood_dynamic(reused, {}, scratch);
     expect_traces_identical(expected, actual);
   }
   // Mixing models through the same scratch is fine too.
@@ -325,8 +326,110 @@ TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
   PoissonNetwork pref(PoissonConfig::with_n(300, 35, EdgePolicy::kRegenerate,
                                             5));
   pref.warm_up(5.0);
-  expect_traces_identical(flood_poisson_discretized(pref, {}),
-                          flood_poisson_discretized(pnet, {}, scratch));
+  expect_traces_identical(flood_dynamic(pref, {}),
+                          flood_dynamic(pnet, {}, scratch));
+}
+
+// ---- the slot-path commit --------------------------------------------------
+
+// FloodScratch::commit_candidates walks only the candidate words its
+// summary level flags. Against a dense AND-NOT reference kept here, random
+// marks and deaths over slot bounds that are not multiples of 64 or 4096,
+// with the scratch grown between steps and by a death past the bound while
+// marks are pending (a node born and killed within one interval), must
+// give the same frontier (in slot order), informed set and count — and
+// leave no candidate or summary bit behind. Atomic marks come from a
+// sharded pool, as in the scan.
+TEST(FloodScratchCommit, SummaryCommitMatchesDenseAndNot) {
+  for (const bool atomic : {false, true}) {
+    SCOPED_TRACE(atomic ? "atomic marks" : "serial marks");
+    Rng rng(atomic ? 91 : 90);
+    std::uint32_t bound = 3 * 4096 + 77;
+    FloodScratch scratch;
+    scratch.begin_trial(bound);
+    std::vector<char> informed(bound, 0);
+    std::uint64_t informed_count = 0;
+    std::vector<std::uint32_t> marks;
+    std::vector<std::uint32_t> frontier;
+    for (int step = 0; step < 48; ++step) {
+      if (step % 8 == 3) {
+        bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
+        scratch.ensure_slots(bound);
+        informed.resize(bound, 0);
+      }
+      // Candidates: uninformed slots, drawn with repeats; dense steps and
+      // sparse steps alternate so whole summary words are both hit and
+      // skipped.
+      std::vector<char> cand(bound, 0);
+      marks.clear();
+      const std::uint64_t draws = rng.below(step % 2 == 0 ? bound : 40);
+      for (std::uint64_t i = 0; i < draws; ++i) {
+        const auto slot = static_cast<std::uint32_t>(rng.below(bound));
+        if (informed[slot] != 0) continue;
+        cand[slot] = 1;
+        marks.push_back(slot);
+      }
+      if (atomic) {
+        constexpr std::size_t kChunk = 512;
+        for_each_chunk(4, (marks.size() + kChunk - 1) / kChunk,
+                       [&](std::size_t c, unsigned) {
+                         const std::size_t end =
+                             std::min(marks.size(), (c + 1) * kChunk);
+                         for (std::size_t i = c * kChunk; i < end; ++i) {
+                           scratch.mark_candidate_slot_atomic(marks[i]);
+                         }
+                       });
+      } else {
+        for (const std::uint32_t slot : marks) {
+          scratch.mark_candidate_slot(slot);
+        }
+      }
+
+      // Deaths: any slot, candidate or informed (the driver un-informs).
+      scratch.clear_deaths();
+      if (step % 8 == 7) {
+        bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
+        informed.resize(bound, 0);
+        cand.resize(bound, 0);
+        scratch.note_death(NodeId{bound - 1, 0});
+      }
+      std::vector<char> dead(bound, 0);
+      if (step % 8 == 7) dead[bound - 1] = 1;
+      const std::uint64_t deaths = rng.below(bound / 16);
+      for (std::uint64_t i = 0; i < deaths; ++i) {
+        const auto slot = static_cast<std::uint32_t>(rng.below(bound));
+        dead[slot] = 1;
+        scratch.note_death(NodeId{slot, 0});
+        scratch.unmark_informed(NodeId{slot, 0});
+        if (informed[slot] != 0) {
+          informed[slot] = 0;
+          --informed_count;
+        }
+      }
+
+      std::vector<std::uint32_t> expected;
+      std::uint64_t distinct = 0;
+      for (std::uint32_t slot = 0; slot < bound; ++slot) {
+        if (cand[slot] == 0) continue;
+        ++distinct;
+        if (dead[slot] != 0) continue;
+        informed[slot] = 1;
+        ++informed_count;
+        expected.push_back(slot);
+      }
+
+      frontier.clear();
+      EXPECT_EQ(scratch.commit_candidates(frontier), distinct)
+          << "step " << step;
+      ASSERT_EQ(frontier, expected) << "step " << step;
+      EXPECT_EQ(scratch.informed_count(), informed_count) << "step " << step;
+      for (std::uint32_t slot = 0; slot < bound; ++slot) {
+        ASSERT_EQ(scratch.is_informed_slot(slot), informed[slot] != 0)
+            << "step " << step << " slot " << slot;
+      }
+      EXPECT_TRUE(scratch.candidates_empty()) << "step " << step;
+    }
+  }
 }
 
 }  // namespace

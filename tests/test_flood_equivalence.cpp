@@ -123,7 +123,7 @@ TEST_P(FloodEquivalence, StreamingDriverMatchesNaiveReference) {
   FloodOptions options;
   options.max_steps = kMaxSteps;
   options.stop_on_die_out = true;
-  const FloodTrace trace = flood_streaming(incremental_net, options);
+  const FloodTrace trace = flood_dynamic(incremental_net, options);
 
   StreamingNetwork naive_net(config);
   naive_net.warm_up();
@@ -146,7 +146,7 @@ TEST_P(FloodEquivalence, PoissonDriverMatchesNaiveReference) {
   FloodOptions options;
   options.max_steps = kMaxSteps;
   options.stop_on_die_out = true;
-  const FloodTrace trace = flood_poisson_discretized(incremental_net, options);
+  const FloodTrace trace = flood_dynamic(incremental_net, options);
 
   PoissonNetwork naive_net(config);
   naive_net.warm_up(6.0);

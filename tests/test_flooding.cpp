@@ -1,6 +1,6 @@
-// Tests for flooding/flooding.hpp: synchronous streaming flooding
-// (Def. 3.3) and discretized Poisson flooding (Def. 4.3).
-#include "flooding/flooding.hpp"
+// Tests for plain flooding (flood_dynamic): synchronous streaming
+// flooding (Def. 3.3) and discretized Poisson flooding (Def. 4.3).
+#include "protocols/dissemination.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 
 #include "benchutil/experiment.hpp"
 #include "graph/algorithms.hpp"
+#include "models/poisson_network.hpp"
+#include "models/streaming_network.hpp"
 
 namespace churnet {
 namespace {
@@ -39,7 +41,7 @@ TEST(FloodStreaming, StartsWithSingleInformedSource) {
   net.warm_up();
   FloodOptions options;
   options.max_steps = 0;  // no flooding steps: only the source round
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   ASSERT_GE(trace.informed_per_step.size(), 1u);
   EXPECT_EQ(trace.informed_per_step[0], 1u);
   EXPECT_EQ(trace.alive_per_step[0], 50u);
@@ -52,7 +54,7 @@ TEST(FloodStreaming, InformedCountsAreMonotoneUntilCompletionSdgr) {
       streaming_config(200, 8, EdgePolicy::kRegenerate, 2));
   net.warm_up();
   net.run_rounds(210);
-  const FloodTrace trace = flood_streaming(net);
+  const FloodTrace trace = flood_dynamic(net);
   ASSERT_TRUE(trace.completed);
   for (std::size_t t = 1; t < trace.informed_per_step.size(); ++t) {
     EXPECT_GE(trace.informed_per_step[t] + 1, trace.informed_per_step[t - 1]);
@@ -69,7 +71,7 @@ TEST(FloodStreaming, SdgrCompletesInLogarithmicTime) {
                                           derive_seed(3, 0, rep)));
     net.warm_up();
     net.run_rounds(kN);
-    const FloodTrace trace = flood_streaming(net);
+    const FloodTrace trace = flood_dynamic(net);
     if (!trace.completed) continue;
     ++completions;
     EXPECT_LE(trace.completion_step,
@@ -90,7 +92,7 @@ TEST(FloodStreaming, SdgInformsMostNodesQuickly) {
   FloodOptions options;
   options.max_steps = 60;  // >> log(n), << n
   options.stop_on_die_out = true;
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_GT(trace.final_fraction, 0.80);
 }
 
@@ -111,7 +113,7 @@ TEST(FloodStreaming, SdgCannotCompleteWhileIsolatedNodesExist) {
     FloodOptions options;
     options.max_steps = 100;  // >> log n, << n
     options.stop_on_die_out = false;
-    const FloodTrace trace = flood_streaming(net, options);
+    const FloodTrace trace = flood_dynamic(net, options);
     EXPECT_FALSE(trace.completed);
   }
   // At d = 2 nearly every instance carries isolated nodes (Lemma 3.5).
@@ -123,7 +125,7 @@ TEST(FloodStreaming, RespectsMaxSteps) {
   net.warm_up();
   FloodOptions options;
   options.max_steps = 7;
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_LE(trace.steps, 7u);
 }
 
@@ -136,7 +138,7 @@ TEST(FloodStreaming, StopAtFractionStopsEarly) {
   net.warm_up();
   FloodOptions options;
   options.stop_at_fraction = 0.5;
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_GE(trace.final_fraction, 0.5);
   ASSERT_GE(trace.informed_per_step.size(), 2u);
   const std::size_t last = trace.informed_per_step.size() - 1;
@@ -152,7 +154,7 @@ TEST(FloodStreaming, SeriesRecordingCanBeDisabled) {
   net.warm_up();
   FloodOptions options;
   options.record_series = false;
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_TRUE(trace.informed_per_step.empty());
   EXPECT_TRUE(trace.completed);
 }
@@ -161,7 +163,7 @@ TEST(FloodStreaming, AliveCountStaysN) {
   StreamingNetwork net(
       streaming_config(150, 6, EdgePolicy::kRegenerate, 8));
   net.warm_up();
-  const FloodTrace trace = flood_streaming(net);
+  const FloodTrace trace = flood_dynamic(net);
   for (const std::uint64_t alive : trace.alive_per_step) {
     EXPECT_EQ(alive, 150u);
   }
@@ -171,7 +173,7 @@ TEST(FloodStreaming, HooksAreClearedAfterRun) {
   StreamingNetwork net(
       streaming_config(100, 6, EdgePolicy::kRegenerate, 9));
   net.warm_up();
-  flood_streaming(net);
+  flood_dynamic(net);
   // If the driver leaked its hooks, this would touch freed captures.
   net.run_rounds(50);
   EXPECT_TRUE(net.graph().check_consistency());
@@ -188,7 +190,7 @@ TEST(FloodPoisson, DiscretizedCompletesOnPdgr) {
     net.warm_up(8.0);
     FloodOptions options;
     options.max_steps = 200;
-    const FloodTrace trace = flood_poisson_discretized(net, options);
+    const FloodTrace trace = flood_dynamic(net, options);
     if (trace.completed) {
       ++completions;
       worst = std::max(worst, trace.completion_step);
@@ -202,7 +204,7 @@ TEST(FloodPoisson, InformedNeverExceedsAlive) {
   PoissonNetwork net(
       PoissonConfig::with_n(300, 20, EdgePolicy::kRegenerate, 11));
   net.warm_up(5.0);
-  const FloodTrace trace = flood_poisson_discretized(net);
+  const FloodTrace trace = flood_dynamic(net);
   ASSERT_FALSE(trace.informed_per_step.empty());
   for (std::size_t t = 0; t < trace.informed_per_step.size(); ++t) {
     EXPECT_LE(trace.informed_per_step[t], trace.alive_per_step[t]);
@@ -216,7 +218,7 @@ TEST(FloodPoisson, PdgReachesLargeFraction) {
   net.warm_up(8.0);
   FloodOptions options;
   options.max_steps = 80;
-  const FloodTrace trace = flood_poisson_discretized(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_GT(trace.final_fraction, 0.7);
 }
 
@@ -225,7 +227,7 @@ TEST(FloodPoisson, RespectsMaxSteps) {
   net.warm_up(3.0);
   FloodOptions options;
   options.max_steps = 5;
-  const FloodTrace trace = flood_poisson_discretized(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_LE(trace.steps, 5u);
 }
 
@@ -240,7 +242,7 @@ TEST(FloodPoisson, SourceWithIsolatedNeighborsCanDieOut) {
     net.warm_up(5.0);
     FloodOptions options;
     options.max_steps = 400;
-    const FloodTrace trace = flood_poisson_discretized(net, options);
+    const FloodTrace trace = flood_dynamic(net, options);
     if (trace.died_out) {
       ++die_outs;
       EXPECT_NE(trace.die_out_step, FloodTrace::kNever);
@@ -259,7 +261,7 @@ TEST(FloodPoisson, ClockAdvancesOneUnitPerStep) {
   options.max_steps = 12;
   options.stop_at_fraction = 2.0;  // never stop early on fraction
   options.stop_on_die_out = false;
-  const FloodTrace trace = flood_poisson_discretized(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   // now() - t0 == steps, where t0 >= before (source birth waits for an
   // arrival event).
   EXPECT_GE(net.now(), before + static_cast<double>(trace.steps));

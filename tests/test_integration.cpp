@@ -28,7 +28,7 @@ TEST(Integration, SdgFullPipeline) {
   // The flood reaches most of the largest component quickly.
   FloodOptions options;
   options.max_steps = 50;
-  const FloodTrace trace = flood_streaming(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_GT(trace.final_fraction, 0.5);
   EXPECT_TRUE(net.graph().check_consistency());
 }
@@ -49,7 +49,7 @@ TEST(Integration, SdgrFullPipeline) {
   const ProbeResult probe = probe_expansion(snap, probe_rng, {});
   EXPECT_GT(probe.min_ratio, 0.1);
 
-  const FloodTrace trace = flood_streaming(net);
+  const FloodTrace trace = flood_dynamic(net);
   EXPECT_TRUE(trace.completed);
   EXPECT_LE(trace.completion_step,
             static_cast<std::uint64_t>(12.0 * std::log2(400.0)));
@@ -63,7 +63,7 @@ TEST(Integration, PdgFullPipeline) {
 
   FloodOptions options;
   options.max_steps = 60;
-  const FloodTrace trace = flood_poisson_discretized(net, options);
+  const FloodTrace trace = flood_dynamic(net, options);
   EXPECT_GT(trace.final_fraction, 0.4);
   EXPECT_TRUE(net.graph().check_consistency());
 }
@@ -77,7 +77,7 @@ TEST(Integration, PdgrFullPipeline) {
   const ProbeResult probe = probe_expansion(net.snapshot(), probe_rng, {});
   EXPECT_GT(probe.min_ratio, 0.1);
 
-  const FloodTrace discretized = flood_poisson_discretized(net);
+  const FloodTrace discretized = flood_dynamic(net);
   EXPECT_TRUE(discretized.completed);
 
   const AsyncFloodResult async_result = flood_poisson_async(net);
@@ -158,7 +158,7 @@ TEST(Integration, RepeatedFloodsOnSameNetworkAreIndependent) {
   StreamingNetwork net(config);
   net.warm_up();
   for (int i = 0; i < 5; ++i) {
-    const FloodTrace trace = flood_streaming(net);
+    const FloodTrace trace = flood_dynamic(net);
     EXPECT_TRUE(trace.completed);
   }
   EXPECT_TRUE(net.graph().check_consistency());

@@ -77,7 +77,7 @@ TEST(AnyNetwork, FloodMatchesTypedDriver) {
                                             21);
   PoissonNetwork typed(config);
   typed.warm_up(5.0);
-  const FloodTrace expected = flood_poisson_discretized(typed, {});
+  const FloodTrace expected = flood_dynamic(typed, {});
 
   // Advance the erased network exactly like `typed` (warm_up(5.0) via
   // typed access; the erased warm_up() would run 10 expected lifetimes).
@@ -113,7 +113,7 @@ TEST(StaticNetwork, FloodIsBfsRounds) {
   config.d = 8;
   config.seed = 17;
   StaticNetwork net(config);
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   const FloodTrace trace = flood_dynamic(net, {}, scratch);
   // d-out with d = 8 is connected w.h.p.; flooding must complete in a few
   // rounds and the series must be monotone on a frozen graph.
@@ -140,7 +140,7 @@ TEST(StaticNetwork, ErdosRenyiMatchesTargetDensity) {
   EXPECT_GT(edges, 16000.0 - 800.0);
   EXPECT_LT(edges, 16000.0 + 800.0);
   // Well above the connectivity threshold: flooding completes.
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   const FloodTrace trace = flood_dynamic(net, {}, scratch);
   EXPECT_TRUE(trace.completed);
 }
@@ -155,7 +155,7 @@ TEST(StaticNetwork, FloodStopsAtFrontierExhaustionWhenDisconnected) {
   config.topology = StaticConfig::Topology::kErdosRenyi;
   config.seed = 7;
   StaticNetwork net(config);
-  FloodScratch scratch;
+  ProtocolScratch scratch;
   const FloodTrace trace = flood_dynamic(net, {}, scratch);
   EXPECT_FALSE(trace.completed);
   EXPECT_LT(trace.steps, 200u);  // component diameter, not max_steps
@@ -172,7 +172,7 @@ TEST(StaticNetwork, DeterministicForSameSeed) {
   StaticNetwork a(config);
   StaticNetwork b(config);
   EXPECT_EQ(a.graph().edge_count(), b.graph().edge_count());
-  FloodScratch sa, sb;
+  ProtocolScratch sa, sb;
   const FloodTrace ta = flood_dynamic(a, {}, sa);
   const FloodTrace tb = flood_dynamic(b, {}, sb);
   EXPECT_EQ(ta.informed_per_step, tb.informed_per_step);

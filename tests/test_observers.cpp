@@ -269,9 +269,10 @@ TEST(Pipeline, ObserveNetworkRunsWindowSnapshotAndFlood) {
 
   ObserverSet set = make_observer_set(
       *ObserverSpec::parse("isolated+demography(32)+coverage(0.5)"));
-  FloodScratch scratch;
-  const std::vector<double> values =
-      observe_flood(net, set, /*seed=*/555, FloodOptions{}, scratch);
+  FloodProtocol flood;
+  ProtocolScratch scratch;
+  const std::vector<double> values = observe_protocol(
+      net, set, /*seed=*/555, flood, ProtocolOptions{}, scratch);
   ASSERT_EQ(values.size(), set.metric_names().size());
   // isolated_count/fraction observed (SDGR: no isolation).
   EXPECT_EQ(values[0], 0.0);

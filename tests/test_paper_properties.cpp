@@ -76,7 +76,7 @@ TEST_P(StreamingSweep, FloodMonotoneCoverageSdgr) {
   config.seed = param.seed;
   StreamingNetwork net(config);
   net.warm_up();
-  const FloodTrace trace = flood_streaming(net);
+  const FloodTrace trace = flood_dynamic(net);
   ASSERT_TRUE(trace.completed);
   // Informed counts grow (modulo single deaths) and never exceed alive.
   for (std::size_t t = 0; t < trace.informed_per_step.size(); ++t) {
@@ -190,7 +190,7 @@ TEST(Table1Shape, RegenerationEnablesCompletion) {
     sdgr.warm_up();
     FloodOptions options;
     options.max_steps = static_cast<std::uint64_t>(12.0 * std::log2(kN));
-    sdgr_completions += flood_streaming(sdgr, options).completed ? 1 : 0;
+    sdgr_completions += flood_dynamic(sdgr, options).completed ? 1 : 0;
   }
   EXPECT_EQ(sdgr_completions, 5);
 
@@ -210,7 +210,7 @@ TEST(Table1Shape, RegenerationEnablesCompletion) {
     FloodOptions options;
     options.max_steps = 150;
     options.stop_on_die_out = false;
-    sdg_completions += flood_streaming(sdg, options).completed ? 1 : 0;
+    sdg_completions += flood_dynamic(sdg, options).completed ? 1 : 0;
   }
   EXPECT_GE(isolated_instances, 3);
   EXPECT_EQ(sdg_completions, 0);
@@ -233,7 +233,7 @@ TEST(Table1Shape, LargerDImprovesCoverageInSdg) {
       net.run_rounds(kN);
       FloodOptions options;
       options.max_steps = 60;
-      coverage[i] += flood_streaming(net, options).final_fraction;
+      coverage[i] += flood_dynamic(net, options).final_fraction;
     }
   }
   EXPECT_GT(coverage[1], coverage[0]);

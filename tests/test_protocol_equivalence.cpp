@@ -1,18 +1,21 @@
-// The tentpole proof for the protocol layer: full flooding expressed
-// through the DisseminationProtocol path (protocols/dissemination.hpp +
-// FloodProtocol) must be bit-identical to the pre-existing flood driver
-// (flooding/flood_driver.hpp) — same event sequence (per-step informed and
-// alive counts), same terminal state, and the same informed set — on all
-// four paper scenarios (streaming Def. 3.3 and discretized Def. 4.3
-// semantics) and on the churn-free baselines (BFS semantics).
+// Proof that the dissemination driver's two candidate representations
+// agree on plain flooding: FloodProtocol runs on the slot path (candidate
+// bits, the summary-level commit, slot-ordered frontiers), while
+// LossyProtocol(FloodProtocol, 1.0) runs the same messages through the
+// pair path (propose(), StepView::send, commit in propose order). Both
+// must give the same event sequence (per-step informed and alive counts),
+// the same terminal state and informed set, and the same ProtocolStats,
+// on all four paper scenarios (streaming Def. 3.3 and discretized Def. 4.3
+// semantics) and on the churn-free baselines (BFS semantics), at every
+// intra_threads value.
 //
-// The comparison is exact equality, never tolerance: the two drivers run
-// on two networks built from the same seed, which evolve identically
-// because neither driver consumes network randomness (and FloodProtocol
-// consumes no protocol randomness either).
+// The comparison is exact equality, never tolerance: the two runs use two
+// networks built from the same seed, which evolve identically because
+// neither path consumes network randomness.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "churnet/churnet.hpp"
 
@@ -24,101 +27,131 @@ struct EquivalenceParam {
   std::uint32_t n;
   std::uint32_t d;
   std::uint64_t seed;
+  std::uint32_t sources;
+  std::uint64_t max_steps;  // 0 = no cap (FloodOptions' default)
 };
 
-std::string param_name(
-    const ::testing::TestParamInfo<EquivalenceParam>& info) {
-  std::string scenario = info.param.scenario;
+using GridParam = std::tuple<EquivalenceParam, std::uint32_t>;
+
+std::string param_name(const ::testing::TestParamInfo<GridParam>& info) {
+  const auto& [param, intra] = info.param;
+  std::string scenario = param.scenario;
   for (char& c : scenario) {
     if (c == '-') c = '_';
   }
-  return scenario + "_n" + std::to_string(info.param.n) + "_d" +
-         std::to_string(info.param.d) + "_s" +
-         std::to_string(info.param.seed);
+  return scenario + "_n" + std::to_string(param.n) + "_d" +
+         std::to_string(param.d) + "_s" + std::to_string(param.seed) +
+         (param.sources > 1 ? "_src" + std::to_string(param.sources) : "") +
+         (param.max_steps == 0 ? "_nocap" : "") + "_intra" +
+         std::to_string(intra);
 }
 
-class ProtocolFloodEquivalence
-    : public ::testing::TestWithParam<EquivalenceParam> {};
+class ProtocolFloodEquivalence : public ::testing::TestWithParam<GridParam> {
+ protected:
+  ScenarioParams scenario_params() const {
+    const auto& [param, intra] = GetParam();
+    ScenarioParams params;
+    params.n = param.n;
+    params.d = param.d;
+    params.seed = param.seed;
+    params.intra_threads = intra;
+    return params;
+  }
+};
 
-TEST_P(ProtocolFloodEquivalence, FloodProtocolMatchesFloodDriverBitForBit) {
-  const EquivalenceParam param = GetParam();
-  const Scenario scenario =
-      ScenarioRegistry::paper().resolve(param.scenario);
-  ScenarioParams params;
-  params.n = param.n;
-  params.d = param.d;
-  params.seed = param.seed;
+TEST_P(ProtocolFloodEquivalence, SlotPathMatchesPairPathBitForBit) {
+  const auto& [param, intra] = GetParam();
+  const Scenario scenario = ScenarioRegistry::paper().resolve(param.scenario);
+  const ScenarioParams params = scenario_params();
 
-  FloodOptions flood_options;
-  flood_options.max_steps = 80;
-  flood_options.stop_on_die_out = true;
-
-  AnyNetwork reference_net = scenario.make_warmed(params);
-  FloodScratch reference_scratch;
-  const FloodTrace reference =
-      reference_net.flood(flood_options, reference_scratch);
-
-  AnyNetwork protocol_net = scenario.make_warmed(params);
-  FloodProtocol protocol;
   ProtocolOptions options;
-  options.flood = flood_options;
-  ProtocolScratch protocol_scratch;
-  const ProtocolResult result =
-      protocol_net.disseminate(protocol, options, protocol_scratch);
-  const FloodTrace& trace = result.trace;
+  if (param.max_steps != 0) options.flood.max_steps = param.max_steps;
+  options.flood.intra_threads = intra;
+  options.sources = param.sources;
+  options.seed = 77;
+
+  // The wrapper draws extra sources from its own stream, seeded with
+  // derive_seed(seed, 0, 0); seeding the bare protocol with that value
+  // makes both runs start from the same sources.
+  ProtocolOptions slot_options = options;
+  slot_options.seed = derive_seed(options.seed, 0, 0);
+  AnyNetwork slot_net = scenario.make_warmed(params);
+  FloodProtocol flood;
+  ASSERT_EQ(flood.candidates(), Candidates::kSlotSet);
+  ProtocolScratch slot_scratch;
+  const ProtocolResult slot =
+      slot_net.disseminate(flood, slot_options, slot_scratch);
+
+  AnyNetwork pair_net = scenario.make_warmed(params);
+  LossyProtocol lossless(std::make_unique<FloodProtocol>(), 1.0);
+  ASSERT_EQ(lossless.candidates(), Candidates::kFirstPerReceiver);
+  ProtocolScratch pair_scratch;
+  const ProtocolResult pair =
+      pair_net.disseminate(lossless, options, pair_scratch);
 
   // Event sequence: the full per-step series, not just the endpoints.
-  ASSERT_EQ(trace.informed_per_step, reference.informed_per_step);
-  ASSERT_EQ(trace.alive_per_step, reference.alive_per_step);
-  EXPECT_EQ(trace.steps, reference.steps);
-  EXPECT_EQ(trace.completed, reference.completed);
-  EXPECT_EQ(trace.completion_step, reference.completion_step);
-  EXPECT_EQ(trace.died_out, reference.died_out);
-  EXPECT_EQ(trace.die_out_step, reference.die_out_step);
-  EXPECT_EQ(trace.peak_informed, reference.peak_informed);
-  EXPECT_DOUBLE_EQ(trace.final_fraction, reference.final_fraction);
+  ASSERT_EQ(slot.trace.informed_per_step, pair.trace.informed_per_step);
+  ASSERT_EQ(slot.trace.alive_per_step, pair.trace.alive_per_step);
+  EXPECT_EQ(slot.trace.steps, pair.trace.steps);
+  EXPECT_EQ(slot.trace.completed, pair.trace.completed);
+  EXPECT_EQ(slot.trace.completion_step, pair.trace.completion_step);
+  EXPECT_EQ(slot.trace.died_out, pair.trace.died_out);
+  EXPECT_EQ(slot.trace.die_out_step, pair.trace.die_out_step);
+  EXPECT_EQ(slot.trace.peak_informed, pair.trace.peak_informed);
+  EXPECT_DOUBLE_EQ(slot.trace.final_fraction, pair.trace.final_fraction);
+
+  // Every message-accounting field.
+  EXPECT_EQ(slot.stats.messages_sent, pair.stats.messages_sent);
+  EXPECT_EQ(slot.stats.overhead_messages, pair.stats.overhead_messages);
+  EXPECT_EQ(slot.stats.lost_messages, pair.stats.lost_messages);
+  EXPECT_EQ(slot.stats.useful_deliveries, pair.stats.useful_deliveries);
+  EXPECT_EQ(slot.stats.duplicate_deliveries,
+            pair.stats.duplicate_deliveries);
+  EXPECT_EQ(slot.stats.rounds, pair.stats.rounds);
+  EXPECT_EQ(slot.stats.completed, pair.stats.completed);
+  EXPECT_DOUBLE_EQ(slot.stats.final_coverage, pair.stats.final_coverage);
 
   // Informed sets: slot-for-slot identical terminal membership.
-  const std::uint32_t bound = std::max(
-      reference_net.graph().slot_upper_bound(),
-      protocol_net.graph().slot_upper_bound());
-  for (std::uint32_t slot = 0; slot < bound; ++slot) {
-    const NodeId id{slot, 0};  // membership stamps are slot-indexed
-    ASSERT_EQ(protocol_scratch.flood.is_informed(id),
-              reference_scratch.is_informed(id))
-        << "slot " << slot;
+  const std::uint32_t bound = std::max(slot_net.graph().slot_upper_bound(),
+                                       pair_net.graph().slot_upper_bound());
+  for (std::uint32_t slot_index = 0; slot_index < bound; ++slot_index) {
+    const NodeId id{slot_index, 0};  // membership is slot-indexed
+    ASSERT_EQ(slot_scratch.flood.is_informed(id),
+              pair_scratch.flood.is_informed(id))
+        << "slot " << slot_index;
   }
+  EXPECT_EQ(slot_scratch.flood.informed_count(),
+            pair_scratch.flood.informed_count());
 
-  // The networks themselves evolved identically: neither driver consumed
+  // The networks themselves evolved identically: neither path consumed
   // network randomness beyond the shared source-selection path.
-  EXPECT_EQ(protocol_net.graph().alive_count(),
-            reference_net.graph().alive_count());
-  EXPECT_EQ(protocol_net.graph().total_births(),
-            reference_net.graph().total_births());
+  EXPECT_EQ(slot_net.graph().alive_count(), pair_net.graph().alive_count());
+  EXPECT_EQ(slot_net.graph().total_births(),
+            pair_net.graph().total_births());
 
-  // Flood-path accounting invariants: every node informed after the
-  // source cost exactly one useful delivery, and nothing was lost.
-  EXPECT_EQ(result.stats.useful_deliveries,
-            protocol_scratch.informed.size() - 1);
-  EXPECT_EQ(result.stats.lost_messages, 0u);
-  EXPECT_EQ(result.stats.rounds, trace.steps);
-  EXPECT_EQ(result.stats.completed, trace.completed);
-  EXPECT_DOUBLE_EQ(result.stats.final_coverage, trace.final_fraction);
+  // Flood accounting invariants: the slot path keeps no inform-order list;
+  // on the pair path every node informed after the sources cost exactly
+  // one useful delivery, and nothing was lost.
+  EXPECT_TRUE(slot_scratch.informed.empty());
+  EXPECT_EQ(pair.stats.useful_deliveries,
+            pair_scratch.informed.size() - pair.trace.informed_per_step[0]);
+  EXPECT_EQ(pair.stats.lost_messages, 0u);
+  EXPECT_EQ(slot.stats.rounds, slot.trace.steps);
+  EXPECT_EQ(slot.stats.completed, slot.trace.completed);
+  EXPECT_DOUBLE_EQ(slot.stats.final_coverage, slot.trace.final_fraction);
 }
 
 TEST_P(ProtocolFloodEquivalence, ScratchAndProtocolReuseStaysIdentical) {
   // One (protocol, scratch) pair across replications must behave exactly
   // like fresh objects: the epoch-stamped reset is complete.
-  const EquivalenceParam param = GetParam();
-  const Scenario scenario =
-      ScenarioRegistry::paper().resolve(param.scenario);
-  ScenarioParams params;
-  params.n = param.n;
-  params.d = param.d;
-  params.seed = param.seed;
+  const auto& [param, intra] = GetParam();
+  const Scenario scenario = ScenarioRegistry::paper().resolve(param.scenario);
+  const ScenarioParams params = scenario_params();
 
   ProtocolOptions options;
   options.flood.max_steps = 40;
+  options.flood.intra_threads = intra;
+  options.sources = param.sources;
 
   FloodProtocol reused_protocol;
   ProtocolScratch reused_scratch;
@@ -143,44 +176,28 @@ TEST_P(ProtocolFloodEquivalence, ScratchAndProtocolReuseStaysIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ProtocolFloodEquivalence,
-    ::testing::Values(
-        // The four paper scenarios: streaming + discretized semantics.
-        EquivalenceParam{"SDG", 60, 2, 1},
-        EquivalenceParam{"SDG", 250, 4, 2},
-        EquivalenceParam{"SDGR", 120, 3, 3},
-        EquivalenceParam{"SDGR", 500, 8, 4},
-        EquivalenceParam{"PDG", 60, 2, 5},
-        EquivalenceParam{"PDG", 250, 6, 6},
-        EquivalenceParam{"PDGR", 120, 4, 7},
-        EquivalenceParam{"PDGR", 500, 8, 8},
-        // Churn-free BFS semantics (uniform source via the network RNG).
-        EquivalenceParam{"static-dout", 300, 4, 9},
-        EquivalenceParam{"erdos-renyi", 300, 6, 10}),
+    ::testing::Combine(
+        ::testing::Values(
+            // The four paper scenarios: streaming + discretized semantics.
+            EquivalenceParam{"SDG", 60, 2, 1, 1, 80},
+            EquivalenceParam{"SDG", 250, 4, 2, 1, 80},
+            EquivalenceParam{"SDGR", 120, 3, 3, 1, 80},
+            EquivalenceParam{"SDGR", 500, 8, 4, 1, 80},
+            EquivalenceParam{"PDG", 60, 2, 5, 1, 80},
+            EquivalenceParam{"PDG", 250, 6, 6, 1, 80},
+            EquivalenceParam{"PDGR", 120, 4, 7, 1, 80},
+            EquivalenceParam{"PDGR", 500, 8, 8, 1, 80},
+            // Churn-free BFS semantics (uniform source via the network RNG).
+            EquivalenceParam{"static-dout", 300, 4, 9, 1, 80},
+            EquivalenceParam{"erdos-renyi", 300, 6, 10, 1, 80},
+            // Extra sources drawn from the protocol RNG.
+            EquivalenceParam{"PDGR", 300, 6, 11, 3, 80},
+            // A warmed SDG run to completion: thousands of steps waiting
+            // for the isolated nodes to die, frontiers large enough to
+            // shard at intra 4.
+            EquivalenceParam{"SDG", 20000, 8, 12, 1, 0}),
+        ::testing::Values(1u, 4u)),
     param_name);
-
-TEST(ProtocolEquivalence, LosslessLossyWrapperIsBitIdenticalToFlood) {
-  // lossy(1.0) never draws a coin and keeps the dedup fast path, so the
-  // wrapper at q=1 is exactly the bare protocol.
-  ScenarioParams params;
-  params.n = 250;
-  params.d = 4;
-  params.seed = 11;
-  const Scenario& scenario = ScenarioRegistry::paper().at("SDGR");
-
-  AnyNetwork bare_net = scenario.make_warmed(params);
-  FloodProtocol bare;
-  const ProtocolResult bare_result = bare_net.disseminate(bare);
-
-  AnyNetwork wrapped_net = scenario.make_warmed(params);
-  LossyProtocol wrapped(std::make_unique<FloodProtocol>(), 1.0);
-  const ProtocolResult wrapped_result = wrapped_net.disseminate(wrapped);
-
-  EXPECT_EQ(wrapped_result.trace.informed_per_step,
-            bare_result.trace.informed_per_step);
-  EXPECT_EQ(wrapped_result.stats.messages_sent,
-            bare_result.stats.messages_sent);
-  EXPECT_EQ(wrapped_result.stats.lost_messages, 0u);
-}
 
 TEST(ProtocolEquivalence, UnboundedTtlIsBitIdenticalToFlood) {
   // A TTL no run can exhaust degenerates to full flooding.

@@ -327,17 +327,21 @@ TEST(Dissemination, ProtocolRunsAreSeedDeterministic) {
 TEST(Dissemination, MakeProtocolBuildsTheSpecdProtocol) {
   const auto flood = make_protocol(*ProtocolSpec::parse("flood"));
   EXPECT_EQ(flood->name(), "flood");
-  EXPECT_TRUE(flood->dedup_receivers());
+  EXPECT_EQ(flood->candidates(), Candidates::kSlotSet);
 
   const auto push = make_protocol(*ProtocolSpec::parse("push(3)"));
   EXPECT_EQ(push->name(), "push(3)");
-  EXPECT_FALSE(push->dedup_receivers());
+  EXPECT_EQ(push->candidates(), Candidates::kEvery);
 
   const auto lossy =
       make_protocol(*ProtocolSpec::parse("ttl(4)+lossy(0.8)"));
   EXPECT_EQ(lossy->name(), "ttl(4)+lossy(0.80)");
   EXPECT_DOUBLE_EQ(lossy->delivery_probability(), 0.8);
-  EXPECT_TRUE(lossy->frontier_driven());
+  EXPECT_EQ(lossy->candidates(), Candidates::kFirstPerReceiver);
+  // A lossy link needs one coin per send, so flood leaves the slot set.
+  EXPECT_EQ(make_protocol(*ProtocolSpec::parse("flood+lossy(0.5)"))
+                ->candidates(),
+            Candidates::kFirstPerReceiver);
 
   // sources is a driver option: protocol_options forwards it.
   const auto spec = *ProtocolSpec::parse("push-pull(2)+sources(4)");
