@@ -14,8 +14,8 @@
 // Part 1 checks each regime's demography against its configured law (mean
 // lifetime ~ n where the law fixes it; stationary/drifting sizes where the
 // schedule predicts them). Part 2 sweeps all regimes through the
-// SweepRunner grid engine and reports flooding + topology metrics, the
-// paper's Table-1 quantities, under each regime.
+// sweep service and reports flooding + topology metrics, the paper's
+// Table-1 quantities, under each regime.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   }
   demography.print(std::cout);
 
-  // Part 2: the same regimes through the SweepRunner grid engine, PDGR
-  // wiring, flooding + topology metrics.
+  // Part 2: the same regimes through the sweep service, PDGR wiring,
+  // flooding + topology metrics.
   std::printf("\nsweep: PDGR wiring under each regime "
               "(n=%u, d=%u, %llu reps, %u threads)\n",
               n, d, static_cast<unsigned long long>(reps), threads);
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
                   "final_fraction"};
   spec.replications = reps;
   spec.base_seed = seed;
-  const SweepResult result = SweepRunner(spec).run(threads);
+  const SweepResult result = SweepService(spec, {.threads = threads}).run();
   for (std::size_t c = 0; c < result.cells().size(); ++c) {
     record_trial("regimes-" + result.cells()[c].scenario,
                  result.cell_trial(c));  // feeds --csv/--json

@@ -1,7 +1,8 @@
 // Engine thread-scaling bench: wall-clock of the identical replicated
 // flooding workload at increasing TrialRunner thread counts, plus the
 // determinism cross-check (aggregates must be bit-identical at every
-// thread count). Engineering measurement only; no paper claim.
+// thread count; the exit status is 1 when they are not, so CI's bench
+// smoke fails on it). Engineering measurement only; no paper claim.
 //
 //   ./bench_engine_scaling [--scenario SDGR] [--n 4000] [--reps 16]
 //                          [--max-threads 4]
@@ -98,5 +99,5 @@ int main(int argc, char** argv) {
   std::printf("%llu replications of %s (n=%u, d=%u) per measurement.\n",
               static_cast<unsigned long long>(reps),
               scenario.name().c_str(), n, d);
-  return 0;
+  return deterministic ? 0 : 1;
 }

@@ -524,7 +524,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- sweep throughput (%zu cells x %llu reps) ---\n",
               spec.cell_count(),
               static_cast<unsigned long long>(spec.replications));
-  const SweepResult sweep = SweepRunner(spec).run(/*threads=*/1);
+  const SweepResult sweep = SweepService(spec, {.threads = 1}).run();
   Fnv samples;
   for (const auto& cell : sweep.samples()) {
     for (const auto& rep : cell) {
@@ -674,7 +674,7 @@ int main(int argc, char** argv) {
   // any RNG); the recorder slice is the phase breakdown.
   telemetry::set_enabled(true);
   const telemetry::TrialRecorder recorder;
-  const SweepResult sweep_on = SweepRunner(spec).run(/*threads=*/1);
+  const SweepResult sweep_on = SweepService(spec, {.threads = 1}).run();
   const telemetry::Totals totals = recorder.finish();
   telemetry::set_enabled(false);
   Fnv samples_on;

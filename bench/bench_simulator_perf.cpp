@@ -3,15 +3,13 @@
 // fanned across the TrialRunner thread pool. These guard against
 // performance regressions; they reproduce no paper claim.
 //
-// The replication sections route every trial seed through derive_seed and
-// are bit-deterministic for a fixed --seed regardless of --threads; the
-// thread-scaling section reports the wall-clock speedup of --threads
-// workers over a serial run of the identical workload.
+// The replication section routes every trial seed through derive_seed and
+// is bit-deterministic for a fixed --seed regardless of --threads. Thread
+// scaling of the replication loop is bench_engine_scaling's job.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <thread>
 
 #include "churnet/churnet.hpp"
 
@@ -153,15 +151,11 @@ int main(int argc, char** argv) {
   }
 
   // --- section 5: replicated flooding through the TrialRunner ------------
-  unsigned resolved_threads = threads;
-  if (resolved_threads == 0) {
-    resolved_threads = std::thread::hardware_concurrency();
-    if (resolved_threads == 0) resolved_threads = 1;
-  }
+  const unsigned width = pool_width(threads, reps);
   std::printf("\n--- replicated flooding (n=%u, %llu reps, %u thread%s) "
               "---\n",
-              flood_n, static_cast<unsigned long long>(reps),
-              resolved_threads, resolved_threads == 1 ? "" : "s");
+              flood_n, static_cast<unsigned long long>(reps), width,
+              width == 1 ? "" : "s");
   Table floods({"scenario", "d", "floods/sec", "mean steps", "completed",
                 "wall s"});
   std::uint64_t stream = 10;
@@ -206,48 +200,5 @@ int main(int argc, char** argv) {
          fmt_fixed(result.wall_seconds(), 3)});
   }
   floods.print(std::cout);
-
-  // --- section 6: thread scaling of the replication loop -----------------
-  if (threads != 1) {
-    std::printf("\n--- thread scaling (SDGR floods, %llu reps) ---\n",
-                static_cast<unsigned long long>(reps));
-    const Scenario& scenario = registry.at("SDGR");
-    auto body = [&scenario, flood_n](const TrialContext& ctx) {
-      ScenarioParams params;
-      params.n = flood_n;
-      params.d = 21;
-      params.seed = ctx.seed;
-      AnyNetwork net = scenario.make_warmed(params);
-      thread_local ProtocolScratch scratch;
-      const FloodTrace trace = net.flood({}, scratch);
-      return trace.completed ? static_cast<double>(trace.completion_step)
-                             : std::nan("");
-    };
-    TrialRunnerOptions serial;
-    serial.replications = reps;
-    serial.threads = 1;
-    serial.base_seed = seed;
-    serial.stream = 20;
-    TrialRunnerOptions parallel = serial;
-    parallel.threads = threads;
-
-    const TrialResult serial_result =
-        TrialRunner(serial).run("completion_step", body);
-    const TrialResult parallel_result =
-        TrialRunner(parallel).run("completion_step", body);
-    const double speedup =
-        serial_result.wall_seconds() / parallel_result.wall_seconds();
-    const bool identical =
-        serial_result.stats("completion_step").count() ==
-            parallel_result.stats("completion_step").count() &&
-        serial_result.stats("completion_step").mean() ==
-            parallel_result.stats("completion_step").mean();
-    std::printf("T=1: %.3fs   T=%u: %.3fs   speedup: %.2fx\n",
-                serial_result.wall_seconds(), parallel_result.threads_used(),
-                parallel_result.wall_seconds(), speedup);
-    std::printf("identical aggregates across thread counts: %s\n",
-                verdict(identical).c_str());
-  }
-
   return 0;
 }

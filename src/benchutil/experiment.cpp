@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/assertx.hpp"
 #include "common/sinks.hpp"
 
 namespace churnet {
@@ -158,35 +157,6 @@ void print_experiment_header(const std::string& experiment_id,
                              const std::string& paper_claim) {
   std::printf("== %s ==\n", experiment_id.c_str());
   std::printf("paper: %s\n\n", paper_claim.c_str());
-}
-
-OnlineStats run_replications(
-    std::uint64_t replications,
-    const std::function<double(std::uint64_t)>& body) {
-  CHURNET_EXPECTS(replications > 0);
-  OnlineStats stats;
-  for (std::uint64_t rep = 0; rep < replications; ++rep) {
-    stats.add(body(rep));
-  }
-  return stats;
-}
-
-OnlineStats run_replications_parallel(
-    std::uint64_t replications, unsigned threads, std::uint64_t base_seed,
-    std::uint64_t stream,
-    const std::function<double(std::uint64_t, std::uint64_t)>& body) {
-  TrialRunnerOptions options;
-  options.replications = replications;
-  options.threads = threads;
-  options.base_seed = base_seed;
-  options.stream = stream;
-  const TrialResult result = TrialRunner(options).run(
-      "value",
-      [&body](const TrialContext& ctx) {
-        return body(ctx.replication, ctx.seed);
-      });
-  record_trial("stream-" + std::to_string(stream), result);
-  return result.stats("value");
 }
 
 std::string verdict(bool pass) { return pass ? "PASS" : "FAIL"; }

@@ -1,20 +1,17 @@
 // Shared experiment-harness helpers for the bench binaries: seed derivation,
-// replication loops, scale switches and uniform headers, so every bench
-// prints paper-expected vs measured columns the same way.
+// scale switches, uniform headers and the --csv/--json result log, so every
+// bench prints paper-expected vs measured columns the same way.
 //
-// Replication loops delegate to the engine (engine/trial_runner.hpp): every
+// Replications run on the engine (engine/trial_runner.hpp): every
 // replication seed is derive_seed(base, stream, replication), and
-// run_replications_parallel fans the loop across a thread pool with
-// thread-count-independent results.
+// TrialRunner's results are thread-count-independent.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"  // derive_seed lives with the RNG machinery
-#include "common/stats.hpp"
 #include "engine/trial_runner.hpp"
 
 namespace churnet {
@@ -51,32 +48,16 @@ std::uint64_t scaled(std::uint64_t base, double factor,
 void print_experiment_header(const std::string& experiment_id,
                              const std::string& paper_claim);
 
-/// Runs `replications` calls of `body(replication_index)` and returns the
-/// accumulated statistics of its return values.
-OnlineStats run_replications(std::uint64_t replications,
-                             const std::function<double(std::uint64_t)>& body);
-
-/// Parallel replication loop over the engine's TrialRunner: replication r
-/// runs on some pool thread with seed derive_seed(base_seed, stream, r),
-/// and the returned statistics are identical for every thread count. The
-/// body must derive ALL of its randomness from the provided seed.
-OnlineStats run_replications_parallel(
-    std::uint64_t replications, unsigned threads, std::uint64_t base_seed,
-    std::uint64_t stream,
-    const std::function<double(std::uint64_t replication, std::uint64_t seed)>&
-        body);
-
 /// "PASS"/"FAIL" with a measured-vs-expected note, for verdict columns.
 std::string verdict(bool pass);
 
 // ---- persisted results (--csv / --json) ------------------------------------
 //
 // A process-wide labeled log of TrialResults. When --csv/--json paths are
-// configured (scale_from_cli does it from the standard options), every
-// run_replications_parallel call records its TrialResult automatically,
-// benches driving TrialRunner directly add theirs via record_trial(), and
-// the log is written on flush_result_output() — also registered atexit, so
-// existing benches persist results with zero code changes:
+// configured (scale_from_cli does it from the standard options), benches
+// add their TrialResults via record_trial(), and the log is written on
+// flush_result_output() — also registered atexit, so benches persist
+// results without calling it:
 //
 //   ./bench_flooding_time --csv results.csv --json results.json
 //

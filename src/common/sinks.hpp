@@ -1,4 +1,4 @@
-// Shared helpers for the CSV/JSON result sinks (TrialRunner, SweepRunner,
+// Shared helpers for the CSV/JSON result sinks (TrialResult, SweepResult,
 // benchutil's --csv/--json log): round-trip float precision, JSON-safe
 // numbers and strings, RFC-4180 CSV field quoting. One implementation so
 // escaping rules can never drift between sinks.

@@ -777,42 +777,4 @@ SweepResult SweepPlan::fold(
                      wall_seconds, threads_used);
 }
 
-SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {
-  if (const std::optional<std::string> reason = spec_.validate()) {
-    std::fprintf(stderr, "invalid sweep spec: %s\n", reason->c_str());
-    std::abort();
-  }
-}
-
-SweepResult SweepRunner::run(unsigned threads,
-                             const ScenarioRegistry& registry) const {
-  const SweepPlan plan(spec_, registry);
-
-  // Flatten to (cell, replication) jobs on the engine's pool. Job seeds
-  // are derive_seed(base, cell, rep) — ctx.seed (stream 0) is ignored so
-  // every cell is its own seed stream, stable under grid reshapes.
-  TrialRunnerOptions options;
-  options.replications = plan.job_count();
-  options.threads = threads;
-  options.base_seed = spec_.base_seed;
-  options.stream = 0;
-
-  telemetry::TraceSink* const sweep_sink = telemetry::TraceSink::global();
-  if (sweep_sink != nullptr) {
-    sweep_sink->sweep_begin("sweep", plan.keys().size(),
-                            plan.replications(), plan.job_count(), threads,
-                            plan.spec_json());
-  }
-  const TrialResult flat = TrialRunner(options).run(
-      plan.metric_names(), [&plan](const TrialContext& ctx) {
-        return plan.run_job(ctx.replication);
-      });
-
-  if (sweep_sink != nullptr) {
-    sweep_sink->sweep_end("sweep", flat.wall_seconds());
-  }
-  return plan.fold(flat.samples(), flat.wall_seconds(),
-                   flat.threads_used());
-}
-
 }  // namespace churnet

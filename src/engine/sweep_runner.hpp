@@ -1,12 +1,14 @@
-// Grid sweeps over the scenario space: a declarative layer on top of
-// TrialRunner.
+// Grid sweeps over the scenario space: the declarative spec, the resolved
+// job plan and the folded result. The sweep service
+// (engine/sweep_service.hpp) executes plans; churnet_sweep, churnet_repro,
+// the benches and the tests all run sweeps through it.
 //
 // A SweepSpec names a grid — scenario list (any resolve()-able name,
 // including "PDGR+pareto(2.5)+push(3)" composites) × protocol list
 // (dissemination protocols; optional axis) × n list × d list — plus the
-// metrics to measure and the replication budget. SweepRunner expands the
-// grid into cells, fans every (cell, replication) job across the engine's
-// one thread pool, and collects a SweepResult: per-cell statistics, the
+// metrics to measure and the replication budget. A SweepPlan expands the
+// grid into cells and (cell, replication) jobs, and SweepPlan::fold
+// collects their rows into a SweepResult: per-cell statistics, the
 // full sample matrix, a tidy long-format CSV (one row per observation:
 // scenario, churn, protocol, n, d, replication, seed, metric, value) and
 // a JSON summary. Dissemination metrics (completion, coverage, message
@@ -136,8 +138,8 @@ struct SweepSpec {
                                                  std::string* error = nullptr);
 
   /// Structural validation (non-empty grid, known metrics, replications
-  /// >= 1); scenario names are resolved later by run(). Returns an error
-  /// reason, or nullopt when valid.
+  /// >= 1); scenario names are resolved later by SweepPlan. Returns an
+  /// error reason, or nullopt when valid.
   std::optional<std::string> validate() const;
 };
 
@@ -156,14 +158,14 @@ class SweepResult;
 /// metric column list (spec metrics + observer columns), and the per-job
 /// body. Jobs are numbered job = cell * replications + replication, and
 /// run_job(job) is a pure function of (spec.base_seed, cell, replication)
-/// — the plan is what every execution mode shares (the in-process
-/// SweepRunner::run pool, the sweep service's streaming/checkpointed runs
-/// and its forked worker processes), so rows computed anywhere, in any
-/// completion order, fold into identical results.
+/// — the plan is what every execution mode of the sweep service shares
+/// (its in-process pool, streaming/checkpointed runs and forked worker
+/// processes), so rows computed anywhere, in any completion order, fold
+/// into identical results.
 class SweepPlan {
  public:
-  /// Resolves every scenario/protocol/observer once (aborts with the known
-  /// catalogs on typos, CLI semantics — like SweepRunner's constructor).
+  /// Resolves every scenario/protocol/observer once (CLI semantics: an
+  /// invalid spec aborts with its reason, a typo with the known catalogs).
   SweepPlan(SweepSpec spec, const ScenarioRegistry& registry);
 
   const SweepSpec& spec() const { return spec_; }
@@ -279,25 +281,6 @@ class SweepResult {
   std::vector<std::vector<OnlineStats>> stats_;  // [cell][metric]
   double wall_seconds_ = 0.0;
   unsigned threads_used_ = 1;
-};
-
-/// Expands a SweepSpec and runs it on the engine's thread pool.
-class SweepRunner {
- public:
-  /// Aborts (CLI semantics) when the spec fails validate().
-  explicit SweepRunner(SweepSpec spec);
-
-  const SweepSpec& spec() const { return spec_; }
-
-  /// Runs the whole grid with `threads` workers (0 = all cores). Scenario
-  /// names resolve against `registry`; unknown names abort with the known
-  /// list. Results are identical for every thread count.
-  SweepResult run(unsigned threads = 1,
-                  const ScenarioRegistry& registry =
-                      ScenarioRegistry::extended()) const;
-
- private:
-  SweepSpec spec_;
 };
 
 }  // namespace churnet

@@ -5,31 +5,25 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <fstream>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/assertx.hpp"
 #include "engine/result_stream.hpp"
 #include "engine/sweep_journal.hpp"
+#include "engine/trial_runner.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace churnet {
 namespace {
-
-using CompleteFn = std::function<void(std::uint64_t, std::vector<double>&&)>;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("sweep service: " + what);
@@ -157,50 +151,6 @@ struct WorkerProc {
   bool open = true;                   // res_fd not yet at EOF
 };
 
-/// In-process execution: TrialRunner's pool shape (atomic work-stealing
-/// index, first-error capture, join, rethrow) over an explicit pending
-/// subset. `complete` runs under one mutex, serializing the journal,
-/// stream and sample-matrix updates.
-void run_pool(const SweepPlan& plan,
-              const std::vector<std::uint64_t>& pending, unsigned threads,
-              const CompleteFn& complete) {
-  telemetry::TraceSink* const sink = telemetry::TraceSink::global();
-  threads = static_cast<unsigned>(std::max<std::uint64_t>(
-      1, std::min<std::uint64_t>(threads, pending.size())));
-  std::atomic<std::uint64_t> next{0};
-  std::mutex mutex;
-  std::exception_ptr first_error;
-  const auto work = [&] {
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= pending.size()) return;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (first_error != nullptr) return;
-      }
-      if (sink != nullptr) sink->job_started();
-      try {
-        std::vector<double> values = plan.run_job(pending[i]);
-        const std::lock_guard<std::mutex> lock(mutex);
-        complete(pending[i], std::move(values));
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (first_error == nullptr) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-  if (threads == 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 /// Coordinator/worker execution. Work-stealing by construction: each
 /// worker gets one batch; whoever returns its last result first gets the
 /// next batch, so fast workers drain the queue while slow ones finish.
@@ -208,7 +158,7 @@ void run_workers(const SweepPlan& plan,
                  const std::vector<std::uint64_t>& pending,
                  unsigned workers, std::uint64_t batch,
                  const SweepServiceOptions& options,
-                 const CompleteFn& complete) {
+                 const JobComplete& complete) {
   telemetry::TraceSink* const sink = telemetry::TraceSink::global();
   const std::size_t metric_count = plan.metric_names().size();
   const ScopedSigpipeIgnore sigpipe_guard;
@@ -331,6 +281,7 @@ void run_workers(const SweepPlan& plan,
           --w.outstanding;
           ++received;
           complete(header[0], std::move(values));
+          if (sink != nullptr) sink->job_finished();
         }
         w.buffer.erase(w.buffer.begin(),
                        w.buffer.begin() + static_cast<std::ptrdiff_t>(offset));
@@ -393,11 +344,8 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
   }
 
   const bool forked = options_.workers >= 2 && !pending.empty();
-  const unsigned threads =
-      options_.threads == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : options_.threads;
-  const unsigned width = forked ? options_.workers : std::max(1u, threads);
+  const unsigned width =
+      forked ? options_.workers : pool_width(options_.threads, pending.size());
 
   std::uint64_t batch = options_.batch;
   if (batch == 0) {
@@ -425,8 +373,8 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
   }
 
   std::uint64_t appended = 0;
-  const CompleteFn complete = [&](std::uint64_t job,
-                                  std::vector<double>&& values) {
+  const JobComplete complete = [&](std::uint64_t job,
+                                   std::vector<double>&& values) {
     CHURNET_ASSERT(values.size() == plan.metric_names().size());
     flat[job] = std::move(values);
     have[job] = 1;
@@ -436,7 +384,6 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
     if (stream.has_value()) stream->row(job, flat[job], false);
     ++appended;
     if (journal.has_value() && appended % batch == 0) journal->sync();
-    if (sink != nullptr) sink->job_finished();
     if (options_.kill_after != 0 && appended >= options_.kill_after) {
       // Deterministic mid-campaign crash for the kill-resume tests: make
       // everything appended durable, then die without any cleanup.
@@ -450,7 +397,12 @@ SweepResult SweepService::run(const ScenarioRegistry& registry,
       run_workers(plan, pending, options_.workers, batch, options_,
                   complete);
     } else {
-      run_pool(plan, pending, threads, complete);
+      run_jobs(
+          pending.size(), width,
+          [&](std::uint64_t i) { return plan.run_job(pending[i]); },
+          [&](std::uint64_t i, std::vector<double>&& values) {
+            complete(pending[i], std::move(values));
+          });
     }
     if (journal.has_value()) journal->sync();
   }

@@ -1,12 +1,13 @@
-// Sweep campaigns as a service: streaming results, checkpoint/resume and
-// multi-process work-stealing — all byte-identical to a plain
-// single-process SweepRunner::run (DESIGN.md decision 17).
+// Sweep campaigns as a service: the one way to run a SweepSpec, with
+// streaming results, checkpoint/resume and multi-process work-stealing —
+// every mode byte-identical to every other (DESIGN.md decision 17).
 //
 // SweepService executes a SweepPlan's jobs under one of two modes:
 //
-//   * In-process (workers <= 1): a thread pool over the pending job set,
-//     the same shape as TrialRunner's pool — an atomic work-stealing
-//     index, first-error capture, fold after join.
+//   * In-process (workers <= 1): the engine's job pool (run_jobs,
+//     engine/trial_runner.hpp) over the pending job set, at most one
+//     thread per pending job — first-error capture, serialized
+//     completion, fold after join.
 //   * Multi-process (workers >= 2): the coordinator forks N worker
 //     processes *after* plan construction (the plan is shared read-only
 //     via copy-on-write). Each worker owns a command pipe (job batches
@@ -26,12 +27,14 @@
 // produce byte-identical CSV/JSON — the contract the kill-resume and
 // 1-vs-4-worker tests and the release-smoke CI cmp's pin.
 //
-// Telemetry: the coordinator drives the installed TraceSink's
-// sweep/heartbeat lifecycle (resumed-aware: ETA from remaining jobs).
-// Forked workers never write the parent's trace; with
-// worker_trace_prefix set, worker k streams its own trace to
-// "<prefix><k>.ndjson" tagged "worker":k, and tools/telemetry_report.py
-// folds the per-worker files back into one report.
+// Telemetry: run() drives the installed TraceSink's sweep lifecycle
+// (resumed-aware: ETA from remaining jobs). Job progress, which feeds the
+// heartbeats, comes from run_jobs in process and from the coordinator's
+// handout and result loop when forked. Forked workers never write the
+// parent's trace; with worker_trace_prefix set, worker k streams its own
+// trace to "<prefix><k>.ndjson" tagged "worker":k, and
+// tools/telemetry_report.py folds the per-worker files back into one
+// report.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +46,14 @@
 namespace churnet {
 
 struct SweepServiceOptions {
-  /// In-process pool width when workers <= 1 (0 = all cores).
+  /// In-process pool threads when workers <= 1 (0 = all cores); the pool
+  /// is never wider than the pending job count.
   unsigned threads = 1;
   /// >= 2 forks that many worker processes (coordinator/worker mode);
   /// 0 or 1 = in-process.
   unsigned workers = 0;
   /// Checkpoint directory (journal.ndjson inside); empty = no journal.
-  std::string checkpoint_dir;
+  std::string checkpoint_dir{};
   /// Load an existing journal in checkpoint_dir and run only the missing
   /// jobs. Safe when no journal exists yet (starts fresh).
   bool resume = false;
@@ -65,7 +69,7 @@ struct SweepServiceOptions {
   std::uint64_t kill_after = 0;
   /// Worker k writes its own telemetry trace to "<prefix><k>.ndjson"
   /// (schema v1, tagged "worker":k). Empty = workers trace nothing.
-  std::string worker_trace_prefix;
+  std::string worker_trace_prefix{};
   /// Recorded in stream headers and worker traces.
   std::string tool = "churnet_sweep";
 };
@@ -75,7 +79,9 @@ struct SweepServiceReport {
   std::uint64_t jobs_total = 0;
   std::uint64_t jobs_resumed = 0;  // restored from the journal
   std::uint64_t jobs_run = 0;      // executed by this run
-  unsigned workers_used = 1;       // threads (in-process) or processes
+  /// In-process: the pool width actually used, min(threads, pending
+  /// jobs) and >= 1. Forked: the worker process count.
+  unsigned workers_used = 1;
 };
 
 class SweepService {
@@ -89,8 +95,8 @@ class SweepService {
   const SweepServiceOptions& options() const { return options_; }
 
   /// Runs the campaign (resuming from the checkpoint when asked) and
-  /// folds the full sample matrix into a SweepResult byte-identical to
-  /// SweepRunner::run's at any width.
+  /// folds the full sample matrix into a SweepResult, byte-identical at
+  /// any thread count, worker count and kill/resume history.
   SweepResult run(const ScenarioRegistry& registry =
                       ScenarioRegistry::extended(),
                   SweepServiceReport* report = nullptr) const;

@@ -1,36 +1,66 @@
 #include "engine/trial_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "common/assertx.hpp"
+#include "common/intra.hpp"
 #include "common/rng.hpp"
 #include "common/sinks.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace churnet {
-namespace {
 
-unsigned resolve_threads(unsigned requested, std::uint64_t replications) {
-  unsigned threads = requested;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (static_cast<std::uint64_t>(threads) > replications) {
-    threads = static_cast<unsigned>(replications);
-  }
-  return threads == 0 ? 1u : threads;
+unsigned pool_width(unsigned threads, std::uint64_t count) {
+  return static_cast<unsigned>(std::clamp<std::uint64_t>(
+      count, 1, effective_intra_threads(threads)));
 }
 
-}  // namespace
+unsigned run_jobs(std::uint64_t count, unsigned threads, const JobBody& body,
+                  const JobComplete& complete) {
+  const unsigned width = pool_width(threads, count);
+  // Pool progress for the installed trace sink (if any): feeds the
+  // heartbeat's jobs-done / threads-busy gauges. Never touches a job's
+  // inputs, so results are identical with or without a sink.
+  telemetry::TraceSink* const sink = telemetry::TraceSink::global();
+  std::mutex mutex;
+  std::exception_ptr first_error;
+  std::atomic<bool> failed{false};
+  for_each_chunk(width, count, [&](std::size_t job, unsigned) {
+    if (failed) return;  // drain: no job starts after the first error
+    if (sink != nullptr) sink->job_started();
+    std::exception_ptr error;
+    std::vector<double> row;
+    try {
+      row = body(job);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (error == nullptr) {
+      try {
+        complete(job, std::move(row));
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    if (error != nullptr && first_error == nullptr) {
+      first_error = error;
+      failed = true;
+    }
+    // Under the mutex: the heartbeat a job_finished emits is then never
+    // overtaken by an older one.
+    if (sink != nullptr) sink->job_finished();
+  });
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+  return width;
+}
 
 TrialResult::TrialResult(TrialRunnerOptions options,
                          std::vector<std::string> metrics,
@@ -131,54 +161,23 @@ TrialRunner::TrialRunner(TrialRunnerOptions options) : options_(options) {
 TrialResult TrialRunner::run(std::vector<std::string> metrics,
                              const Body& body) const {
   CHURNET_EXPECTS(!metrics.empty());
-  const std::uint64_t replications = options_.replications;
-  const unsigned threads = resolve_threads(options_.threads, replications);
-
-  std::vector<std::vector<double>> samples(replications);
-  std::atomic<std::uint64_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  auto worker = [&] {
-    for (;;) {
-      const std::uint64_t rep = next.fetch_add(1, std::memory_order_relaxed);
-      if (rep >= replications) return;
-      TrialContext ctx;
-      ctx.replication = rep;
-      ctx.seed = derive_seed(options_.base_seed, options_.stream, rep);
-      // Pool progress for the installed trace sink (if any): feeds the
-      // heartbeat's jobs-done / threads-busy gauges. Never touches the job
-      // body's inputs, so results are identical with or without a sink.
-      telemetry::TraceSink* const sink = telemetry::TraceSink::global();
-      if (sink != nullptr) sink->job_started();
-      try {
-        std::vector<double> row = body(ctx);
+  std::vector<std::vector<double>> samples(options_.replications);
+  const auto start = std::chrono::steady_clock::now();
+  const unsigned threads = run_jobs(
+      options_.replications, options_.threads,
+      [&](std::uint64_t rep) {
+        TrialContext ctx;
+        ctx.replication = rep;
+        ctx.seed = derive_seed(options_.base_seed, options_.stream, rep);
+        return body(ctx);
+      },
+      [&](std::uint64_t rep, std::vector<double>&& row) {
         CHURNET_ASSERT(row.size() == metrics.size());
         samples[rep] = std::move(row);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        next.store(replications, std::memory_order_relaxed);  // drain
-        return;
-      }
-      if (sink != nullptr) sink->job_finished();
-    }
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  if (threads == 1) {
-    worker();  // inline: no pool overhead for the serial case
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& thread : pool) thread.join();
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  if (first_error) std::rethrow_exception(first_error);
-
-  const double wall =
-      std::chrono::duration<double>(stop - start).count();
+      });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   return TrialResult(options_, std::move(metrics), std::move(samples), wall,
                      threads);
 }

@@ -1,8 +1,14 @@
-// Parallel replication engine (DESIGN.md, decision 8).
+// The engine's one job pool (DESIGN.md, decision 8) and the replication
+// runner built on it.
 //
-// A TrialRunner fans independent replications of a trial body across a
-// std::thread pool. Three invariants make it safe to use for paper-grade
-// statistics:
+// run_jobs executes independent jobs on the intra-trial fork-join
+// (common/intra.hpp's for_each_chunk, the only place in src/ that starts a
+// thread) and owns the job-level rules: first-error capture, serialized
+// completion and trace-sink progress. TrialRunner::run and the sweep
+// service's in-process mode (engine/sweep_service.hpp) both run on it.
+//
+// A TrialRunner fans independent replications of a trial body across that
+// pool. Three invariants make it safe to use for paper-grade statistics:
 //
 //   * Seeding: replication r runs with derive_seed(base_seed, stream, r) —
 //     the base seed is never reused across replications, and distinct
@@ -34,10 +40,29 @@
 
 namespace churnet {
 
+/// A job's sample row, and the completion hook that receives it.
+using JobBody = std::function<std::vector<double>(std::uint64_t job)>;
+using JobComplete =
+    std::function<void(std::uint64_t job, std::vector<double>&& row)>;
+
+/// The width run_jobs uses for `count` jobs: min(threads, count), where
+/// threads 0 means one per hardware thread; always >= 1.
+unsigned pool_width(unsigned threads, std::uint64_t count);
+
+/// Runs body(job) for every job in [0, count) on pool_width(threads, count)
+/// workers (width 1 runs inline on the caller) and hands each row to
+/// complete(job, row) under one mutex, so completion hooks never race.
+/// After the first exception (from a body or a completion hook) no new job
+/// starts; the pool joins and rethrows it. Every job that starts is paired
+/// with job_started/job_finished on the installed trace sink, if any.
+/// Returns the width used.
+unsigned run_jobs(std::uint64_t count, unsigned threads, const JobBody& body,
+                  const JobComplete& complete);
+
 struct TrialRunnerOptions {
   std::uint64_t replications = 8;
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). Thread count
-  /// never changes results, only wall-clock.
+  /// Worker threads; 0 = one per hardware thread. Thread count never
+  /// changes results, only wall-clock.
   unsigned threads = 1;
   std::uint64_t base_seed = 12345;
   /// derive_seed stream index; give each experiment/configuration its own
@@ -98,7 +123,7 @@ class TrialRunner {
 
   const TrialRunnerOptions& options() const { return options_; }
 
-  /// Runs `body` once per replication across the pool. The body must
+  /// Runs `body` once per replication on run_jobs' pool. The body must
   /// return exactly one value per declared metric.
   TrialResult run(std::vector<std::string> metrics, const Body& body) const;
 

@@ -160,7 +160,7 @@ class MetricObserver {
 };
 
 /// An ordered set of observers driven as one unit: the shape every driver
-/// (SweepRunner jobs, observe_network, the ported benches) attaches.
+/// (sweep jobs, observe_network, the ported benches) attaches.
 ///
 /// begin_trial routes per-observer seeds as derive_seed(trial_seed, index,
 /// 0) — each observer owns a stream decorrelated from its peers and from

@@ -1,7 +1,8 @@
 // The observation pipeline driver: attaches an ObserverSet to one trial on
 // any network model (DESIGN.md §6). This is the one-call entry the ported
-// benches, examples and tests use; SweepRunner drives the same ObserverSet
-// hooks inline so observers share its snapshot and dissemination run.
+// benches, examples and tests use; SweepPlan::run_job drives the same
+// ObserverSet hooks inline so observers share its snapshot and
+// dissemination run.
 //
 // One observation pass over a warmed network is:
 //

@@ -38,8 +38,8 @@
 //
 // Install: exactly one process-global sink, set via TraceSink::install
 // (ScopedTraceSink does install + telemetry::set_enabled for a scope).
-// Engine code (TrialRunner, SweepRunner) consults TraceSink::global() and
-// stays silent when none is installed.
+// Engine code (the job pool, SweepService, sweep jobs) consults
+// TraceSink::global() and stays silent when none is installed.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +88,7 @@ class TraceSink {
   void span_begin(std::string_view name);
   void span_end(std::string_view name);
 
-  // ---- sweep lifecycle (called by SweepRunner) --------------------------
+  // ---- sweep lifecycle (called by SweepService) -------------------------
 
   /// `spec_json` is a raw JSON object fragment ({"scenarios":...}) spliced
   /// into the sweep_begin event as its "spec" field; pass "{}" when
@@ -108,7 +108,7 @@ class TraceSink {
            std::string_view identity_json);
   void sweep_end(std::string_view label, double wall_seconds);
 
-  // ---- pool progress (called by TrialRunner) ----------------------------
+  // ---- pool progress (run_jobs; the coordinator in --workers mode) -----
 
   void job_started();
   /// Marks one job done; emits a heartbeat when the interval elapsed.

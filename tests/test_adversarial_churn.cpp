@@ -42,7 +42,7 @@
 #include "common/rng.hpp"
 #include "common/specgram.hpp"
 #include "engine/scenario.hpp"
-#include "engine/sweep_runner.hpp"
+#include "engine/sweep_service.hpp"
 #include "models/graph_view.hpp"
 #include "models/poisson_network.hpp"
 #include "models/streaming_network.hpp"
@@ -733,7 +733,7 @@ TEST(AdversarialSweeps, CsvIsIdenticalAtOneAndEightThreads) {
   spec.base_seed = 4242;
   const auto csv_at = [&spec](unsigned threads) {
     std::ostringstream os;
-    SweepRunner(spec).run(threads).write_csv(os);
+    SweepService(spec, {.threads = threads}).run().write_csv(os);
     return os.str();
   };
   const std::string t1 = csv_at(1);

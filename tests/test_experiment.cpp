@@ -64,15 +64,6 @@ TEST(ScaleFromCli, FullQuadruplesAndRepsFactorStacks) {
   EXPECT_DOUBLE_EQ(scale.rep_factor, 8.0);
 }
 
-TEST(RunReplications, AccumulatesBodyValues) {
-  const OnlineStats stats = run_replications(
-      10, [](std::uint64_t rep) { return static_cast<double>(rep); });
-  EXPECT_EQ(stats.count(), 10u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 4.5);
-  EXPECT_DOUBLE_EQ(stats.min(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-}
-
 TEST(Verdict, Strings) {
   EXPECT_EQ(verdict(true), "PASS");
   EXPECT_EQ(verdict(false), "FAIL");
@@ -90,11 +81,6 @@ TEST(ResultOutput, CsvAndJsonFlagsPersistRecordedTrials) {
   ASSERT_TRUE(cli.parse(3, argv));
   (void)scale_from_cli(cli);  // arms the result log from --csv/--json
 
-  // The parallel replication helper records automatically...
-  run_replications_parallel(4, 2, 77, 9, [](std::uint64_t, std::uint64_t) {
-    return 1.5;
-  });
-  // ... and TrialRunner users record explicitly.
   TrialRunnerOptions options;
   options.replications = 3;
   options.base_seed = 5;
@@ -110,10 +96,6 @@ TEST(ResultOutput, CsvAndJsonFlagsPersistRecordedTrials) {
   std::stringstream csv_text;
   csv_text << csv.rdbuf();
   EXPECT_NE(csv_text.str().find("label,stream,replication,seed,metric,value"),
-            std::string::npos);
-  EXPECT_NE(csv_text.str().find("stream-9,9,0," +
-                                std::to_string(derive_seed(77, 9, 0)) +
-                                ",value,1.5"),
             std::string::npos);
   EXPECT_NE(csv_text.str().find("explicit,2,1," +
                                 std::to_string(derive_seed(5, 2, 1)) +

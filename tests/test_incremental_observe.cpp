@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "engine/scenario.hpp"
-#include "engine/sweep_runner.hpp"
+#include "engine/sweep_service.hpp"
 #include "expansion/expansion.hpp"
 #include "expansion/spectral.hpp"
 #include "graph/change_feed.hpp"
@@ -440,10 +440,11 @@ TEST(IncrementalObserve, SweepIncrementalIsByteIdenticalAtAnyThreadCount) {
     return os.str();
   };
 
-  const std::string scratch_csv = csv_of(SweepRunner(spec).run(1));
+  const std::string scratch_csv =
+      csv_of(SweepService(spec, {.threads = 1}).run());
   spec.incremental_observers = true;
-  const std::string inc_t1 = csv_of(SweepRunner(spec).run(1));
-  const std::string inc_t8 = csv_of(SweepRunner(spec).run(8));
+  const std::string inc_t1 = csv_of(SweepService(spec, {.threads = 1}).run());
+  const std::string inc_t8 = csv_of(SweepService(spec, {.threads = 8}).run());
   EXPECT_EQ(inc_t1, scratch_csv);
   EXPECT_EQ(inc_t1, inc_t8);
 }

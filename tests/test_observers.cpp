@@ -11,7 +11,7 @@
 
 #include "churn/churn_spec.hpp"
 #include "engine/scenario.hpp"
-#include "engine/sweep_runner.hpp"
+#include "engine/sweep_service.hpp"
 #include "expansion/expansion.hpp"
 #include "expansion/isolated.hpp"
 #include "expansion/spectral.hpp"
@@ -312,7 +312,8 @@ SweepSpec observer_sweep_spec() {
 }
 
 TEST(SweepWithObservers, AppendsObserverColumnsAfterSpecMetrics) {
-  const SweepResult result = SweepRunner(observer_sweep_spec()).run(1);
+  const SweepResult result =
+      SweepService(observer_sweep_spec(), {.threads = 1}).run();
   const std::vector<std::string>& metrics = result.metrics();
   ASSERT_EQ(metrics.size(), 2u + 2u + 6u + 3u + 3u);
   EXPECT_EQ(metrics[0], "alive");
@@ -329,8 +330,8 @@ TEST(SweepWithObservers, AppendsObserverColumnsAfterSpecMetrics) {
 
 TEST(SweepWithObservers, BitIdenticalAcrossThreadCounts) {
   const SweepSpec spec = observer_sweep_spec();
-  const SweepResult t1 = SweepRunner(spec).run(1);
-  const SweepResult t8 = SweepRunner(spec).run(8);
+  const SweepResult t1 = SweepService(spec, {.threads = 1}).run();
+  const SweepResult t8 = SweepService(spec, {.threads = 8}).run();
 
   std::ostringstream csv1, csv8, json1, json8;
   t1.write_csv(csv1);
@@ -364,8 +365,8 @@ TEST(SweepWithObservers, ObserversNeverPerturbExistingMetrics) {
   SweepSpec without = with;
   without.observers.clear();
 
-  const SweepResult a = SweepRunner(with).run(2);
-  const SweepResult b = SweepRunner(without).run(2);
+  const SweepResult a = SweepService(with, {.threads = 2}).run();
+  const SweepResult b = SweepService(without, {.threads = 2}).run();
   ASSERT_EQ(a.cells().size(), b.cells().size());
   for (std::size_t c = 0; c < a.cells().size(); ++c) {
     for (std::size_t r = 0; r < a.spec().replications; ++r) {

@@ -1,6 +1,7 @@
 // Tests for engine/sweep_runner.hpp: spec loading/validation, grid
 // expansion, derive_seed-routed cell streams, determinism across thread
-// counts, and the long-format CSV / JSON sinks.
+// counts, and the long-format CSV / JSON sinks. Sweeps run through the
+// sweep service's in-process pool (engine/sweep_service.hpp).
 #include "engine/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "engine/sweep_service.hpp"
 
 namespace churnet {
 namespace {
@@ -119,8 +121,8 @@ TEST(SweepSpec, KnownMetricsCoverTheCatalog) {
   }
 }
 
-TEST(SweepRunner, ExpandsGridScenarioMajorWithChurnColumn) {
-  const SweepResult result = SweepRunner(small_spec()).run(1);
+TEST(Sweep, ExpandsGridScenarioMajorWithChurnColumn) {
+  const SweepResult result = SweepService(small_spec(), {.threads = 1}).run();
   ASSERT_EQ(result.cells().size(), 4u);
   EXPECT_EQ(result.cells()[0].scenario, "SDGR");
   EXPECT_EQ(result.cells()[0].churn, "stream");
@@ -135,7 +137,7 @@ TEST(SweepRunner, ExpandsGridScenarioMajorWithChurnColumn) {
   EXPECT_EQ(result.stats(0, 0).count(), 3u);
 }
 
-TEST(SweepRunner, ProtocolAxisMultipliesTheGrid) {
+TEST(Sweep, ProtocolAxisMultipliesTheGrid) {
   SweepSpec spec;
   spec.scenarios = {"SDGR", "PDGR"};
   spec.protocols = {"flood", "push(2)"};
@@ -144,7 +146,7 @@ TEST(SweepRunner, ProtocolAxisMultipliesTheGrid) {
   spec.metrics = {"final_fraction", "messages", "useful_deliveries",
                   "duplicate_deliveries"};
   spec.replications = 2;
-  const SweepResult result = SweepRunner(spec).run(2);
+  const SweepResult result = SweepService(spec, {.threads = 2}).run();
   ASSERT_EQ(result.cells().size(), 4u);
   // Protocol axis nests inside the scenario axis.
   EXPECT_EQ(result.cells()[0].protocol, "flood");
@@ -165,14 +167,14 @@ TEST(SweepRunner, ProtocolAxisMultipliesTheGrid) {
   EXPECT_GT(result.stats(1, 3).mean(), 0.0);
 }
 
-TEST(SweepRunner, ScenarioCarriedProtocolsFlowIntoCells) {
+TEST(Sweep, ScenarioCarriedProtocolsFlowIntoCells) {
   SweepSpec spec;
   spec.scenarios = {"PDGR+push(3)+lossy(0.9)"};
   spec.n_values = {100};
   spec.d_values = {4};
   spec.metrics = {"final_fraction", "lost_messages"};
   spec.replications = 2;
-  const SweepResult result = SweepRunner(spec).run(1);
+  const SweepResult result = SweepService(spec, {.threads = 1}).run();
   ASSERT_EQ(result.cells().size(), 1u);
   EXPECT_EQ(result.cells()[0].scenario, "PDGR+push(3)+lossy(0.90)");
   EXPECT_EQ(result.cells()[0].protocol, "push(3)+lossy(0.90)");
@@ -180,12 +182,12 @@ TEST(SweepRunner, ScenarioCarriedProtocolsFlowIntoCells) {
   EXPECT_GT(result.stats(0, 1).mean(), 0.0);
   // An explicit protocol axis overrides the scenario's own protocol.
   spec.protocols = {"flood"};
-  const SweepResult overridden = SweepRunner(spec).run(1);
+  const SweepResult overridden = SweepService(spec, {.threads = 1}).run();
   EXPECT_EQ(overridden.cells()[0].protocol, "flood");
   EXPECT_DOUBLE_EQ(overridden.stats(0, 1).mean(), 0.0);
 }
 
-TEST(SweepRunner, FloodCellsMatchThePlainFloodDriver) {
+TEST(Sweep, FloodCellsMatchThePlainFloodDriver) {
   // The dissemination path is the only path sweeps use now; its flood
   // numbers must equal running the flood driver directly under the same
   // derive_seed routing (the bit-identity guarantee, observed end to end).
@@ -196,7 +198,7 @@ TEST(SweepRunner, FloodCellsMatchThePlainFloodDriver) {
   spec.metrics = {"completion_step", "final_fraction", "peak_informed"};
   spec.replications = 3;
   spec.base_seed = 4242;
-  const SweepResult result = SweepRunner(spec).run(2);
+  const SweepResult result = SweepService(spec, {.threads = 2}).run();
   for (std::size_t c = 0; c < result.cells().size(); ++c) {
     const Scenario scenario =
         ScenarioRegistry::extended().resolve(result.cells()[c].scenario);
@@ -223,15 +225,15 @@ TEST(SweepRunner, FloodCellsMatchThePlainFloodDriver) {
   }
 }
 
-TEST(SweepRunner, DeterministicAcrossThreadCounts) {
+TEST(Sweep, DeterministicAcrossThreadCounts) {
   // Includes a protocol axis with randomized gossip + loss: protocol RNG
   // streams are derive_seed-routed per job, so even the message columns
   // are bit-identical at 1 and 8 threads.
   SweepSpec spec = small_spec();
   spec.protocols = {"flood", "push(2)+lossy(0.9)"};
   spec.metrics = {"alive", "completion_step", "messages", "lost_messages"};
-  const SweepResult serial = SweepRunner(spec).run(1);
-  const SweepResult parallel = SweepRunner(spec).run(8);
+  const SweepResult serial = SweepService(spec, {.threads = 1}).run();
+  const SweepResult parallel = SweepService(spec, {.threads = 8}).run();
   ASSERT_EQ(serial.cells().size(), parallel.cells().size());
   for (std::size_t c = 0; c < serial.cells().size(); ++c) {
     for (std::size_t r = 0; r < spec.replications; ++r) {
@@ -252,9 +254,9 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(csv_serial.str(), csv_parallel.str());
 }
 
-TEST(SweepRunner, CsvIsTidyLongFormatWithCellStreamSeeds) {
+TEST(Sweep, CsvIsTidyLongFormatWithCellStreamSeeds) {
   const SweepSpec spec = small_spec();
-  const SweepResult result = SweepRunner(spec).run(2);
+  const SweepResult result = SweepService(spec, {.threads = 2}).run();
   std::ostringstream os;
   result.write_csv(os);
   const std::string csv = os.str();
@@ -274,8 +276,8 @@ TEST(SweepRunner, CsvIsTidyLongFormatWithCellStreamSeeds) {
   EXPECT_NE(csv.find(expected_row), std::string::npos) << csv;
 }
 
-TEST(SweepRunner, JsonSinkParsesBackAndSummarizes) {
-  const SweepResult result = SweepRunner(small_spec()).run(2);
+TEST(Sweep, JsonSinkParsesBackAndSummarizes) {
+  const SweepResult result = SweepService(small_spec(), {.threads = 2}).run();
   std::ostringstream os;
   result.write_json(os);
 
@@ -297,7 +299,7 @@ TEST(SweepRunner, JsonSinkParsesBackAndSummarizes) {
   EXPECT_EQ(first.find("samples")->items().size(), 3u);
 }
 
-TEST(SweepRunner, CommaBearingChurnSpecsStayOneCsvColumn) {
+TEST(Sweep, CommaBearingChurnSpecsStayOneCsvColumn) {
   // "bursty(4,0.5)" contains commas: the scenario and churn fields must be
   // RFC-4180 quoted so every data row keeps exactly 9 columns.
   SweepSpec spec;
@@ -306,7 +308,7 @@ TEST(SweepRunner, CommaBearingChurnSpecsStayOneCsvColumn) {
   spec.d_values = {4};
   spec.metrics = {"alive"};
   spec.replications = 2;
-  const SweepResult result = SweepRunner(spec).run(1);
+  const SweepResult result = SweepService(spec, {.threads = 1}).run();
   std::ostringstream os;
   result.write_csv(os);
   const std::string csv = os.str();
@@ -336,8 +338,8 @@ TEST(SweepRunner, CommaBearingChurnSpecsStayOneCsvColumn) {
   EXPECT_DOUBLE_EQ(trial.stats("alive").mean(), result.stats(0, 0).mean());
 }
 
-TEST(SweepRunner, TableHasOneRowPerCell) {
-  const SweepResult result = SweepRunner(small_spec()).run(1);
+TEST(Sweep, TableHasOneRowPerCell) {
+  const SweepResult result = SweepService(small_spec(), {.threads = 1}).run();
   EXPECT_EQ(result.to_table().row_count(), 4u);
 }
 

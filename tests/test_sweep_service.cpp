@@ -1,8 +1,9 @@
 // Tests for engine/sweep_service.hpp (+ sweep_journal / result_stream):
 // the byte-identity contract of the campaign service. Service output must
-// equal plain SweepRunner output at any thread count, any worker-process
-// count, and across SIGKILL/resume cycles; journals must refuse damage
-// anywhere but the torn tail and refuse plans they were not written for.
+// equal a pool-free serial fold of SweepPlan::run_job at any thread count,
+// any worker-process count, and across SIGKILL/resume cycles; journals
+// must refuse damage anywhere but the torn tail and refuse plans they
+// were not written for.
 #include "engine/sweep_service.hpp"
 
 #include <gtest/gtest.h>
@@ -34,6 +35,17 @@ SweepSpec small_spec() {
   spec.replications = 8;
   spec.base_seed = 777;
   return spec;
+}
+
+/// The reference every service run must match: the plan's jobs run in
+/// order on the calling thread and folded, with no pool at all.
+SweepResult serial_reference(const SweepSpec& spec) {
+  const SweepPlan plan(spec, ScenarioRegistry::extended());
+  std::vector<std::vector<double>> rows;
+  for (std::uint64_t job = 0; job < plan.job_count(); ++job) {
+    rows.push_back(plan.run_job(job));
+  }
+  return plan.fold(rows, 0.0, 1);
 }
 
 std::string csv_of(const SweepResult& result) {
@@ -73,17 +85,33 @@ void write_file(const std::filesystem::path& path,
   out << text;
 }
 
-TEST(SweepService, MatchesRunnerByteIdenticalAtAnyThreadCount) {
+TEST(SweepService, MatchesSerialFoldByteIdenticalAtAnyThreadCount) {
   const SweepSpec spec = small_spec();
-  const SweepResult plain = SweepRunner(spec).run(1);
+  const SweepResult plain = serial_reference(spec);
 
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 4u, 0u}) {
     SweepServiceOptions options;
     options.threads = threads;
     const SweepResult service = SweepService(spec, options).run();
     EXPECT_EQ(csv_of(plain), csv_of(service)) << threads << " threads";
     EXPECT_EQ(json_of(plain), json_of(service)) << threads << " threads";
   }
+}
+
+TEST(SweepService, ReportsThePoolWidthItUsed) {
+  // Two jobs cannot keep eight threads busy: the report, the folded
+  // result and the result-stream header all say 2.
+  SweepSpec spec = small_spec();
+  spec.replications = 2;
+  std::ostringstream stream;
+  SweepServiceReport report;
+  const SweepResult result =
+      SweepService(spec, {.threads = 8, .results = &stream})
+          .run(ScenarioRegistry::extended(), &report);
+  EXPECT_EQ(report.workers_used, 2u);
+  EXPECT_EQ(result.threads_used(), 2u);
+  EXPECT_NE(stream.str().find("\"workers\":2,"), std::string::npos)
+      << stream.str();
 }
 
 TEST(SweepService, WorkerProcessesMatchInProcessByteIdentical) {
@@ -170,7 +198,7 @@ TEST(SweepService, SigkillMidRunThenResumeIsByteIdentical) {
   EXPECT_LT(report.jobs_resumed, 8u);
   EXPECT_EQ(report.jobs_resumed + report.jobs_run, 8u);
 
-  const SweepResult plain = SweepRunner(spec).run(1);
+  const SweepResult plain = serial_reference(spec);
   EXPECT_EQ(csv_of(plain), csv_of(resumed));
   EXPECT_EQ(json_of(plain), json_of(resumed));
   std::filesystem::remove_all(dir);

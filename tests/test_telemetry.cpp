@@ -12,12 +12,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/json.hpp"
-#include "engine/sweep_runner.hpp"
+#include "engine/sweep_service.hpp"
 #include "telemetry/trace_sink.hpp"
 
 // ---- counting global allocator ---------------------------------------------
@@ -258,7 +260,8 @@ SweepSpec tiny_spec() {
 }
 
 std::string run_sweep_csv(unsigned threads, bool with_sink,
-                          std::string* trace_out = nullptr) {
+                          std::string* trace_out = nullptr,
+                          unsigned workers = 0) {
   std::ostringstream trace;
   std::optional<tel::ScopedTraceSink> scoped;
   if (with_sink) {
@@ -268,7 +271,9 @@ std::string run_sweep_csv(unsigned threads, bool with_sink,
     options.heartbeat_seconds = 0.0;  // heartbeat on every job
     scoped.emplace(options);
   }
-  const SweepResult result = SweepRunner(tiny_spec()).run(threads);
+  const SweepResult result =
+      SweepService(tiny_spec(), {.threads = threads, .workers = workers})
+          .run();
   scoped.reset();  // flush trace_end
   if (trace_out != nullptr) *trace_out = trace.str();
   std::ostringstream csv;
@@ -335,7 +340,7 @@ TEST_F(TelemetryTest, TraceIsWellFormedSchemaV1Ndjson) {
       ASSERT_TRUE(event->find("phases")->is_object()) << line;
       ASSERT_NE(event->find("counters"), nullptr);
       ASSERT_TRUE(event->find("counters")->is_object()) << line;
-      // Identity fields spliced by SweepRunner.
+      // Identity fields spliced by SweepPlan::run_job.
       ASSERT_NE(event->find("scenario"), nullptr) << line;
       ASSERT_NE(event->find("n"), nullptr) << line;
     }
@@ -347,6 +352,32 @@ TEST_F(TelemetryTest, TraceIsWellFormedSchemaV1Ndjson) {
        {"trace_begin", "sweep_begin", "job", "heartbeat", "sweep_end",
         "trace_end"}) {
     EXPECT_TRUE(seen.count(required)) << "trace never emitted " << required;
+  }
+}
+
+// Every started job is finished exactly once, whichever pool ran it: the
+// last heartbeat of a campaign sees all jobs done and no thread busy.
+TEST_F(TelemetryTest, LastHeartbeatSeesEveryJobDoneAndNoThreadBusy) {
+  const std::pair<unsigned, unsigned> pools[] = {{4, 0}, {1, 2}};
+  for (const auto& [threads, workers] : pools) {
+    SCOPED_TRACE("threads " + std::to_string(threads) + ", workers " +
+                 std::to_string(workers));
+    std::string trace;
+    (void)run_sweep_csv(threads, /*with_sink=*/true, &trace, workers);
+    std::optional<JsonValue> last;
+    std::istringstream lines(trace);
+    std::string line;
+    while (std::getline(lines, line)) {
+      std::optional<JsonValue> event = JsonValue::parse(line);
+      ASSERT_TRUE(event.has_value()) << line;
+      const JsonValue* ev = event->find("ev");
+      if (ev != nullptr && ev->as_string() == "heartbeat") last = event;
+    }
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->find("jobs_total")->as_number(), 6.0);
+    EXPECT_EQ(last->find("jobs_done")->as_number(),
+              last->find("jobs_total")->as_number());
+    EXPECT_EQ(last->find("threads_busy")->as_number(), 0.0);
   }
 }
 

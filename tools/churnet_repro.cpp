@@ -432,8 +432,9 @@ int main(int argc, char** argv) {
       scoped_sink->sink().span_begin(target->name);
     }
     // Each target journals into its own checkpoint subdirectory so a
-    // multi-target run can be killed and resumed per target; the service
-    // path is byte-identical to plain SweepRunner(spec).run(threads).
+    // multi-target run can be killed and resumed per target; the output
+    // is byte-identical with or without a checkpoint, at any --threads
+    // and --workers.
     SweepServiceOptions service;
     service.threads = threads;
     service.workers = workers;

@@ -279,9 +279,9 @@ int main(int argc, char** argv) {
   }
 
   // Everything routes through the sweep service: with no service flags it
-  // is exactly the in-process pool (byte-identical to SweepRunner::run),
-  // and --workers/--checkpoint/--resume/--results compose on top without
-  // changing a byte of the CSV/JSON output.
+  // is the in-process job pool, and --workers/--checkpoint/--resume/
+  // --results compose on top without changing a byte of the CSV/JSON
+  // output.
   SweepServiceOptions service;
   service.threads = threads;
   service.workers = static_cast<unsigned>(cli.get_int("workers"));
