@@ -59,7 +59,7 @@ std::string verdict(bool pass);
 // flush_result_output() — also registered atexit, so benches persist
 // results without calling it:
 //
-//   ./bench_flooding_time --csv results.csv --json results.json
+//   ./bench_protocols --csv results.csv --json results.json
 //
 // The CSV is tidy long format (label,stream,replication,seed,metric,value,
 // one row per observation); the JSON is an array of labeled TrialRunner

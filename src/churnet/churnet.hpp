@@ -30,6 +30,7 @@
 #include "common/specgram.hpp"             // IWYU pragma: export
 #include "common/stats.hpp"                // IWYU pragma: export
 #include "common/table.hpp"                // IWYU pragma: export
+#include "engine/claims.hpp"               // IWYU pragma: export
 #include "engine/result_stream.hpp"        // IWYU pragma: export
 #include "engine/scenario.hpp"             // IWYU pragma: export
 #include "engine/spec_catalog.hpp"         // IWYU pragma: export

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assertx.hpp"
+#include "common/mathx.hpp"
 
 namespace churnet {
 
@@ -59,23 +60,46 @@ double OnlineStats::stderr_mean() const {
   return stddev() / std::sqrt(static_cast<double>(count_));
 }
 
-Interval wilson_interval(std::uint64_t successes, std::uint64_t trials,
-                         double z) {
-  CHURNET_EXPECTS(successes <= trials);
-  if (trials == 0) return {0.0, 1.0};
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = (p + z2 / (2.0 * n)) / denom;
-  const double half =
-      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  return {std::max(0.0, center - half), std::min(1.0, center + half)};
+namespace {
+
+/// P[X <= k] for X ~ Binomial(n, p), 0 < p < 1.
+double binomial_cdf(std::uint64_t n, std::uint64_t k, double p) {
+  const double log_p = std::log(p);
+  const double log_q = std::log1p(-p);
+  double sum = 0.0;
+  for (std::uint64_t i = 0; i <= k; ++i) {
+    sum += std::exp(log_binomial(n, i) + static_cast<double>(i) * log_p +
+                    static_cast<double>(n - i) * log_q);
+  }
+  return std::min(sum, 1.0);
 }
 
-Interval mean_interval(const OnlineStats& stats, double z) {
-  const double half = z * stats.stderr_mean();
-  return {stats.mean() - half, stats.mean() + half};
+/// The p in (0, 1) with P[X <= k] = target; the cdf falls as p grows.
+double solve_binomial_cdf(std::uint64_t n, std::uint64_t k, double target) {
+  double lo = 0.0;
+  double hi = 1.0;
+  for (int iteration = 0; iteration < 64; ++iteration) {
+    const double mid = 0.5 * (lo + hi);
+    (binomial_cdf(n, k, mid) > target ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+}  // namespace
+
+Interval clopper_pearson(std::uint64_t successes, std::uint64_t trials,
+                         double alpha) {
+  CHURNET_EXPECTS(successes <= trials);
+  CHURNET_EXPECTS(alpha > 0.0 && alpha < 1.0);
+  Interval bounds{0.0, 1.0};
+  // lo solves P[X >= k | lo] = alpha, hi solves P[X <= k | hi] = alpha.
+  if (successes > 0) {
+    bounds.lo = solve_binomial_cdf(trials, successes - 1, 1.0 - alpha);
+  }
+  if (successes < trials) {
+    bounds.hi = solve_binomial_cdf(trials, successes, alpha);
+  }
+  return bounds;
 }
 
 double quantile(std::span<const double> values, double q) {
@@ -91,34 +115,5 @@ double quantile(std::span<const double> values, double q) {
 }
 
 double median(std::span<const double> values) { return quantile(values, 0.5); }
-
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  CHURNET_EXPECTS(xs.size() == ys.size());
-  CHURNET_EXPECTS(xs.size() >= 2);
-  const double n = static_cast<double>(xs.size());
-  double sx = 0.0;
-  double sy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-  }
-  const double mx = sx / n;
-  const double my = sy / n;
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  LinearFit fit;
-  fit.slope = sxx > 0.0 ? sxy / sxx : 0.0;
-  fit.intercept = my - fit.slope * mx;
-  fit.r_squared = (sxx > 0.0 && syy > 0.0) ? (sxy * sxy) / (sxx * syy) : 1.0;
-  return fit;
-}
 
 }  // namespace churnet

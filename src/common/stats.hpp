@@ -1,5 +1,6 @@
-// Online statistics, confidence intervals and quantiles used by the
-// experiment harness and the statistical test suites.
+// Online statistics, binomial confidence bounds and quantiles used by the
+// experiment engine, the paper-claim checks and the statistical test
+// suites.
 #pragma once
 
 #include <cstdint>
@@ -35,35 +36,24 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Two-sided confidence interval [lo, hi].
+/// Confidence bounds [lo, hi].
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
-  bool contains(double x) const { return lo <= x && x <= hi; }
 };
 
-/// Wilson score interval for a binomial proportion.
-/// successes <= trials; z is the normal quantile (1.96 ~ 95%, 3.29 ~ 99.9%).
-Interval wilson_interval(std::uint64_t successes, std::uint64_t trials,
-                         double z = 1.96);
-
-/// Normal-approximation confidence interval for the mean of a sample.
-Interval mean_interval(const OnlineStats& stats, double z = 1.96);
+/// Exact (Clopper-Pearson) one-sided bounds for a binomial proportion:
+/// `lo` is the one-sided (1 - alpha) lower bound and `hi` the one-sided
+/// (1 - alpha) upper bound of successes/trials, each solved from the
+/// binomial tail by bisection. 0 trials give [0, 1]. Requires successes <=
+/// trials and 0 < alpha < 1.
+Interval clopper_pearson(std::uint64_t successes, std::uint64_t trials,
+                         double alpha);
 
 /// q-th quantile (0 <= q <= 1) by linear interpolation; sorts a copy.
 double quantile(std::span<const double> values, double q);
 
 /// Median convenience wrapper over quantile().
 double median(std::span<const double> values);
-
-/// Result of an ordinary least-squares fit y ~ a + b*x.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r_squared = 0.0;
-};
-
-/// Least-squares line through (xs[i], ys[i]). Requires sizes equal, >= 2.
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace churnet

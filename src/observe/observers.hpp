@@ -1,15 +1,11 @@
 // Concrete metric observers wrapping the existing analyses (expansion/,
-// graph/algorithms, flooding traces) behind the MetricObserver interface.
-// Each one is the measurement previously hand-rolled inside a bench binary
-// (bench_expansion_*, bench_spectral_gap, bench_isolated_nodes, the
-// coverage benches), now attachable to any churn / flood / protocol run —
-// the benches call these directly and sweeps attach them via ObserverSpec.
+// graph/algorithms, flooding traces) behind the MetricObserver interface,
+// attachable to any churn / flood / protocol run; sweeps attach them via
+// ObserverSpec, and churnet_repro's claim rows read their columns.
 //
-// Seeding parity with the pre-port bench loops: begin_trial(s) seeds the
-// observer RNG as Rng(s) — exactly how the benches seeded their probe /
-// power-iteration RNGs — so an observer fed the same snapshot under the
-// same seed reproduces the pre-port values bit for bit
-// (tests/test_observers.cpp pins this).
+// Seeding: begin_trial(s) seeds the observer RNG as Rng(s), so an observer
+// fed a snapshot under a seed reproduces a direct call of the wrapped
+// analysis with Rng(s) bit for bit (tests/test_observers.cpp pins this).
 #pragma once
 
 #include <cstdint>
@@ -43,10 +39,6 @@ class ExpansionObserver final : public MetricObserver {
   explicit ExpansionObserver(ProbeOptions options = {})
       : options_(options) {}
 
-  /// Replaces the probe options (bench ports restrict the size window per
-  /// configuration); takes effect at the next on_snapshot.
-  void set_options(const ProbeOptions& options) { options_ = options; }
-  const ProbeOptions& options() const { return options_; }
 
   /// The full probe result of the last on_snapshot (argmin family, ...).
   const ProbeResult& last() const { return last_; }

@@ -1,5 +1,6 @@
 // Tests for expansion/expansion.hpp: incremental boundary tracking, exact
-// expansion on known graphs, probe sanity (upper bound property).
+// expansion on known graphs, probe sanity (upper bound property, also on
+// tiny SDGR snapshots).
 #include "expansion/expansion.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 
 #include "baselines/static_dout.hpp"
 #include "common/rng.hpp"
+#include "models/streaming_network.hpp"
 
 namespace churnet {
 namespace {
@@ -127,15 +129,32 @@ TEST(ExactExpansion, StarGraph) {
   EXPECT_DOUBLE_EQ(exact_vertex_expansion(snap), 1.0 / 3.0);
 }
 
+/// A tiny SDGR snapshot (d = 4) after n + 4 churn rounds.
+Snapshot tiny_sdgr_snapshot(std::uint32_t n) {
+  StreamingConfig config;
+  config.n = n;
+  config.d = 4;
+  config.policy = EdgePolicy::kRegenerate;
+  config.seed = derive_seed(12345, 500 + n, 0);
+  StreamingNetwork net(config);
+  net.warm_up();
+  net.run_rounds(n + 4);
+  return net.snapshot();
+}
+
 TEST(ProbeExpansion, UpperBoundsExactOnSmallGraphs) {
   Rng rng(1);
-  for (const std::uint32_t n : {8u, 12u, 16u}) {
-    const Snapshot snap = cycle_graph(n);
+  std::vector<Snapshot> graphs;
+  for (const std::uint32_t n : {8u, 12u, 16u}) graphs.push_back(cycle_graph(n));
+  for (const std::uint32_t n : {12u, 16u}) {
+    graphs.push_back(tiny_sdgr_snapshot(n));
+  }
+  for (const Snapshot& snap : graphs) {
     const double exact = exact_vertex_expansion(snap);
     ProbeOptions options;
     options.random_sets_per_size = 16;
     const ProbeResult probe = probe_expansion(snap, rng, options);
-    EXPECT_GE(probe.min_ratio, exact - 1e-12) << "n=" << n;
+    EXPECT_GE(probe.min_ratio, exact - 1e-12) << "n=" << snap.node_count();
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for common/stats.hpp: Welford accumulation, merging, intervals,
-// quantiles and least-squares fitting.
+// Tests for common/stats.hpp: Welford accumulation, merging, Clopper-Pearson
+// bounds and quantiles.
 #include "common/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -92,59 +92,44 @@ TEST(OnlineStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(WilsonInterval, ContainsTrueProportionTypically) {
-  // 300/1000 successes: interval should contain 0.3 comfortably.
-  const Interval interval = wilson_interval(300, 1000);
-  EXPECT_LT(interval.lo, 0.3);
-  EXPECT_GT(interval.hi, 0.3);
-  EXPECT_GT(interval.lo, 0.25);
-  EXPECT_LT(interval.hi, 0.35);
+TEST(ClopperPearson, AllSuccessesLowerBound) {
+  // P[X >= 20 | p] = p^20 = alpha at the lower bound.
+  const Interval bounds = clopper_pearson(20, 20, 0.05);
+  EXPECT_NEAR(bounds.lo, std::pow(0.05, 1.0 / 20.0), 1e-9);
+  EXPECT_NEAR(bounds.lo, 0.8609, 1e-4);
+  EXPECT_DOUBLE_EQ(bounds.hi, 1.0);
 }
 
-TEST(WilsonInterval, EdgeCases) {
-  const Interval zero = wilson_interval(0, 100);
-  EXPECT_DOUBLE_EQ(zero.lo, 0.0);
-  EXPECT_GT(zero.hi, 0.0);
-  EXPECT_LT(zero.hi, 0.08);
-  const Interval all = wilson_interval(100, 100);
-  EXPECT_LT(all.lo, 1.0);
-  EXPECT_GT(all.lo, 0.92);
-  EXPECT_DOUBLE_EQ(all.hi, 1.0);
-  const Interval empty = wilson_interval(0, 0);
-  EXPECT_DOUBLE_EQ(empty.lo, 0.0);
-  EXPECT_DOUBLE_EQ(empty.hi, 1.0);
+TEST(ClopperPearson, NoSuccessesUpperBound) {
+  // P[X <= 0 | p] = (1-p)^10 = alpha at the upper bound.
+  const Interval bounds = clopper_pearson(0, 10, 0.05);
+  EXPECT_DOUBLE_EQ(bounds.lo, 0.0);
+  EXPECT_NEAR(bounds.hi, 1.0 - std::pow(0.05, 1.0 / 10.0), 1e-9);
+  EXPECT_NEAR(bounds.hi, 0.2589, 1e-4);
 }
 
-TEST(WilsonInterval, WiderForHigherConfidence) {
-  const Interval narrow = wilson_interval(50, 100, 1.96);
-  const Interval wide = wilson_interval(50, 100, 3.29);
-  EXPECT_LT(wide.lo, narrow.lo);
-  EXPECT_GT(wide.hi, narrow.hi);
+TEST(ClopperPearson, InteriorCount) {
+  const Interval bounds = clopper_pearson(22, 200, 0.05);
+  EXPECT_NEAR(bounds.lo, 0.0757, 1e-4);
+  EXPECT_NEAR(bounds.hi, 0.1533, 1e-4);
 }
 
-TEST(WilsonInterval, CoverageSimulation) {
-  // Empirical coverage of the 95% interval should be >= ~90% at p=0.2.
-  Rng rng(3);
-  int covered = 0;
-  constexpr int kTrials = 2000;
-  constexpr int kSamples = 200;
-  for (int t = 0; t < kTrials; ++t) {
-    std::uint64_t successes = 0;
-    for (int i = 0; i < kSamples; ++i) successes += rng.bernoulli(0.2) ? 1 : 0;
-    if (wilson_interval(successes, kSamples).contains(0.2)) ++covered;
+TEST(ClopperPearson, NoTrials) {
+  const Interval bounds = clopper_pearson(0, 0, 0.05);
+  EXPECT_DOUBLE_EQ(bounds.lo, 0.0);
+  EXPECT_DOUBLE_EQ(bounds.hi, 1.0);
+}
+
+TEST(ClopperPearson, MonotoneInSuccesses) {
+  Interval previous = clopper_pearson(0, 40, 0.05);
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    const Interval bounds = clopper_pearson(k, 40, 0.05);
+    EXPECT_GT(bounds.lo, previous.lo) << "k=" << k;
+    EXPECT_GT(bounds.hi, previous.hi) << "k=" << k;
+    EXPECT_LT(bounds.lo, static_cast<double>(k) / 40.0) << "k=" << k;
+    EXPECT_GE(bounds.hi, static_cast<double>(k) / 40.0) << "k=" << k;
+    previous = bounds;
   }
-  EXPECT_GT(static_cast<double>(covered) / kTrials, 0.90);
-}
-
-TEST(MeanInterval, ShrinksWithSamples) {
-  OnlineStats small;
-  OnlineStats large;
-  Rng rng(4);
-  for (int i = 0; i < 20; ++i) small.add(rng.normal());
-  for (int i = 0; i < 2000; ++i) large.add(rng.normal());
-  const Interval si = mean_interval(small);
-  const Interval li = mean_interval(large);
-  EXPECT_LT(li.hi - li.lo, si.hi - si.lo);
 }
 
 TEST(Quantile, KnownValues) {
@@ -172,52 +157,6 @@ TEST(Quantile, SingleElement) {
   EXPECT_DOUBLE_EQ(quantile(values, 0.0), 7.0);
   EXPECT_DOUBLE_EQ(quantile(values, 0.5), 7.0);
   EXPECT_DOUBLE_EQ(quantile(values, 1.0), 7.0);
-}
-
-TEST(LinearFit, ExactLine) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys{3.0, 5.0, 7.0, 9.0};  // y = 1 + 2x
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-}
-
-TEST(LinearFit, NoisyLineHighR2) {
-  Rng rng(5);
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 200; ++i) {
-    const double x = static_cast<double>(i);
-    xs.push_back(x);
-    ys.push_back(4.0 - 0.5 * x + rng.normal(0.0, 1.0));
-  }
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, -0.5, 0.01);
-  EXPECT_NEAR(fit.intercept, 4.0, 0.6);
-  EXPECT_GT(fit.r_squared, 0.99);
-}
-
-TEST(LinearFit, FlatDataZeroSlope) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const std::vector<double> ys{5.0, 5.0, 5.0};
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit.intercept, 5.0);
-}
-
-TEST(LinearFit, LogarithmicScalingDetection) {
-  // The shape check used by the flooding-time bench: times that scale like
-  // c*log(n) fit ln(n) with high R^2.
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (const double n : {1e3, 2e3, 4e3, 8e3, 16e3, 32e3}) {
-    xs.push_back(std::log(n));
-    ys.push_back(3.0 * std::log(n) + 2.0);
-  }
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 3.0, 1e-9);
-  EXPECT_GT(fit.r_squared, 0.999);
 }
 
 }  // namespace
