@@ -135,10 +135,6 @@ int main(int argc, char** argv) {
   spec.replications = reps;
   spec.base_seed = seed;
   const SweepResult result = SweepService(spec, {.threads = threads}).run();
-  for (std::size_t c = 0; c < result.cells().size(); ++c) {
-    record_trial("regimes-" + result.cells()[c].scenario,
-                 result.cell_trial(c));  // feeds --csv/--json
-  }
   result.to_table().print(std::cout);
   std::printf("\n%zu cells in %.2fs; flooding completes under every regime "
               "with regeneration (completion_step ~ O(log n)).\n",

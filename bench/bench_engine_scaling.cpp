@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
     options.stream = 1;
     const TrialResult result =
         TrialRunner(options).run("completion_step", body);
-    record_trial("engine-scaling-T" + std::to_string(threads), result);
     const OnlineStats& stats = result.stats("completion_step");
     if (threads == 1) {
       serial_wall = result.wall_seconds();

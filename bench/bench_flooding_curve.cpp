@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
           AnyNetwork net = scenario.make_warmed(params);
           return recorder.curve_of(net.flood(options, scratch));
         });
-    record_trial(std::string("flood-curve-") + model_names[model], result);
     curves.assign(result.samples().begin(), result.samples().end());
     medians[static_cast<std::size_t>(model)] =
         CoverageCurveRecorder::median_curve(curves);

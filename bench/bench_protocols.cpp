@@ -128,9 +128,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(s.total_messages()) / informed,
             };
           });
-      record_trial(std::string("protocols-") + model + "-" +
-                       spec.canonical(),
-                   result);
       const auto mean = [&result](const char* metric) {
         return result.stats(metric).mean();
       };

@@ -1,5 +1,6 @@
-// Engineering performance bench, engine edition: event throughput of the
-// four paper models, snapshot capture cost, and replicated flooding trials
+// Engineering performance bench, engine edition, in three sections: churn
+// event throughput of the four paper models, snapshot capture and analysis
+// kernel cost (expansion probe, BFS), and replicated flooding trials
 // fanned across the TrialRunner thread pool. These guard against
 // performance regressions; they reproduce no paper claim.
 //
@@ -79,19 +80,7 @@ int main(int argc, char** argv) {
   }
   throughput.print(std::cout);
 
-  // --- section 2: P2P overlay step throughput ----------------------------
-  {
-    P2pNetwork p2p(P2pConfig::with_n(n, derive_seed(seed, 3, 0)));
-    p2p.warm_up(3.0);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < steps; ++i) p2p.step();
-    const double elapsed = seconds_since(start);
-    std::printf("\nP2P overlay: %.2e events/sec (n=%u, %llu steps)\n",
-                static_cast<double>(steps) / elapsed, n,
-                static_cast<unsigned long long>(steps));
-  }
-
-  // --- section 3: snapshot capture and analysis throughput ----------------
+  // --- section 2: snapshot capture and analysis throughput ----------------
   {
     ScenarioParams params;
     params.n = n;
@@ -136,21 +125,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(reached) / elapsed, bfs_runs);
   }
 
-  // --- section 4: onion-skin decomposition --------------------------------
-  {
-    OnionSkinConfig onion;
-    onion.n = n;
-    onion.d = 200;
-    onion.seed = derive_seed(seed, 5, 0);
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = run_onion_skin(onion);
-    const double elapsed = seconds_since(start);
-    std::printf("onion skin: %.3fs (n=%u, d=%u, %llu phases)\n", elapsed, n,
-                onion.d,
-                static_cast<unsigned long long>(result.phases));
-  }
-
-  // --- section 5: replicated flooding through the TrialRunner ------------
+  // --- section 3: replicated flooding through the TrialRunner ------------
   const unsigned width = pool_width(threads, reps);
   std::printf("\n--- replicated flooding (n=%u, %llu reps, %u thread%s) "
               "---\n",
@@ -185,7 +160,6 @@ int main(int argc, char** argv) {
                               : std::nan(""),
               trace.completed ? 1.0 : 0.0};
         });
-    record_trial(std::string("flood-replication-") + name, result);
     floods.add_row(
         {name, fmt_int(d),
          fmt_fixed(static_cast<double>(reps) / result.wall_seconds(), 2),

@@ -4,8 +4,7 @@
 // with Node Churn" (Becchetti, Clementi, Pasquale, Trevisan, Ziccardi;
 // ICDCS 2021): the four dynamic random graph models (streaming / Poisson
 // churn, with / without edge regeneration), the flooding processes studied
-// on them, vertex-expansion measurement, the static baselines, and a
-// Bitcoin-like P2P overlay grounding the paper's motivation.
+// on them, vertex-expansion measurement and the static baselines.
 //
 // Subsystem headers can also be included individually; see DESIGN.md for
 // the architecture map.
@@ -13,7 +12,6 @@
 
 #include "baselines/erdos_renyi.hpp"       // IWYU pragma: export
 #include "baselines/static_dout.hpp"       // IWYU pragma: export
-#include "baselines/walk_overlay.hpp"      // IWYU pragma: export
 #include "benchutil/coverage_curve.hpp"    // IWYU pragma: export
 #include "benchutil/experiment.hpp"        // IWYU pragma: export
 #include "churn/churn_process.hpp"         // IWYU pragma: export
@@ -41,9 +39,7 @@
 #include "expansion/expansion.hpp"         // IWYU pragma: export
 #include "expansion/isolated.hpp"          // IWYU pragma: export
 #include "expansion/spectral.hpp"          // IWYU pragma: export
-#include "flooding/async_flooding.hpp"     // IWYU pragma: export
 #include "flooding/flood_driver.hpp"       // IWYU pragma: export
-#include "flooding/onion_skin.hpp"         // IWYU pragma: export
 #include "graph/algorithms.hpp"            // IWYU pragma: export
 #include "graph/dynamic_graph.hpp"         // IWYU pragma: export
 #include "graph/snapshot.hpp"              // IWYU pragma: export
@@ -55,7 +51,6 @@
 #include "observe/observer_spec.hpp"       // IWYU pragma: export
 #include "observe/observers.hpp"           // IWYU pragma: export
 #include "observe/pipeline.hpp"            // IWYU pragma: export
-#include "p2p/p2p_network.hpp"             // IWYU pragma: export
 #include "protocols/dissemination.hpp"     // IWYU pragma: export
 #include "protocols/gossip.hpp"            // IWYU pragma: export
 #include "protocols/protocol.hpp"          // IWYU pragma: export

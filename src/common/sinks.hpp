@@ -1,5 +1,5 @@
-// Shared helpers for the CSV/JSON result sinks (TrialResult, SweepResult,
-// benchutil's --csv/--json log): round-trip float precision, JSON-safe
+// Shared helpers for the CSV/JSON result sinks (SweepResult, the result
+// stream, churnet_repro's manifests): round-trip float precision, JSON-safe
 // numbers and strings, RFC-4180 CSV field quoting. One implementation so
 // escaping rules can never drift between sinks.
 #pragma once

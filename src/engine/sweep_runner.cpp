@@ -14,10 +14,9 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/sinks.hpp"
-#include "engine/trial_runner.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/change_feed.hpp"
 #include "observe/observer_spec.hpp"
+#include "observe/pipeline.hpp"
 #include "protocols/protocol_spec.hpp"
 #include "telemetry/trace_sink.hpp"
 
@@ -330,17 +329,6 @@ const OnlineStats& SweepResult::stats(std::size_t cell,
   return stats_[cell][metric];
 }
 
-TrialResult SweepResult::cell_trial(std::size_t cell) const {
-  CHURNET_EXPECTS(cell < cells_.size());
-  TrialRunnerOptions options;
-  options.replications = spec_.replications;
-  options.threads = threads_used_;
-  options.base_seed = spec_.base_seed;
-  options.stream = cell;
-  return TrialResult(options, metric_names_, samples_[cell], wall_seconds_,
-                     threads_used_);
-}
-
 Table SweepResult::to_table() const {
   std::vector<std::string> header{"scenario", "churn", "protocol", "n", "d"};
   for (const std::string& metric : metric_names_) header.push_back(metric);
@@ -587,64 +575,27 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   // (params.seed, 1, 0). An observation window, when requested,
   // advances the network BEFORE any metric is measured — the window
   // is part of the cell's definition, identical at every thread
-  // count.
+  // count — so observe_window runs before `alive` is read. The set's
+  // one shared snapshot (built only when some observer needs the
+  // dense form) doubles as the engine metrics' snapshot; a local
+  // capture covers the no-observer / delta-fed-only cases. Capture
+  // itself is RNG-free, so sharing it changes no measured value.
   thread_local ObserverSet observers;
   thread_local std::string observers_key;
+  const Snapshot* snap = nullptr;
   if (has_observers) {
     if (observers.empty() || observers_key != observer_key_) {
       observers = make_observer_set(observer_spec_);
       observers_key = observer_key_;
     }
-    const std::uint64_t trial_seed = derive_seed(params.seed, 2, 0);
-    if (incremental) {
-      // Delta-fed mode: the per-worker feed is attached for the
-      // window only (dissemination churn is not observed) and
-      // retains capacity across jobs — zero-allocation steady state.
-      thread_local ChangeFeed feed;
-      net.attach_change_feed(&feed);
-      observers.begin_incremental_trial(trial_seed, net.graph(),
-                                        net.now());
-      const std::uint32_t window = observers.observation_rounds();
-      {
-        // One span over the whole window (never per step: two clock
-        // reads per churn round would blow the <3% overhead budget).
-        // on_deltas' own delta_fold span nests inside.
-        const telemetry::PhaseTimer churn_span(
-            telemetry::Phase::kChurn);
-        for (std::uint32_t r = 0; r < window; ++r) {
-          feed.clear();
-          net.step();
-          observers.on_round(net.graph(), net.now());
-          observers.on_deltas(net.graph(), feed.deltas(), net.now());
-        }
-      }
-      net.attach_change_feed(nullptr);
-    } else {
-      observers.begin_trial(trial_seed);
-      const std::uint32_t window = observers.observation_rounds();
-      {
-        const telemetry::PhaseTimer churn_span(
-            telemetry::Phase::kChurn);
-        for (std::uint32_t r = 0; r < window; ++r) {
-          net.step();
-          observers.on_round(net.graph(), net.now());
-        }
-      }
-    }
+    snap = observe_window(net, observers, derive_seed(params.seed, 2, 0),
+                          incremental);
   }
 
   const double alive =
       static_cast<double>(net.graph().alive_count());
   DegreeStats degrees;
   Components components;
-  // The observer set's one shared snapshot (built only when some
-  // observer needs the dense form) doubles as the engine metrics'
-  // snapshot; a local capture covers the no-observer /
-  // delta-fed-only cases. Capture itself is RNG-free, so this
-  // restructuring changes no measured value.
-  const Snapshot* snap =
-      has_observers ? observers.observe(net.graph(), net.now())
-                    : nullptr;
   Snapshot local;
   if (needs_snapshot_ && snap == nullptr) {
     local = net.snapshot();

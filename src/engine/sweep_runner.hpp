@@ -46,7 +46,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "engine/scenario.hpp"
-#include "engine/trial_runner.hpp"
 #include "observe/observer_spec.hpp"
 
 namespace churnet {
@@ -256,12 +255,6 @@ class SweepResult {
   const OnlineStats& stats(std::size_t cell, std::size_t metric) const;
   double wall_seconds() const { return wall_seconds_; }
   unsigned threads_used() const { return threads_used_; }
-
-  /// One cell's samples repackaged as a TrialResult whose seeding options
-  /// (base_seed, stream = cell index) reproduce the sweep's actual
-  /// derive_seed routing — e.g. for benchutil's --csv/--json result log.
-  /// The wall-clock is the whole sweep's (cells share one pool).
-  TrialResult cell_trial(std::size_t cell) const;
 
   /// One row per cell: scenario | churn | protocol | n | d | <means>.
   Table to_table() const;

@@ -6,13 +6,11 @@
 #include <cmath>
 #include <exception>
 #include <mutex>
-#include <ostream>
 #include <utility>
 
 #include "common/assertx.hpp"
 #include "common/intra.hpp"
 #include "common/rng.hpp"
-#include "common/sinks.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace churnet {
@@ -62,12 +60,10 @@ unsigned run_jobs(std::uint64_t count, unsigned threads, const JobBody& body,
   return width;
 }
 
-TrialResult::TrialResult(TrialRunnerOptions options,
-                         std::vector<std::string> metrics,
+TrialResult::TrialResult(std::vector<std::string> metrics,
                          std::vector<std::vector<double>> samples,
                          double wall_seconds, unsigned threads_used)
-    : options_(options),
-      metrics_(std::move(metrics)),
+    : metrics_(std::move(metrics)),
       samples_(std::move(samples)),
       wall_seconds_(wall_seconds),
       threads_used_(threads_used) {
@@ -104,56 +100,6 @@ Table TrialResult::to_table() const {
   return table;
 }
 
-void TrialResult::write_csv(std::ostream& os) const {
-  const PrecisionGuard precision(os);
-  os << "replication,seed";
-  for (const std::string& metric : metrics_) os << ',' << csv_field(metric);
-  os << '\n';
-  for (std::size_t r = 0; r < samples_.size(); ++r) {
-    os << r << ','
-       << derive_seed(options_.base_seed, options_.stream, r);
-    for (const double value : samples_[r]) {
-      os << ',';
-      if (!std::isnan(value)) os << value;
-    }
-    os << '\n';
-  }
-}
-
-void TrialResult::write_json(std::ostream& os) const {
-  const PrecisionGuard precision(os);
-  os << "{\"replications\":" << samples_.size()
-     << ",\"threads\":" << threads_used_
-     << ",\"base_seed\":" << options_.base_seed
-     << ",\"stream\":" << options_.stream
-     << ",\"wall_seconds\":" << wall_seconds_ << ",\"metrics\":{";
-  for (std::size_t m = 0; m < metrics_.size(); ++m) {
-    if (m > 0) os << ',';
-    const OnlineStats& s = stats_[m];
-    write_json_string(os, metrics_[m]);
-    os << ":{\"count\":" << s.count() << ",\"mean\":";
-    write_json_number(os, s.count() > 0 ? s.mean() : std::nan(""));
-    os << ",\"stddev\":";
-    write_json_number(os, s.count() > 1 ? s.stddev() : std::nan(""));
-    os << ",\"min\":";
-    write_json_number(os, s.count() > 0 ? s.min() : std::nan(""));
-    os << ",\"max\":";
-    write_json_number(os, s.count() > 0 ? s.max() : std::nan(""));
-    os << '}';
-  }
-  os << "},\"samples\":[";
-  for (std::size_t r = 0; r < samples_.size(); ++r) {
-    if (r > 0) os << ',';
-    os << '[';
-    for (std::size_t m = 0; m < samples_[r].size(); ++m) {
-      if (m > 0) os << ',';
-      write_json_number(os, samples_[r][m]);
-    }
-    os << ']';
-  }
-  os << "]}";
-}
-
 TrialRunner::TrialRunner(TrialRunnerOptions options) : options_(options) {
   CHURNET_EXPECTS(options_.replications > 0);
 }
@@ -178,8 +124,7 @@ TrialResult TrialRunner::run(std::vector<std::string> metrics,
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  return TrialResult(options_, std::move(metrics), std::move(samples), wall,
-                     threads);
+  return TrialResult(std::move(metrics), std::move(samples), wall, threads);
 }
 
 TrialResult TrialRunner::run(const std::string& metric,

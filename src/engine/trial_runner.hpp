@@ -15,8 +15,8 @@
 //     streams (one per experiment/configuration) are decorrelated by
 //     construction, so parallel trials never share randomness.
 //   * Determinism: results are collected per replication index and folded
-//     in index order after the pool joins, so every statistic (and the CSV
-//     / JSON output) is bit-identical regardless of thread count.
+//     in index order after the pool joins, so every statistic is
+//     bit-identical regardless of thread count.
 //   * Missing observations: a body may return NaN for a metric (e.g.
 //     "completion time" of a run that did not complete); NaN samples are
 //     kept in the per-replication output but excluded from the aggregate
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,7 +81,7 @@ struct TrialContext {
 /// full per-replication sample matrix.
 class TrialResult {
  public:
-  TrialResult(TrialRunnerOptions options, std::vector<std::string> metrics,
+  TrialResult(std::vector<std::string> metrics,
               std::vector<std::vector<double>> samples, double wall_seconds,
               unsigned threads_used);
 
@@ -94,19 +93,11 @@ class TrialResult {
   std::uint64_t replications() const { return samples_.size(); }
   double wall_seconds() const { return wall_seconds_; }
   unsigned threads_used() const { return threads_used_; }
-  const TrialRunnerOptions& options() const { return options_; }
 
   /// metric | count | mean | stderr | min | max summary table.
   Table to_table() const;
 
-  /// One CSV row per replication: replication, seed, then each metric.
-  void write_csv(std::ostream& os) const;
-
-  /// Machine-readable summary + samples as a single JSON object.
-  void write_json(std::ostream& os) const;
-
  private:
-  TrialRunnerOptions options_;
   std::vector<std::string> metrics_;
   std::vector<std::vector<double>> samples_;
   std::vector<OnlineStats> stats_;

@@ -92,11 +92,6 @@ void PoissonNetwork::run_events(std::uint64_t events) {
   for (std::uint64_t i = 0; i < events; ++i) step();
 }
 
-double PoissonNetwork::peek_next_event_time() {
-  if (!pending_valid_) sample_pending();
-  return pending_.time;
-}
-
 void PoissonNetwork::run_until(double time) {
   CHURNET_EXPECTS(time >= now_);
   for (;;) {

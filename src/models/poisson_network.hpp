@@ -72,10 +72,6 @@ class PoissonNetwork {
   /// Executes `events` churn events.
   void run_events(std::uint64_t events);
 
-  /// Absolute time of the next churn event without executing it (the event
-  /// is sampled once and cached; the following step() executes exactly it).
-  double peek_next_event_time();
-
   /// Runs until continuous time strictly exceeds `time` (the event that
   /// crosses `time` is NOT executed; the clock parks exactly at `time`).
   void run_until(double time);

@@ -1,8 +1,9 @@
 // The observation pipeline driver: attaches an ObserverSet to one trial on
-// any network model (DESIGN.md §6). This is the one-call entry the ported
-// benches, examples and tests use; SweepPlan::run_job drives the same
-// ObserverSet hooks inline so observers share its snapshot and
-// dissemination run.
+// any network model (DESIGN.md §6). observe_window is the one copy of the
+// observation lifecycle (steps 1-3 below): SweepPlan::run_job calls it and
+// shares the returned snapshot with its engine metrics and dissemination
+// run; observe_network and observe_protocol wrap it for one-off passes
+// outside a sweep.
 //
 // One observation pass over a warmed network is:
 //
@@ -40,6 +41,14 @@
 #include "observe/observer.hpp"
 
 namespace churnet {
+
+/// Steps 1-3 of the pass on a warmed network: the reset, the observation
+/// window (under one churn span; incremental mode attaches a per-thread
+/// ChangeFeed for the window only) and ObserverSet::observe. Returns the
+/// set's shared snapshot, or nullptr when no observer needs the dense
+/// form. Values are then collected with ObserverSet::append_values.
+const Snapshot* observe_window(AnyNetwork& net, ObserverSet& observers,
+                               std::uint64_t seed, bool incremental);
 
 /// Runs one observation pass (window + shared snapshot) on a warmed
 /// network and returns the set's metric values. Dissemination observers in

@@ -140,6 +140,9 @@ void TraceSink::sweep_begin(std::string_view label, std::uint64_t cells,
     jobs_done_ = resumed;
     jobs_resumed_ = resumed;
     jobs_total_ = jobs_total;
+    // sweep_end reports this sweep's jobs only, so a trace holding several
+    // sweeps sums to its job events.
+    aggregate_.clear();
     sweep_started_s_ = elapsed_seconds();
     next_heartbeat_s_ = sweep_started_s_ + options_.heartbeat_seconds;
   }
@@ -308,11 +311,6 @@ void TraceSink::emit_heartbeat() {
                    done, total, eta_s, busy);
     }
   }
-}
-
-Totals TraceSink::aggregate_totals() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return aggregate_;
 }
 
 }  // namespace churnet::telemetry

@@ -20,7 +20,7 @@
 //   heartbeat    {"ev","t_s","jobs_done","jobs_resumed","jobs_total",
 //                 "eta_s","threads_busy"}                   periodic
 //   sweep_end    {"ev","label","jobs","wall_s","t_s",
-//                 "phases":{...},"counters":{...}}          aggregate
+//                 "phases":{...},"counters":{...}}          per-sweep sum
 //   trace_end    {"ev","t_s"}                               last line
 //
 // Ordering: every line is self-describing and carries t_s (seconds since
@@ -114,10 +114,6 @@ class TraceSink {
   /// Marks one job done; emits a heartbeat when the interval elapsed.
   void job_finished();
 
-  /// Aggregate of every job() totals since construction (sweep_end embeds
-  /// it; bench code reads it for the perf section).
-  Totals aggregate_totals() const;
-
  private:
   struct OpenSpan {
     std::string name;
@@ -135,7 +131,7 @@ class TraceSink {
   mutable std::mutex mutex_;       // guards the progress/aggregate state
   std::mutex write_mutex_;         // serializes NDJSON line emission
   std::vector<OpenSpan> open_spans_;
-  Totals aggregate_;
+  Totals aggregate_;  // this sweep's job() totals; sweep_begin resets it
   std::uint64_t jobs_done_ = 0;
   std::uint64_t jobs_total_ = 0;
   std::uint64_t jobs_resumed_ = 0;

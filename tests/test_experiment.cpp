@@ -3,11 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
-#include <string>
 
 namespace churnet {
 namespace {
@@ -67,59 +63,6 @@ TEST(ScaleFromCli, FullQuadruplesAndRepsFactorStacks) {
 TEST(Verdict, Strings) {
   EXPECT_EQ(verdict(true), "PASS");
   EXPECT_EQ(verdict(false), "FAIL");
-}
-
-TEST(ResultOutput, CsvAndJsonFlagsPersistRecordedTrials) {
-  const std::string csv_path = ::testing::TempDir() + "churnet_results.csv";
-  const std::string json_path = ::testing::TempDir() + "churnet_results.json";
-
-  Cli cli("test");
-  add_standard_options(cli);
-  const std::string csv_arg = "--csv=" + csv_path;
-  const std::string json_arg = "--json=" + json_path;
-  const char* argv[] = {"prog", csv_arg.c_str(), json_arg.c_str()};
-  ASSERT_TRUE(cli.parse(3, argv));
-  (void)scale_from_cli(cli);  // arms the result log from --csv/--json
-
-  TrialRunnerOptions options;
-  options.replications = 3;
-  options.base_seed = 5;
-  options.stream = 2;
-  record_trial("explicit", TrialRunner(options).run(
-                               "metric_x", [](const TrialContext& ctx) {
-                                 return static_cast<double>(ctx.replication);
-                               }));
-  flush_result_output();
-
-  std::ifstream csv(csv_path);
-  ASSERT_TRUE(csv.good());
-  std::stringstream csv_text;
-  csv_text << csv.rdbuf();
-  EXPECT_NE(csv_text.str().find("label,stream,replication,seed,metric,value"),
-            std::string::npos);
-  EXPECT_NE(csv_text.str().find("explicit,2,1," +
-                                std::to_string(derive_seed(5, 2, 1)) +
-                                ",metric_x,1"),
-            std::string::npos);
-
-  std::ifstream json(json_path);
-  ASSERT_TRUE(json.good());
-  std::stringstream json_text;
-  json_text << json.rdbuf();
-  EXPECT_EQ(json_text.str().front(), '{');
-  EXPECT_NE(json_text.str().find("\"label\":\"explicit\""),
-            std::string::npos);
-  EXPECT_NE(json_text.str().find("\"metric_x\":{\"count\":3"),
-            std::string::npos);
-
-  std::remove(csv_path.c_str());
-  std::remove(json_path.c_str());
-  // Disarm the log for any later tests in this process.
-  Cli reset("test");
-  add_standard_options(reset);
-  const char* reset_argv[] = {"prog"};
-  ASSERT_TRUE(reset.parse(1, reset_argv));
-  configure_result_output(reset);
 }
 
 }  // namespace

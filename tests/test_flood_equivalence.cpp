@@ -10,7 +10,6 @@
 // are comparable step by step.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <unordered_set>
 
 #include "benchutil/experiment.hpp"
@@ -172,56 +171,6 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceParam{250, 1, EdgePolicy::kNone, 9},
         EquivalenceParam{250, 12, EdgePolicy::kRegenerate, 10}),
     param_name);
-
-TEST(AsyncEquivalence, MatchesBfsWhenChurnIsFrozen) {
-  // With a vanishing death rate and the flood finishing long before the
-  // next churn event, asynchronous flooding is exactly BFS: completion
-  // time equals the source's eccentricity.
-  // Rates chosen so (a) the jump chain is almost surely a birth while the
-  // network grows (lambda >> N*mu) and (b) the expected gap between churn
-  // events (~1/lambda = 1e9) dwarfs the flood duration, freezing the
-  // topology for the comparison.
-  PoissonConfig config;
-  config.lambda = 1e-9;
-  config.mu = 1e-18;
-  config.d = 4;
-  config.policy = EdgePolicy::kRegenerate;
-  config.seed = 42;
-  PoissonNetwork net(config);
-  // Grow to ~400 nodes, then freeze by jumping to just after an event.
-  while (net.graph().alive_count() < 400) net.step();
-
-  const Snapshot before = net.snapshot();
-  const NodeId source_id = net.graph().random_alive(net.rng());
-  const auto source_index = before.index_of(source_id);
-  ASSERT_TRUE(source_index.has_value());
-  const std::uint32_t expected = eccentricity(before, *source_index);
-
-  AsyncFloodOptions options;
-  options.max_time = 1e4;
-  const AsyncFloodResult result = flood_async_from(net, source_id, options);
-  ASSERT_TRUE(result.completed);
-  EXPECT_DOUBLE_EQ(result.completion_time, static_cast<double>(expected));
-}
-
-TEST(AsyncEquivalence, MessagesRespectUnitLatency) {
-  // Between consecutive informs along one edge exactly one unit elapses:
-  // the completion time of a frozen-network flood is an integer.
-  PoissonConfig config;
-  config.lambda = 1e-9;
-  config.mu = 1e-18;
-  config.d = 3;
-  config.policy = EdgePolicy::kNone;
-  config.seed = 43;
-  PoissonNetwork net(config);
-  while (net.graph().alive_count() < 300) net.step();
-  const NodeId source_id = net.graph().random_alive(net.rng());
-  AsyncFloodOptions options;
-  options.max_time = 1e4;
-  options.stop_at_fraction = 0.9;
-  const AsyncFloodResult result = flood_async_from(net, source_id, options);
-  EXPECT_DOUBLE_EQ(result.elapsed, std::floor(result.elapsed));
-}
 
 }  // namespace
 }  // namespace churnet

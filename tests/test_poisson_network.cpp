@@ -1,6 +1,6 @@
 // Tests for models/poisson_network.hpp: PDG (Def. 4.9) and PDGR (Def. 4.14)
 // semantics, Lemma 4.4 size concentration, exponential lifetimes, and the
-// run_until/peek event machinery the flooding drivers rely on.
+// run_until event machinery the flooding drivers rely on.
 #include "models/poisson_network.hpp"
 
 #include <gtest/gtest.h>
@@ -154,25 +154,6 @@ TEST(PoissonNetwork, RunUntilParksClockExactly) {
   // with a strictly later timestamp.
   const auto event = net.step();
   EXPECT_GT(event.time, 123.5);
-}
-
-TEST(PoissonNetwork, PeekMatchesNextStep) {
-  PoissonNetwork net(PoissonConfig::with_n(100, 2, EdgePolicy::kNone, 11));
-  net.run_until(200.0);
-  for (int i = 0; i < 200; ++i) {
-    const double peeked = net.peek_next_event_time();
-    const auto event = net.step();
-    EXPECT_DOUBLE_EQ(event.time, peeked);
-  }
-}
-
-TEST(PoissonNetwork, PeekIsIdempotent) {
-  PoissonNetwork net(PoissonConfig::with_n(100, 2, EdgePolicy::kNone, 12));
-  net.run_until(50.0);
-  const double first = net.peek_next_event_time();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(net.peek_next_event_time(), first);
-  }
 }
 
 TEST(PoissonNetwork, RunUntilDoesNotSkipEvents) {

@@ -330,12 +330,6 @@ TEST(Sweep, CommaBearingChurnSpecsStayOneCsvColumn) {
     EXPECT_EQ(separators, 8) << csv.substr(line_start, line_end - line_start);
     line_start = line_end + 1;
   }
-  // The cell repackages as a TrialResult with the sweep's seed routing.
-  const TrialResult trial = result.cell_trial(0);
-  EXPECT_EQ(trial.options().stream, 0u);
-  EXPECT_EQ(trial.options().base_seed, spec.base_seed);
-  EXPECT_EQ(trial.replications(), 2u);
-  EXPECT_DOUBLE_EQ(trial.stats("alive").mean(), result.stats(0, 0).mean());
 }
 
 TEST(Sweep, TableHasOneRowPerCell) {

@@ -384,16 +384,27 @@ TEST_F(TelemetryTest, LastHeartbeatSeesEveryJobDoneAndNoThreadBusy) {
 #if !defined(CHURNET_TELEMETRY_DISABLED)
 
 TEST_F(TelemetryTest, JobEventsCarryNonZeroPhaseAndCounterTraffic) {
-  std::string trace;
-  (void)run_sweep_csv(1, /*with_sink=*/true, &trace);
-  std::istringstream lines(trace);
+  // Two sweeps under one sink: each sweep_end sums that sweep's jobs only,
+  // so a multi-sweep trace's sweep_end records add up to its job events.
+  std::ostringstream trace;
+  {
+    tel::TraceSink::Options options;
+    options.out = &trace;
+    options.tool = "test_telemetry";
+    const tel::ScopedTraceSink scoped(options);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      (void)SweepService(tiny_spec(), {.threads = 1}).run();
+    }
+  }
+  std::istringstream lines(trace.str());
   std::string line;
-  bool saw_churn_events = false;
+  int sweep_ends = 0;
   while (std::getline(lines, line)) {
     const std::optional<JsonValue> event = JsonValue::parse(line);
     ASSERT_TRUE(event.has_value());
     const JsonValue* ev = event->find("ev");
     if (ev == nullptr || ev->as_string() != "sweep_end") continue;
+    ++sweep_ends;
     const JsonValue* counters = event->find("counters");
     ASSERT_NE(counters, nullptr);
     const JsonValue* churn_events = counters->find("churn_events");
@@ -401,10 +412,13 @@ TEST_F(TelemetryTest, JobEventsCarryNonZeroPhaseAndCounterTraffic) {
     EXPECT_GT(churn_events->as_number(), 0.0);
     const JsonValue* trials = counters->find("trials");
     ASSERT_NE(trials, nullptr);
-    EXPECT_EQ(trials->as_number(), 6.0);
-    saw_churn_events = true;
+    // tiny_spec runs 2 cells x 3 replications per sweep.
+    EXPECT_EQ(trials->as_number(), 6.0) << "sweep " << sweep_ends;
+    const JsonValue* jobs = event->find("jobs");
+    ASSERT_NE(jobs, nullptr);
+    EXPECT_EQ(jobs->as_number(), 6.0);
   }
-  EXPECT_TRUE(saw_churn_events);
+  EXPECT_EQ(sweep_ends, 2);
 }
 
 #endif  // !CHURNET_TELEMETRY_DISABLED

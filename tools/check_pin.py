@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Checks one checked-in pin byte for byte. ctest's `pin` label runs it.
+
+    check_pin.py campaign <workload> --sweep <churnet_sweep> --out <dir>
+                 [--also-threads N]
+    check_pin.py bench --suite <bench_perf_suite> --golden <golden.json>
+                 --out <BENCH_core.json>
+
+campaign: runs churnet_sweep --config campaignbench/workloads/<workload>.json
+at the workload's thread count and compares the CSV's FNV-1a with its pin.
+Thread counts, pins and the hash come from WORKLOADS and fnv1a in
+campaignbench/run.py, imported, never copied. --also-threads N reruns the
+workload at N threads and requires the same CSV bytes.
+
+bench: runs bench_perf_suite --quick --out <out>, then diff_bench_golden.py
+<golden> <out>. The deterministic fields must match exactly; perf rates are
+compared warn-only, since ctest runs tests side by side.
+
+Exit 0 when the pin holds, 1 otherwise.
+"""
+import argparse
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_sweep(sweep, workload, threads, csv):
+    subprocess.run([sweep, "--config",
+                    str(ROOT / "campaignbench" / "workloads" /
+                        f"{workload}.json"),
+                    "--threads", str(threads), "--csv", str(csv), "--quiet"],
+                   check=True)
+    return csv.read_bytes()
+
+
+def check_campaign(args):
+    # No bytecode: importing must leave campaignbench/ as it is.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "campaignbench"))
+    from run import WORKLOADS, fnv1a
+
+    pin = WORKLOADS[args.workload]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data = run_sweep(args.sweep, args.workload, pin["threads"],
+                     out / f"{args.workload}.csv")
+    got = fnv1a(data)
+    if got != pin["csv_fnv"]:
+        print(f"{args.workload}: CSV FNV-1a {got}, pinned {pin['csv_fnv']}",
+              file=sys.stderr)
+        return 1
+    print(f"{args.workload}: CSV FNV-1a {got} matches the pin")
+    if args.also_threads is not None:
+        again = run_sweep(args.sweep, args.workload, args.also_threads,
+                          out / f"{args.workload}_t{args.also_threads}.csv")
+        if again != data:
+            print(f"{args.workload}: CSV at --threads {args.also_threads} "
+                  f"differs from --threads {pin['threads']}",
+                  file=sys.stderr)
+            return 1
+        print(f"{args.workload}: identical at --threads {args.also_threads}")
+    return 0
+
+
+def check_bench(args):
+    subprocess.run([args.suite, "--quick", "--out", args.out], check=True)
+    return subprocess.run([sys.executable,
+                           str(ROOT / "tools" / "diff_bench_golden.py"),
+                           args.golden, args.out], check=False).returncode
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    kinds = parser.add_subparsers(dest="kind", required=True)
+    campaign = kinds.add_parser("campaign")
+    campaign.add_argument("workload")
+    campaign.add_argument("--sweep", required=True)
+    campaign.add_argument("--out", required=True)
+    campaign.add_argument("--also-threads", type=int)
+    bench = kinds.add_parser("bench")
+    bench.add_argument("--suite", required=True)
+    bench.add_argument("--golden", required=True)
+    bench.add_argument("--out", required=True)
+    args = parser.parse_args()
+    try:
+        return check_campaign(args) if args.kind == "campaign" \
+            else check_bench(args)
+    except subprocess.CalledProcessError as error:
+        print(f"{error.cmd[0]} exited {error.returncode}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

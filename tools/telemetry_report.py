@@ -144,8 +144,9 @@ def fold(path):
         elif kind == "job":
             jobs.append(event)
         elif kind == "sweep_end":
-            # The authoritative aggregate; replaces (not adds to) any
-            # previous sweep's fold so multi-sweep traces sum below.
+            # The authoritative aggregate of this sweep's jobs (the sink
+            # resets it at every sweep_begin), so a multi-sweep trace
+            # sums its sweep_end records.
             saw_aggregate = True
             for name, entry in event.get("phases", {}).items():
                 slot = phases.setdefault(name, {"s": 0.0, "calls": 0})
