@@ -544,12 +544,12 @@ int main(int argc, char** argv) {
        << ", \"wall_seconds\": " << fmt_fixed(sweep.wall_seconds(), 4)
        << "}\n    },\n";
 
-  // --- section 3.5: sweep service (workers + checkpoint) -------------------
+  // --- section 3.5: sweep service (threads + checkpoint) -------------------
   // Section 3's spec through the campaign service (engine/sweep_service):
-  // forked worker processes and the checkpoint journal. The deterministic
-  // fields pin the byte-identity contract — every mode must reproduce
-  // section 3's samples checksum — separately from the rates, which are
-  // the multi-process scaling trajectory and the journal's overhead.
+  // its job pool at 1, 2 and 4 threads, and the checkpoint journal. The
+  // deterministic fields pin the byte-identity contract — every mode must
+  // reproduce section 3's samples checksum — separately from the rates,
+  // which are the pool's scaling trajectory and the journal's overhead.
   {
     const auto service_checksum = [](const SweepResult& result) {
       Fnv fnv;
@@ -560,22 +560,22 @@ int main(int argc, char** argv) {
       }
       return fnv.hash;
     };
-    std::printf("\n--- sweep service (forked workers + checkpoint) ---\n");
+    std::printf("\n--- sweep service (threads + checkpoint) ---\n");
     Table service_table({"mode", "cells/sec", "wall s", "samples match"});
-    constexpr unsigned kWorkerCounts[] = {1, 2, 4};
+    constexpr unsigned kThreadCounts[] = {1, 2, 4};
     double rates[3] = {};
     bool matches[3] = {};
     double base_wall = 0.0;
     for (std::size_t i = 0; i < 3; ++i) {
       SweepServiceOptions options;
-      options.workers = kWorkerCounts[i];
+      options.threads = kThreadCounts[i];
       const SweepResult result = SweepService(spec, options).run();
       rates[i] = static_cast<double>(result.cells().size()) /
                  result.wall_seconds();
       matches[i] = service_checksum(result) == samples.hash;
       if (i == 0) base_wall = result.wall_seconds();
       char mode[32];
-      std::snprintf(mode, sizeof(mode), "workers=%u", kWorkerCounts[i]);
+      std::snprintf(mode, sizeof(mode), "threads=%u", kThreadCounts[i]);
       service_table.add_row({mode, fmt_fixed(rates[i], 2),
                              fmt_fixed(result.wall_seconds(), 4),
                              matches[i] ? "yes" : "NO (BUG)"});
@@ -609,7 +609,7 @@ int main(int argc, char** argv) {
                            checkpoint_match ? "yes" : "NO (BUG)"});
     service_table.print(std::cout);
     const double scaling = rates[0] > 0.0 ? rates[2] / rates[0] : 0.0;
-    std::printf("scaling 1->4 workers: %.2fx   checkpoint overhead: %.2f%%   "
+    std::printf("scaling 1->4 threads: %.2fx   checkpoint overhead: %.2f%%   "
                 "resume replayed %llu job(s): %s\n",
                 scaling, checkpoint_overhead_pct,
                 static_cast<unsigned long long>(resume_report.jobs_resumed),
@@ -617,17 +617,17 @@ int main(int argc, char** argv) {
     json << "    \"sweep_service\": {\n      \"config\": {\"cells\": "
          << spec.cell_count() << ", \"replications\": " << spec.replications
          << ", \"base_seed\": " << spec.base_seed << "},\n"
-         << "      \"deterministic\": {\"workers1_samples_match\": "
+         << "      \"deterministic\": {\"threads1_samples_match\": "
          << (matches[0] ? "true" : "false")
-         << ", \"workers2_samples_match\": " << (matches[1] ? "true" : "false")
-         << ", \"workers4_samples_match\": " << (matches[2] ? "true" : "false")
+         << ", \"threads2_samples_match\": " << (matches[1] ? "true" : "false")
+         << ", \"threads4_samples_match\": " << (matches[2] ? "true" : "false")
          << ", \"checkpoint_samples_match\": "
          << (checkpoint_match ? "true" : "false")
          << ", \"resume_samples_match\": " << (resume_match ? "true" : "false")
-         << "},\n      \"perf\": {\"workers1_cells_per_sec\": "
+         << "},\n      \"perf\": {\"threads1_cells_per_sec\": "
          << fmt_fixed(rates[0], 3)
-         << ", \"workers2_cells_per_sec\": " << fmt_fixed(rates[1], 3)
-         << ", \"workers4_cells_per_sec\": " << fmt_fixed(rates[2], 3)
+         << ", \"threads2_cells_per_sec\": " << fmt_fixed(rates[1], 3)
+         << ", \"threads4_cells_per_sec\": " << fmt_fixed(rates[2], 3)
          << ", \"scaling_1_to_4\": " << fmt_fixed(scaling, 2)
          << ", \"checkpoint_overhead_pct\": "
          << fmt_fixed(checkpoint_overhead_pct, 2) << "}\n    },\n";

@@ -1,5 +1,6 @@
 #include "churn/churn_spec.hpp"
 
+#include <cmath>
 #include <vector>
 
 #include "churn/adversary.hpp"
@@ -190,6 +191,16 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
     fail(error, "unknown churn regime '" + name + "'; known: " + known);
     return std::nullopt;
   }
+  // strtod accepts "inf", and no regime parameter may be infinite. NaN
+  // is left to the range checks below, which reject it by name.
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (std::isinf(args[i])) {
+      fail(error, "churn spec '" + std::string(trim_spec(text)) +
+                      "': argument " + std::to_string(i + 1) +
+                      " must be finite");
+      return std::nullopt;
+    }
+  }
   ChurnSpec spec;
   spec.kind = regime->kind;
   switch (regime->kind) {
@@ -213,6 +224,14 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
       if (!(spec.a > 0.0)) {
         fail(error, "weibull shape must be > 0 (got " + fmt_fixed(spec.a, 3) +
                         ")");
+        return std::nullopt;
+      }
+      // The mean-normalized scale is 1 / (mu * Gamma(1 + 1/k)), which
+      // underflows to 0 once Gamma overflows (k below ~0.0059).
+      if (!std::isfinite(std::tgamma(1.0 + 1.0 / spec.a))) {
+        fail(error, "weibull shape " + fmt_sci(spec.a) +
+                        " is too small: Gamma(1 + 1/k) overflows for "
+                        "k < ~0.0059");
         return std::nullopt;
       }
       return spec;

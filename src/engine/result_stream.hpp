@@ -20,7 +20,7 @@
 //   sweep_footer {"ev","jobs_done"}                      last line
 //
 // Ordering and determinism: rows appear in completion order, which varies
-// with thread/worker count and scheduling — by design; streaming is the
+// with thread count and scheduling — by design; streaming is the
 // point. The deterministic surfaces (CSV/JSON/table) are produced by
 // SweepPlan::fold, which reads rows by job index and is therefore
 // independent of the order this stream observed them in. Values are
@@ -47,8 +47,7 @@ class ResultStream {
   /// Writes the sweep_header line. `resumed_jobs` is how many rows were
   /// restored from a checkpoint journal (they are re-emitted as rows with
   /// "resumed":true so the stream always covers the whole campaign);
-  /// `workers` is the execution width (threads in-process, processes in
-  /// worker mode).
+  /// `workers` is the execution width (the job pool's thread count).
   void begin(std::uint64_t resumed_jobs, unsigned workers,
              std::string_view tool);
 

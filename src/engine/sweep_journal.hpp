@@ -22,11 +22,12 @@
 // Seeds are hex strings for the same reason (u64 > 2^53); they are
 // provenance only and re-derived, never parsed back into the run.
 //
-// Durability: records are written with O_APPEND and made durable by
-// sync() (fsync), which the sweep service calls once per job batch — a
-// SIGKILL loses at most the in-flight batch. A crash can truncate only
-// the final line (single sequential writer), so load() tolerates exactly
-// that: an unparseable or incomplete *last* line is dropped; damage
+// Durability: records are appended with O_APPEND write(2) calls, so a
+// killed process loses no record already appended; sync() (fsync), which
+// the sweep service calls every few rows and at the end, guards against
+// OS crashes only. A crash can truncate only the final line (single
+// sequential writer), so load() tolerates exactly that: an unparseable
+// or incomplete *last* line is dropped; damage
 // anywhere else, a fingerprint mismatch, or a metric-count mismatch is a
 // hard std::runtime_error — resuming a different plan against a journal
 // would silently mix incompatible samples.

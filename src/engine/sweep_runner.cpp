@@ -375,7 +375,7 @@ void SweepResult::write_csv(std::ostream& os) const {
 void SweepResult::write_json(std::ostream& os) const {
   // Deliberately no wall-clock or thread-count fields: the JSON sink, like
   // the CSV, is a pure function of (spec, samples), so runs at any thread
-  // or worker count — and resumed runs — emit identical bytes (the sweep
+  // count — and resumed runs — emit identical bytes (the sweep
   // service's determinism contract, docs/sweep-service.md).
   const PrecisionGuard precision(os);
   os << "{\"replications\":" << spec_.replications

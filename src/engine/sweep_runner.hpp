@@ -157,10 +157,9 @@ class SweepResult;
 /// metric column list (spec metrics + observer columns), and the per-job
 /// body. Jobs are numbered job = cell * replications + replication, and
 /// run_job(job) is a pure function of (spec.base_seed, cell, replication)
-/// — the plan is what every execution mode of the sweep service shares
-/// (its in-process pool, streaming/checkpointed runs and forked worker
-/// processes), so rows computed anywhere, in any completion order, fold
-/// into identical results.
+/// — the plan is what every run of the sweep service shares (any thread
+/// count, streamed, checkpointed or resumed), so rows computed on any
+/// thread, in any completion order, fold into identical results.
 class SweepPlan {
  public:
   /// Resolves every scenario/protocol/observer once (CLI semantics: an
@@ -197,8 +196,7 @@ class SweepPlan {
 
   /// Runs one job (build, warm, observe, disseminate, measure) and returns
   /// its sample row, one value per metric_names() entry. Emits a job event
-  /// to the installed telemetry sink, if any. Thread-safe; also safe in a
-  /// forked worker process.
+  /// to the installed telemetry sink, if any. Thread-safe.
   std::vector<double> run_job(std::uint64_t job) const;
 
   /// Folds flat job-order samples (samples[job], NaN-padded for metrics

@@ -263,6 +263,7 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
       // Evaluate a random sample of boundary candidates; pick the one whose
       // addition keeps the boundary smallest (most neighbors already inside).
       std::uint32_t best_pos = 0;
+      std::uint32_t best_value = 0;
       std::int64_t best_score = std::numeric_limits<std::int64_t>::max();
       const std::uint32_t tries = std::min<std::uint32_t>(
           options.greedy_fanout,
@@ -284,11 +285,19 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
         if (outside < best_score) {
           best_score = outside;
           best_pos = pos;
+          best_value = candidate;
         }
       }
       if (boundary_pool.empty()) break;
-      const std::uint32_t chosen = boundary_pool[best_pos];
-      boundary_pool[best_pos] = boundary_pool.back();
+      // A later stale swap-removal can move the best candidate off the
+      // back of the pool into the removed entry's slot. Then take it by
+      // value and drop the back entry instead: the pinned expansion
+      // values were recorded with exactly this behaviour.
+      std::uint32_t chosen = best_value;
+      if (best_pos < boundary_pool.size()) {
+        chosen = boundary_pool[best_pos];
+        boundary_pool[best_pos] = boundary_pool.back();
+      }
       boundary_pool.pop_back();
       if (tracker.contains(chosen)) continue;
       tracker.add(chosen);

@@ -26,10 +26,6 @@
 //     wrap *loops and phases*, never individual churn steps, so the
 //     enabled-mode overhead on the steady churn loop stays < 3%
 //     (bench_perf_suite's telemetry_overhead section pins it).
-//   * Compile-off: configuring with -DCHURNET_TELEMETRY=OFF defines
-//     CHURNET_TELEMETRY_DISABLED, which compiles spans and counters to
-//     empty inlines; the Totals/TraceSink plumbing stays available (it
-//     just reports zeros) so callers need no #ifdefs.
 //
 // Phase hierarchy (what nests inside what, for report folding):
 //
@@ -123,8 +119,6 @@ struct Totals {
     return true;
   }
 };
-
-#if !defined(CHURNET_TELEMETRY_DISABLED)
 
 namespace detail {
 
@@ -222,28 +216,5 @@ class TrialRecorder {
  private:
   Totals start_;
 };
-
-#else  // CHURNET_TELEMETRY_DISABLED: spans and counters compile away.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-inline void count(Counter, std::uint64_t = 1) {}
-inline Totals thread_totals() { return Totals{}; }
-inline void reset_thread_totals() {}
-
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-};
-
-class TrialRecorder {
- public:
-  TrialRecorder() = default;
-  Totals finish() const { return Totals{}; }
-};
-
-#endif  // CHURNET_TELEMETRY_DISABLED
 
 }  // namespace churnet::telemetry

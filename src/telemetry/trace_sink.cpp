@@ -53,10 +53,6 @@ TraceSink::TraceSink(Options options)
       start_(std::chrono::steady_clock::now()) {
   std::string line = "{\"ev\":\"trace_begin\",\"schema\":1,\"tool\":";
   append_json_string(line, options_.tool);
-  if (options_.worker >= 0) {
-    line += ",\"worker\":";
-    append_u(line, static_cast<std::uint64_t>(options_.worker));
-  }
   line += ",\"ts_ms\":";
   append_u(line,
            static_cast<std::uint64_t>(
@@ -204,10 +200,6 @@ void TraceSink::job(std::uint64_t cell, std::uint64_t replication,
   if (!identity_json.empty()) {
     line += ',';
     line += identity_json;
-  }
-  if (options_.worker >= 0) {
-    line += ",\"worker\":";
-    append_u(line, static_cast<std::uint64_t>(options_.worker));
   }
   line += ",\"t_s\":";
   append_f(line, "%.3f", elapsed_seconds());

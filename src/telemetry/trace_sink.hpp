@@ -9,14 +9,14 @@
 // Event vocabulary (schema version 1; telemetry_report.py --check
 // validates it):
 //
-//   trace_begin  {"ev","schema","tool","ts_ms"[,"worker"]}  first line
+//   trace_begin  {"ev","schema","tool","ts_ms"}              first line
 //   span_begin   {"ev","name","t_s"}                        coarse phases
 //   span_end     {"ev","name","t_s","wall_s"}               (targets, sweeps)
 //   sweep_begin  {"ev","label","cells","reps","jobs","resumed","threads",
 //                 "t_s", spec}
 //   job          {"ev","cell","replication","seed","t_s","wall_s",
 //                 "phases":{...s},"counters":{...}, + cell identity
-//                 fields [,"worker"]}
+//                 fields}
 //   heartbeat    {"ev","t_s","jobs_done","jobs_resumed","jobs_total",
 //                 "eta_s","threads_busy"}                   periodic
 //   sweep_end    {"ev","label","jobs","wall_s","t_s",
@@ -65,10 +65,6 @@ class TraceSink {
     double heartbeat_seconds = 1.0;
     /// Recorded in trace_begin ("churnet_sweep", "churnet_repro", ...).
     std::string tool;
-    /// Sweep-service worker id; >= 0 tags trace_begin and every job event
-    /// with "worker":k so tools/telemetry_report.py can fold per-worker
-    /// trace files and attribute jobs. -1 = not a worker (default).
-    int worker = -1;
   };
 
   explicit TraceSink(Options options);
@@ -108,7 +104,7 @@ class TraceSink {
            std::string_view identity_json);
   void sweep_end(std::string_view label, double wall_seconds);
 
-  // ---- pool progress (run_jobs; the coordinator in --workers mode) -----
+  // ---- pool progress (run_jobs) ----------------------------------------
 
   void job_started();
   /// Marks one job done; emits a heartbeat when the interval elapsed.

@@ -95,6 +95,14 @@ TEST(ChurnSpec, RejectsMalformedSpecsWithClearErrors) {
   EXPECT_NE(error_of("weibull(nan)").find("must be > 0"), std::string::npos);
   EXPECT_NE(error_of("bursty(nan)").find("must be > 1"), std::string::npos);
   EXPECT_NE(error_of("drift(nan)").find("must be > 0"), std::string::npos);
+  // strtod parses "inf" too, and an infinite parameter would otherwise
+  // pass the one-sided range checks and trip a sampler precondition.
+  EXPECT_NE(error_of("pareto(inf)").find("must be finite"), std::string::npos);
+  EXPECT_NE(error_of("bursty(inf,1)").find("must be finite"),
+            std::string::npos);
+  // Gamma(1 + 1/k) overflows for tiny shapes, so the mean-normalized
+  // Weibull scale would be 0.
+  EXPECT_NE(error_of("weibull(1e-300)").find("overflows"), std::string::npos);
 }
 
 // ---- heavy-tailed lifetimes ------------------------------------------------

@@ -16,7 +16,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "common/json.hpp"
 #include "engine/sweep_service.hpp"
@@ -128,8 +127,6 @@ TEST_F(TelemetryTest, TotalsMergeAndDiffAreExact) {
   EXPECT_FALSE(merged.empty());
   EXPECT_EQ(merged.phase_total_ns(), 140u);
 }
-
-#if !defined(CHURNET_TELEMETRY_DISABLED)
 
 // ---- spans and counters -----------------------------------------------------
 
@@ -243,8 +240,6 @@ TEST_F(TelemetryTest, SpansCountersAndRecordersNeverAllocate) {
       << "telemetry hot path allocated " << (after - before) << " time(s)";
 }
 
-#endif  // !CHURNET_TELEMETRY_DISABLED
-
 // ---- off-path contract: byte-identical results ------------------------------
 
 SweepSpec tiny_spec() {
@@ -260,8 +255,7 @@ SweepSpec tiny_spec() {
 }
 
 std::string run_sweep_csv(unsigned threads, bool with_sink,
-                          std::string* trace_out = nullptr,
-                          unsigned workers = 0) {
+                          std::string* trace_out = nullptr) {
   std::ostringstream trace;
   std::optional<tel::ScopedTraceSink> scoped;
   if (with_sink) {
@@ -272,8 +266,7 @@ std::string run_sweep_csv(unsigned threads, bool with_sink,
     scoped.emplace(options);
   }
   const SweepResult result =
-      SweepService(tiny_spec(), {.threads = threads, .workers = workers})
-          .run();
+      SweepService(tiny_spec(), {.threads = threads}).run();
   scoped.reset();  // flush trace_end
   if (trace_out != nullptr) *trace_out = trace.str();
   std::ostringstream csv;
@@ -355,33 +348,26 @@ TEST_F(TelemetryTest, TraceIsWellFormedSchemaV1Ndjson) {
   }
 }
 
-// Every started job is finished exactly once, whichever pool ran it: the
-// last heartbeat of a campaign sees all jobs done and no thread busy.
+// Every started job is finished exactly once: the last heartbeat of a
+// campaign sees all jobs done and no thread busy.
 TEST_F(TelemetryTest, LastHeartbeatSeesEveryJobDoneAndNoThreadBusy) {
-  const std::pair<unsigned, unsigned> pools[] = {{4, 0}, {1, 2}};
-  for (const auto& [threads, workers] : pools) {
-    SCOPED_TRACE("threads " + std::to_string(threads) + ", workers " +
-                 std::to_string(workers));
-    std::string trace;
-    (void)run_sweep_csv(threads, /*with_sink=*/true, &trace, workers);
-    std::optional<JsonValue> last;
-    std::istringstream lines(trace);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::optional<JsonValue> event = JsonValue::parse(line);
-      ASSERT_TRUE(event.has_value()) << line;
-      const JsonValue* ev = event->find("ev");
-      if (ev != nullptr && ev->as_string() == "heartbeat") last = event;
-    }
-    ASSERT_TRUE(last.has_value());
-    EXPECT_EQ(last->find("jobs_total")->as_number(), 6.0);
-    EXPECT_EQ(last->find("jobs_done")->as_number(),
-              last->find("jobs_total")->as_number());
-    EXPECT_EQ(last->find("threads_busy")->as_number(), 0.0);
+  std::string trace;
+  (void)run_sweep_csv(4, /*with_sink=*/true, &trace);
+  std::optional<JsonValue> last;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::optional<JsonValue> event = JsonValue::parse(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    const JsonValue* ev = event->find("ev");
+    if (ev != nullptr && ev->as_string() == "heartbeat") last = event;
   }
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->find("jobs_total")->as_number(), 6.0);
+  EXPECT_EQ(last->find("jobs_done")->as_number(),
+            last->find("jobs_total")->as_number());
+  EXPECT_EQ(last->find("threads_busy")->as_number(), 0.0);
 }
-
-#if !defined(CHURNET_TELEMETRY_DISABLED)
 
 TEST_F(TelemetryTest, JobEventsCarryNonZeroPhaseAndCounterTraffic) {
   // Two sweeps under one sink: each sweep_end sums that sweep's jobs only,
@@ -420,8 +406,6 @@ TEST_F(TelemetryTest, JobEventsCarryNonZeroPhaseAndCounterTraffic) {
   }
   EXPECT_EQ(sweep_ends, 2);
 }
-
-#endif  // !CHURNET_TELEMETRY_DISABLED
 
 }  // namespace
 }  // namespace churnet

@@ -11,8 +11,7 @@
 //   ./churnet_repro --threads 0            # everything, ~1 min on 4 threads
 //   ./churnet_repro --only table1,spectral-gap --threads 8
 //   ./churnet_repro --quick --only spectral-gap   # pinned-seed smoke subset
-//   ./churnet_repro --workers 4 --checkpoint ckpt/   # forked workers +
-//   ./churnet_repro --workers 4 --checkpoint ckpt/ --resume  # crash-resume
+//   ./churnet_repro --checkpoint ckpt/ --resume   # journaled, crash-resume
 //
 // --quick swaps each target for its pinned small-scale variant: the same
 // grid shape at toy sizes, bit-identical for a fixed seed at any --threads
@@ -479,10 +478,6 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 12345, "base seed (recorded in every manifest)");
   cli.add_int("threads", 1,
               "worker threads (0 = all cores); never changes the data");
-  cli.add_int("workers", 0,
-              "worker *processes* per target (coordinator/worker mode, "
-              ">= 2); 0/1 = in-process --threads pool; never changes the "
-              "data");
   cli.add_string("checkpoint", "",
                  "journal each target's completed jobs under "
                  "<dir>/<target>/ so a killed run can --resume with "
@@ -557,7 +552,6 @@ int main(int argc, char** argv) {
   const bool quiet = cli.get_flag("quiet");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto threads = static_cast<unsigned>(cli.get_int("threads"));
-  const auto workers = static_cast<unsigned>(cli.get_int("workers"));
   const std::filesystem::path checkpoint_dir(cli.get_string("checkpoint"));
   const bool resume = cli.get_flag("resume");
   if (resume && checkpoint_dir.empty()) {
@@ -613,11 +607,9 @@ int main(int argc, char** argv) {
     }
     // Each target journals into its own checkpoint subdirectory so a
     // multi-target run can be killed and resumed per target; the output
-    // is byte-identical with or without a checkpoint, at any --threads
-    // and --workers.
+    // is byte-identical with or without a checkpoint, at any --threads.
     SweepServiceOptions service;
     service.threads = threads;
-    service.workers = workers;
     if (!checkpoint_dir.empty()) {
       service.checkpoint_dir = (checkpoint_dir / target->name).string();
     }
@@ -682,10 +674,9 @@ int main(int argc, char** argv) {
       result->to_table().print(std::cout);
       if (!claims.empty()) print_claims(std::cout, claims);
       std::printf("    wrote %s + .json + .manifest.json (%.2fs on %u "
-                  "%s)\n\n",
+                  "thread(s))\n\n",
                   csv_path.string().c_str(), result->wall_seconds(),
-                  report.workers_used,
-                  workers >= 2 ? "worker process(es)" : "thread(s)");
+                  report.workers_used);
     }
   }
 

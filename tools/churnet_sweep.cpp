@@ -15,10 +15,10 @@
 //   # JSON config file (same keys as the SweepSpec schema)
 //   ./churnet_sweep --config sweep.json --json summary.json
 //
-//   # sweep service: 4 worker processes, checkpointed + streaming results;
-//   # kill it at any point and --resume finishes the campaign with final
-//   # CSV/JSON byte-identical to an uninterrupted single-process run
-//   ./churnet_sweep --config sweep.json --workers 4 --checkpoint ckpt/ \
+//   # sweep service: checkpointed + streaming results; kill it at any
+//   # point and --resume finishes the campaign with final CSV/JSON
+//   # byte-identical to an uninterrupted run
+//   ./churnet_sweep --config sweep.json --threads 4 --checkpoint ckpt/ \
 //                   --resume --results rows.ndjson --csv sweep.csv
 //
 // Inline flags override the config file's values key by key.
@@ -99,10 +99,6 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 0, "base seed (0 = config/default)");
   cli.add_int("max-in-degree", 0, "bounded-degree cap (0 = unbounded)");
   cli.add_int("threads", 1, "worker threads (0 = all cores)");
-  cli.add_int("workers", 0,
-              "worker *processes* (coordinator/worker mode, >= 2); 0/1 = "
-              "in-process --threads pool; output is byte-identical either "
-              "way");
   cli.add_int("intra-threads", 0,
               "intra-trial worker threads per job (0 = config/default); "
               "output is byte-identical at every value");
@@ -122,15 +118,9 @@ int main(int argc, char** argv) {
   cli.add_flag("resume",
                "resume from --checkpoint's journal: completed jobs are "
                "restored, only missing ones run");
-  cli.add_int("batch", 0,
-              "jobs per work-stealing handout and journal fsync "
-              "(0 = auto); a SIGKILL loses at most one batch");
   cli.add_int("kill-after", 0,
               "test hook: sync the journal and raise SIGKILL after this "
               "many jobs complete (exercises crash/resume)");
-  cli.add_string("worker-traces", "",
-                 "per-worker telemetry trace file prefix: worker k writes "
-                 "<prefix><k>.ndjson tagged \"worker\":k");
   cli.add_flag("progress",
                "print heartbeat progress lines ([jobs/total] eta) to "
                "stderr while the sweep runs");
@@ -279,18 +269,14 @@ int main(int argc, char** argv) {
   }
 
   // Everything routes through the sweep service: with no service flags it
-  // is the in-process job pool, and --workers/--checkpoint/--resume/
-  // --results compose on top without changing a byte of the CSV/JSON
-  // output.
+  // is the job pool, and --checkpoint/--resume/--results compose on top
+  // without changing a byte of the CSV/JSON output.
   SweepServiceOptions service;
   service.threads = threads;
-  service.workers = static_cast<unsigned>(cli.get_int("workers"));
   service.checkpoint_dir = cli.get_string("checkpoint");
   service.resume = cli.get_flag("resume");
-  service.batch = static_cast<std::uint64_t>(cli.get_int("batch"));
   service.kill_after =
       static_cast<std::uint64_t>(cli.get_int("kill-after"));
-  service.worker_trace_prefix = cli.get_string("worker-traces");
   service.tool = "churnet_sweep";
   if (service.resume && service.checkpoint_dir.empty()) {
     std::fprintf(stderr, "--resume needs --checkpoint <dir>\n");
@@ -321,12 +307,11 @@ int main(int argc, char** argv) {
 
   if (!cli.get_flag("quiet")) {
     result->to_table().print(std::cout);
-    std::printf("\n%zu cells x %llu replications on %u %s in %.2fs\n",
+    std::printf("\n%zu cells x %llu replications on %u thread(s) in "
+                "%.2fs\n",
                 result->cells().size(),
                 static_cast<unsigned long long>(spec.replications),
-                report.workers_used,
-                service.workers >= 2 ? "worker process(es)" : "thread(s)",
-                result->wall_seconds());
+                report.workers_used, result->wall_seconds());
     if (report.jobs_resumed > 0) {
       std::printf("checkpoint: %llu job(s) resumed, %llu run this "
                   "session\n",

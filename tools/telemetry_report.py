@@ -1,32 +1,25 @@
 #!/usr/bin/env python3
-"""Fold churnet NDJSON telemetry trace(s) into a phase-breakdown report.
+"""Fold a churnet NDJSON telemetry trace into a phase-breakdown report.
 
 Traces come from `churnet_sweep --telemetry <file>` or
 `churnet_repro --telemetry <file>` (schema v1; see src/telemetry/
-trace_sink.hpp and docs/observability.md). A multi-process campaign
-(`--workers N --worker-traces <prefix>`) writes one trace per worker
-process; pass them all and the report folds them into one campaign view.
-Default mode prints:
+trace_sink.hpp and docs/observability.md). Default mode prints:
 
   * a per-phase table (total seconds, share of measured time, span count)
     from the sweep_end aggregate (falling back to summing job events when
     no sweep_end is present, e.g. a trace cut short);
   * the counters (churn events, deltas, messages, snapshot bytes, ...);
-  * a per-worker job/wall breakdown when jobs carry "worker" tags;
   * per-cell wall-clock hotspots (slowest cells first, --top N).
 
---check validates each trace instead: every line parses as a JSON
-object, carries a known "ev" with that event's required fields, the
-trace starts with trace_begin (schema 1), span_begin/span_end names
-balance, and worker-id tagging is consistent (job events carry exactly
-the worker id declared by trace_begin — no id when the trace is not a
-worker trace). Exit 1 with a line-numbered message on the first
-violation — this is the CI schema gate for telemetry artifacts.
+--check validates each trace it is given instead: every line parses as a
+JSON object, carries a known "ev" with that event's required fields, the
+trace starts with trace_begin (schema 1), and span_begin/span_end names
+balance. Exit 1 with a line-numbered message on the first violation —
+this is the CI schema gate for telemetry artifacts.
 
 Usage:
   telemetry_report.py trace.ndjson            # phase breakdown
-  telemetry_report.py w0.ndjson w1.ndjson     # fold worker traces
-  telemetry_report.py --check trace.ndjson    # schema validation (CI)
+  telemetry_report.py --check a.ndjson b.ndjson   # schema validation (CI)
   telemetry_report.py --top 5 trace.ndjson
 """
 
@@ -72,7 +65,6 @@ def check(path):
     first = True
     open_spans = []
     saw_end = False
-    worker = None  # trace_begin's worker id; None = not a worker trace
     for number, event in parse_trace(path):
         kind = event.get("ev")
         if kind not in REQUIRED_FIELDS:
@@ -84,11 +76,6 @@ def check(path):
             if event.get("schema") != 1:
                 return (f"line {number}: unsupported schema "
                         f"{event.get('schema')!r} (expected 1)")
-            worker = event.get("worker")
-            if worker is not None and (not isinstance(worker, int)
-                                       or worker < 0):
-                return (f"line {number}: trace_begin worker must be a "
-                        f"non-negative integer, got {worker!r}")
             first = False
         missing = REQUIRED_FIELDS[kind] - set(event)
         if missing:
@@ -106,12 +93,6 @@ def check(path):
                 if not isinstance(event[section], dict):
                     return (f"line {number}: job {section} must be an "
                             f"object")
-            # Worker-id tagging: a worker trace tags every job with its
-            # own id; a coordinator/solo trace tags none.
-            if event.get("worker") != worker:
-                return (f"line {number}: job worker tag "
-                        f"{event.get('worker')!r} does not match "
-                        f"trace_begin worker {worker!r}")
         elif kind == "trace_end":
             saw_end = True
     if first:
@@ -181,44 +162,15 @@ def cell_identity(event):
     return " ".join(parts) if parts else f"cell {event.get('cell', '?')}"
 
 
-def merge_folds(paths):
-    """Folds several traces (e.g. one per worker) into one campaign view.
-
-    Phase seconds, counters and job lists sum across files; the header
-    meta keeps the first tool seen and the longest wall clock (workers
-    run concurrently, so summing walls would double-count).
-    """
-    phases = {}
-    counters = {}
-    jobs = []
-    meta = {}
-    for path in paths:
-        file_phases, file_counters, file_jobs, file_meta = fold(path)
-        for name, slot in file_phases.items():
-            merged = phases.setdefault(name, {"s": 0.0, "calls": 0})
-            merged["s"] += slot["s"]
-            merged["calls"] += slot["calls"]
-        for name, value in file_counters.items():
-            counters[name] = counters.get(name, 0) + value
-        jobs.extend(file_jobs)
-        if "tool" not in meta and "tool" in file_meta:
-            meta["tool"] = file_meta["tool"]
-        wall = file_meta.get("wall_s")
-        if wall is not None:
-            meta["wall_s"] = max(meta.get("wall_s", 0.0), wall)
-    return phases, counters, jobs, meta
-
-
-def report(paths, top):
-    phases, counters, jobs, meta = merge_folds(paths)
+def report(path, top):
+    phases, counters, jobs, meta = fold(path)
     tool = meta.get("tool", "?")
     wall = meta.get("wall_s")
-    label = paths[0] if len(paths) == 1 else f"{len(paths)} traces folded"
-    print(f"trace: {label} (tool: {tool}"
+    print(f"trace: {path} (tool: {tool}"
           + (f", wall {wall:.2f}s" if wall is not None else "") + ")")
 
     measured = sum(slot["s"] for slot in phases.values())
-    print("\nphase breakdown (CPU seconds across all workers):")
+    print("\nphase breakdown (CPU seconds across all threads):")
     print(f"  {'phase':<14} {'seconds':>10} {'share':>7} {'spans':>10}")
     for name, slot in sorted(phases.items(), key=lambda kv: -kv[1]["s"]):
         share = slot["s"] / measured if measured > 0 else 0.0
@@ -230,19 +182,6 @@ def report(paths, top):
         print("\ncounters:")
         for name, value in sorted(counters.items()):
             print(f"  {name:<16} {value:>16,}")
-
-    tagged = [event for event in jobs if "worker" in event]
-    if tagged:
-        print("\nper-worker breakdown:")
-        workers = {}
-        for event in tagged:
-            slot = workers.setdefault(event["worker"],
-                                      {"wall_s": 0.0, "jobs": 0})
-            slot["wall_s"] += float(event.get("wall_s", 0.0))
-            slot["jobs"] += 1
-        for worker, slot in sorted(workers.items()):
-            print(f"  worker {worker:<3} {slot['jobs']:>6} job(s) "
-                  f"{slot['wall_s']:>10.3f}s")
 
     if jobs and top > 0:
         # Fold job wall time per cell, then show the slowest cells.
@@ -265,9 +204,8 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("traces", nargs="+",
-                        help="NDJSON telemetry trace file(s); several "
-                             "(e.g. per-worker traces) fold into one "
-                             "report")
+                        help="NDJSON telemetry trace file (several only "
+                             "with --check)")
     parser.add_argument("--check", action="store_true",
                         help="validate each trace against schema v1 and "
                              "exit (the CI artifact gate)")
@@ -275,6 +213,9 @@ def main():
                         help="cells to list in the hotspot table "
                              "(default 10; 0 disables)")
     args = parser.parse_args()
+    if not args.check and len(args.traces) != 1:
+        parser.error("the report reads one trace; pass several only "
+                     "with --check")
     current = args.traces[0]
     try:
         if args.check:
@@ -285,7 +226,7 @@ def main():
                     return 1
                 print(f"{current}: valid schema-v1 telemetry trace")
             return 0
-        return report(args.traces, args.top)
+        return report(current, args.top)
     except (OSError, ValueError) as error:
         print(f"{current}: {error}")
         return 1
