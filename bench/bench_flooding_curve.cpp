@@ -10,19 +10,38 @@
 //   * SDGR/PDGR hitting exactly 1.
 //
 // Engine edition: the four models are the registry's four paper scenarios,
-// and the per-model replication loop runs through the TrialRunner (fixed
-// per-step metrics, curves padded with their final value; --threads fans
-// replications without changing the medians).
+// and each model's replications run on the engine's job pool (run_jobs):
+// replication r of model m floods with seed derive_seed(--seed, m, r), and
+// its curve is padded with its final value, so --threads fans replications
+// without changing the medians.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "churnet/churnet.hpp"
 
 namespace {
 
 using namespace churnet;
+
+/// The trace's per-step coverage |I_t| / |N_t|, padded with its final
+/// value to steps+1 entries (an early stop holds its last coverage).
+std::vector<double> coverage_curve(const FloodTrace& trace,
+                                   std::uint64_t steps) {
+  std::vector<double> curve;
+  curve.reserve(steps + 1);
+  for (std::size_t t = 0; t < trace.informed_per_step.size(); ++t) {
+    const double alive = static_cast<double>(trace.alive_per_step[t]);
+    curve.push_back(alive == 0.0 ? 0.0
+                                 : static_cast<double>(
+                                       trace.informed_per_step[t]) /
+                                       alive);
+  }
+  curve.resize(steps + 1, curve.back());
+  return curve;
+}
 
 }  // namespace
 
@@ -62,41 +81,40 @@ int main(int argc, char** argv) {
   const ScenarioRegistry& registry = ScenarioRegistry::paper();
   const char* model_names[] = {"SDG", "SDGR", "PDG", "PDGR"};
 
-  std::vector<std::vector<double>> curves;
   Table table({"step", "SDG", "SDGR", "PDG", "PDGR"});
   std::vector<std::vector<double>> medians(4);
-  // The shared per-round observer: fixed-length coverage metrics per
-  // replication, padded with the final value when the flood stops early.
-  const CoverageCurveRecorder recorder(steps);
   for (int model = 0; model < 4; ++model) {
     const Scenario& scenario = registry.at(model_names[model]);
-    TrialRunnerOptions runner_options;
-    runner_options.replications = reps;
-    runner_options.threads = threads;
-    runner_options.base_seed = seed;
-    runner_options.stream = static_cast<std::uint64_t>(model);
-    const TrialResult result = TrialRunner(runner_options)
-        .run(recorder.metric_names(),
-             [&scenario, n, d, &recorder, &options](const TrialContext& ctx) {
+    std::vector<std::vector<double>> curves(reps);
+    run_jobs(
+        reps, threads,
+        [&](std::uint64_t rep) {
           thread_local ProtocolScratch scratch;
           ScenarioParams params;
           params.n = n;
           params.d = d;
-          params.seed = ctx.seed;
+          params.seed =
+              derive_seed(seed, static_cast<std::uint64_t>(model), rep);
           AnyNetwork net = scenario.make_warmed(params);
-          return recorder.curve_of(net.flood(options, scratch));
+          return coverage_curve(net.flood(options, scratch), steps);
+        },
+        [&curves](std::uint64_t rep, std::vector<double>&& curve) {
+          curves[rep] = std::move(curve);
         });
-    curves.assign(result.samples().begin(), result.samples().end());
-    medians[static_cast<std::size_t>(model)] =
-        CoverageCurveRecorder::median_curve(curves);
+    // Per-step median across replications.
+    std::vector<double>& median_curve =
+        medians[static_cast<std::size_t>(model)];
+    std::vector<double> column(reps);
+    for (std::uint64_t t = 0; t <= steps; ++t) {
+      for (std::uint64_t rep = 0; rep < reps; ++rep) {
+        column[rep] = curves[rep][t];
+      }
+      median_curve.push_back(median(column));
+    }
   }
   for (std::uint64_t t = 0; t <= steps; ++t) {
     auto cell = [&](int model) {
-      const auto& curve = medians[static_cast<std::size_t>(model)];
-      if (curve.empty()) return std::string("-");
-      const double value =
-          t < curve.size() ? curve[t] : curve.back();
-      return fmt_percent(value, 2);
+      return fmt_percent(medians[static_cast<std::size_t>(model)][t], 2);
     };
     table.add_row({fmt_int(static_cast<std::int64_t>(t)), cell(0), cell(1),
                    cell(2), cell(3)});
@@ -107,9 +125,8 @@ int main(int argc, char** argv) {
   // roughly Theta(d) per step until saturation.
   std::printf("\ngrowth factors (median curve, steps 1-4):\n");
   for (int model = 0; model < 4; ++model) {
-    const char* names[] = {"SDG", "SDGR", "PDG", "PDGR"};
     const auto& curve = medians[static_cast<std::size_t>(model)];
-    std::printf("  %-4s:", names[model]);
+    std::printf("  %-4s:", model_names[model]);
     for (std::size_t t = 1; t < 5 && t < curve.size(); ++t) {
       if (curve[t - 1] > 0.0 && curve[t - 1] < 0.5) {
         std::printf(" x%.1f", curve[t] / curve[t - 1]);

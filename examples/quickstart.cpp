@@ -6,9 +6,8 @@
 //                [--reps 8] [--threads 2]
 //
 // Flow: select a Scenario, build a warmed AnyNetwork, snapshot it, run a
-// process, then hand the whole experiment to the TrialRunner for
-// replicated, seed-decorrelated, parallel statistics.
-#include <cmath>
+// process, then replicate the experiment as a one-cell sweep on the
+// SweepService for seed-decorrelated, parallel statistics.
 #include <cstdio>
 #include <iostream>
 
@@ -85,30 +84,22 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // 4. Replicate: the TrialRunner reruns the experiment under decorrelated
-  // seeds (derive_seed(base, stream, replication)) across a thread pool;
-  // the statistics are identical at any --threads.
-  TrialRunnerOptions options;
-  options.replications = static_cast<std::uint64_t>(cli.get_int("reps"));
-  options.threads = static_cast<unsigned>(cli.get_int("threads"));
-  options.base_seed = seed;
-  options.stream = 1;
-  const TrialResult result = TrialRunner(options).run(
-      {"completion_step", "final_fraction"},
-      [&scenario, &params](const TrialContext& ctx) {
-        ScenarioParams rep_params = params;
-        rep_params.seed = ctx.seed;  // the only seed a replication uses
-        AnyNetwork rep_net = scenario.make_warmed(rep_params);
-        thread_local ProtocolScratch scratch;  // zero allocation after trial 1
-        const FloodTrace rep_trace = rep_net.flood({}, scratch);
-        return std::vector<double>{
-            rep_trace.completed
-                ? static_cast<double>(rep_trace.completion_step)
-                : std::nan(""),
-            rep_trace.final_fraction};
-      });
+  // 4. Replicate: a one-cell sweep reruns the experiment under
+  // decorrelated seeds (replication r uses derive_seed(seed, 0, r)) on the
+  // engine's job pool; the statistics are identical at any --threads.
+  SweepSpec spec;
+  spec.scenarios = {scenario.name()};
+  spec.n_values = {n};
+  spec.d_values = {d};
+  spec.metrics = {"completion_step", "final_fraction"};
+  spec.replications = static_cast<std::uint64_t>(cli.get_int("reps"));
+  spec.base_seed = seed;
+  const SweepResult result =
+      SweepService(spec,
+                   {.threads = static_cast<unsigned>(cli.get_int("threads"))})
+          .run();
   std::printf("\n%llu replications on %u thread(s) in %.2fs:\n",
-              static_cast<unsigned long long>(result.replications()),
+              static_cast<unsigned long long>(spec.replications),
               result.threads_used(), result.wall_seconds());
   result.to_table().print(std::cout);
   return 0;

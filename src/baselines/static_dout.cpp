@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/assertx.hpp"
-#include "graph/algorithms.hpp"
 
 namespace churnet {
 
@@ -21,20 +20,6 @@ Snapshot static_dout_snapshot(std::uint32_t n, std::uint32_t d, Rng& rng) {
     }
   }
   return Snapshot::from_edges(n, edges);
-}
-
-StaticFloodResult static_flood(const Snapshot& snapshot,
-                               std::uint32_t source) {
-  const auto distances = bfs_distances(snapshot, source);
-  StaticFloodResult result;
-  for (const std::int32_t dist : distances) {
-    if (dist < 0) continue;
-    ++result.informed;
-    result.rounds =
-        std::max(result.rounds, static_cast<std::uint64_t>(dist));
-  }
-  result.completed = result.informed == snapshot.node_count();
-  return result;
 }
 
 }  // namespace churnet

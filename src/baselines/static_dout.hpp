@@ -16,14 +16,4 @@ namespace churnet {
 /// Builds one static d-out sample as a Snapshot.
 Snapshot static_dout_snapshot(std::uint32_t n, std::uint32_t d, Rng& rng);
 
-/// Synchronous flooding rounds on a static graph = BFS eccentricity of the
-/// source. Returns FloodTrace-compatible semantics: the number of rounds to
-/// inform every reachable node, and whether that covered the whole graph.
-struct StaticFloodResult {
-  std::uint64_t rounds = 0;      // eccentricity of the source
-  std::uint64_t informed = 0;    // reachable nodes (including the source)
-  bool completed = false;        // informed == n
-};
-StaticFloodResult static_flood(const Snapshot& snapshot, std::uint32_t source);
-
 }  // namespace churnet

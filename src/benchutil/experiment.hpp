@@ -1,10 +1,6 @@
 // Shared experiment-harness helpers for the bench binaries: seed derivation,
 // scale switches and uniform headers, so every bench prints paper-expected
 // vs measured columns the same way.
-//
-// Replications run on the engine (engine/trial_runner.hpp): every
-// replication seed is derive_seed(base, stream, replication), and
-// TrialRunner's results are thread-count-independent.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +8,6 @@
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"  // derive_seed lives with the RNG machinery
-#include "engine/trial_runner.hpp"
 
 namespace churnet {
 

@@ -12,7 +12,6 @@
 
 #include "baselines/erdos_renyi.hpp"       // IWYU pragma: export
 #include "baselines/static_dout.hpp"       // IWYU pragma: export
-#include "benchutil/coverage_curve.hpp"    // IWYU pragma: export
 #include "benchutil/experiment.hpp"        // IWYU pragma: export
 #include "churn/churn_process.hpp"         // IWYU pragma: export
 #include "churn/churn_spec.hpp"            // IWYU pragma: export
@@ -29,13 +28,13 @@
 #include "common/stats.hpp"                // IWYU pragma: export
 #include "common/table.hpp"                // IWYU pragma: export
 #include "engine/claims.hpp"               // IWYU pragma: export
+#include "engine/job_pool.hpp"             // IWYU pragma: export
 #include "engine/result_stream.hpp"        // IWYU pragma: export
 #include "engine/scenario.hpp"             // IWYU pragma: export
 #include "engine/spec_catalog.hpp"         // IWYU pragma: export
 #include "engine/sweep_journal.hpp"        // IWYU pragma: export
 #include "engine/sweep_runner.hpp"         // IWYU pragma: export
 #include "engine/sweep_service.hpp"        // IWYU pragma: export
-#include "engine/trial_runner.hpp"         // IWYU pragma: export
 #include "expansion/expansion.hpp"         // IWYU pragma: export
 #include "expansion/isolated.hpp"          // IWYU pragma: export
 #include "expansion/spectral.hpp"          // IWYU pragma: export

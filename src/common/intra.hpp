@@ -1,9 +1,9 @@
 // Intra-trial fork-join: run a fixed partition of work across a small
 // worker pool such that the result is byte-identical at every thread
 // count. for_each_chunk is also the only code in src/ that starts a
-// thread: the engine's job pool (run_jobs, engine/trial_runner.hpp) runs
-// replications and sweep jobs on it, one job per chunk, and
-// effective_intra_threads resolves that pool's `threads` knob too.
+// thread: the engine's job pool (run_jobs, engine/job_pool.hpp) runs its
+// jobs on it, one job per chunk, and effective_intra_threads resolves that
+// pool's `threads` knob too.
 //
 // The determinism recipe (DESIGN.md, "Intra-trial parallelism"): split the
 // work into chunks whose boundaries depend only on the input size — never

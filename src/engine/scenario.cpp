@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/assertx.hpp"
@@ -38,33 +40,51 @@ ChurnSpec default_churn(ModelKind model) {
   std::abort();
 }
 
-/// Aborts unless `spec` can drive `model` (the registry's CLI semantics).
-void require_compatible(const std::string& name, ModelKind model,
-                        const ChurnSpec& spec) {
+/// The unknown-name reason, listing every known scenario.
+std::string unknown_scenario(std::string_view name,
+                             const std::vector<Scenario>& known) {
+  std::string message =
+      "unknown scenario '" + std::string(name) + "'; known scenarios:";
+  for (const Scenario& scenario : known) message += " " + scenario.name();
+  return message;
+}
+
+/// Why `spec` cannot drive `model`, or nullopt when it can.
+std::optional<std::string> incompatibility(const std::string& name,
+                                           ModelKind model,
+                                           const ChurnSpec& spec) {
   switch (model) {
     case ModelKind::kStreaming:
       if (spec.kind != ChurnSpec::Kind::kStream && !spec.adversarial()) {
-        abort_scenario("scenario '" + name + "': streaming models take only "
-                       "the 'stream' schedule or an adversarial spec "
-                       "(maxdeg/mindeg/cutset/eclipse) (got '" +
-                       spec.canonical() +
-                       "'); continuous regimes run on Poisson-family bases "
-                       "(PDG/PDGR)");
+        return "scenario '" + name + "': streaming models take only "
+               "the 'stream' schedule or an adversarial spec "
+               "(maxdeg/mindeg/cutset/eclipse) (got '" +
+               spec.canonical() +
+               "'); continuous regimes run on Poisson-family bases "
+               "(PDG/PDGR)";
       }
-      return;
+      return std::nullopt;
     case ModelKind::kPoisson:
       if (!spec.continuous()) {
-        abort_scenario("scenario '" + name + "': Poisson-family models need "
-                       "a continuous churn spec (got '" + spec.canonical() +
-                       "')");
+        return "scenario '" + name + "': Poisson-family models need "
+               "a continuous churn spec (got '" + spec.canonical() + "')";
       }
-      return;
+      return std::nullopt;
     case ModelKind::kStaticDOut:
     case ModelKind::kErdosRenyi:
-      abort_scenario("scenario '" + name +
-                     "': static baselines take no churn spec");
+      return "scenario '" + name + "': static baselines take no churn spec";
   }
   CHURNET_ASSERT(false);
+  return std::nullopt;
+}
+
+/// Aborts unless `spec` can drive `model` (the registry's CLI semantics).
+void require_compatible(const std::string& name, ModelKind model,
+                        const ChurnSpec& spec) {
+  if (const std::optional<std::string> reason =
+          incompatibility(name, model, spec)) {
+    abort_scenario(*reason);
+  }
 }
 
 }  // namespace
@@ -247,25 +267,33 @@ const Scenario* ScenarioRegistry::find(std::string_view name) const {
 const Scenario& ScenarioRegistry::at(std::string_view name) const {
   const Scenario* scenario = find(name);
   if (scenario != nullptr) return *scenario;
-  std::fprintf(stderr, "unknown scenario '%.*s'; known scenarios:",
-               static_cast<int>(name.size()), name.data());
-  for (const Scenario& known : scenarios_) {
-    std::fprintf(stderr, " %s", known.name().c_str());
-  }
-  std::fprintf(stderr, "\n");
-  std::abort();
+  abort_scenario(unknown_scenario(name, scenarios_));
 }
 
 Scenario ScenarioRegistry::resolve(std::string_view name) const {
+  std::string error;
+  std::optional<Scenario> scenario = try_resolve(name, &error);
+  if (!scenario.has_value()) abort_scenario(error);
+  return std::move(*scenario);
+}
+
+std::optional<Scenario> ScenarioRegistry::try_resolve(
+    std::string_view name, std::string* error) const {
+  const auto fail = [error](std::string reason) {
+    if (error != nullptr) *error = std::move(reason);
+    return std::optional<Scenario>();
+  };
   // Registered names win outright, so pre-registered composites (and any
   // user scenario that happens to contain '+') stay addressable.
   if (const Scenario* registered = find(name)) return *registered;
   const std::vector<std::string_view> segments = split_spec_segments(name);
-  if (segments.size() == 1) return at(name);  // aborts: unknown
-  const auto die = [&name](const std::string& reason) {
-    abort_scenario("scenario '" + std::string(name) + "': " + reason);
+  const std::string_view base_name = segments.size() == 1 ? name : segments[0];
+  const Scenario* base = find(base_name);
+  if (base == nullptr) return fail(unknown_scenario(base_name, scenarios_));
+  const auto composite_error = [&name](const std::string& reason) {
+    return "scenario '" + std::string(name) + "': " + reason;
   };
-  Scenario current = at(segments[0]);
+  Scenario current = *base;
   // Each suffix segment is dispatched by its call name: churn regimes go
   // through ChurnSpec, protocol terms accumulate into one ProtocolSpec
   // ("flood+lossy(0.9)" arrives as two segments of the same spec).
@@ -274,11 +302,15 @@ Scenario ScenarioRegistry::resolve(std::string_view name) const {
   for (std::size_t i = 1; i < segments.size(); ++i) {
     const std::string head = spec_call_name(segments[i]);
     if (ChurnSpec::is_known_name(head)) {
-      if (have_churn) die("more than one churn spec");
-      std::string error;
+      if (have_churn) return fail(composite_error("more than one churn spec"));
+      std::string parse_error;
       const std::optional<ChurnSpec> spec =
-          ChurnSpec::parse(segments[i], &error);
-      if (!spec.has_value()) die(error);
+          ChurnSpec::parse(segments[i], &parse_error);
+      if (!spec.has_value()) return fail(composite_error(parse_error));
+      if (std::optional<std::string> reason =
+              incompatibility(current.name(), current.model(), *spec)) {
+        return fail(std::move(*reason));
+      }
       current = current.with_churn(*spec);
       have_churn = true;
     } else if (ProtocolSpec::is_known_name(head)) {
@@ -287,16 +319,17 @@ Scenario ScenarioRegistry::resolve(std::string_view name) const {
     } else {
       // Keep both families' diagnostics: the churn error names the known
       // regimes, and the protocol catalog is listed alongside.
-      std::string error;
-      ChurnSpec::parse(segments[i], &error);
-      die(error + "; known protocols: " + ProtocolSpec::known_names());
+      std::string parse_error;
+      ChurnSpec::parse(segments[i], &parse_error);
+      return fail(composite_error(parse_error + "; known protocols: " +
+                                  ProtocolSpec::known_names()));
     }
   }
   if (!protocol_text.empty()) {
-    std::string error;
+    std::string parse_error;
     const std::optional<ProtocolSpec> spec =
-        ProtocolSpec::parse(protocol_text, &error);
-    if (!spec.has_value()) die(error);
+        ProtocolSpec::parse(protocol_text, &parse_error);
+    if (!spec.has_value()) return fail(composite_error(parse_error));
     current = current.with_protocol(*spec);
   }
   return current;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -141,10 +142,14 @@ class ScenarioRegistry {
   /// the base is looked up and each '+'-separated suffix is parsed as a
   /// ChurnSpec ("PDGR+pareto(2.5)") or a ProtocolSpec segment
   /// ("PDGR+push(3)", "PDGR+pareto(2.5)+flood+lossy(0.9)"), dispatched by
-  /// segment name. The combined scenario is returned by value. Aborts with
-  /// the reason on unknown bases, malformed or unknown specs (listing the
-  /// known churn regimes and protocol names), or incompatible model/spec
-  /// pairs.
+  /// segment name. The combined scenario is returned by value. Returns
+  /// nullopt with the reason in `error` on unknown bases, malformed or
+  /// unknown specs (listing the known churn regimes and protocol names),
+  /// or incompatible model/spec pairs.
+  std::optional<Scenario> try_resolve(std::string_view name,
+                                      std::string* error = nullptr) const;
+
+  /// try_resolve() that aborts with the reason (for CLI paths).
   Scenario resolve(std::string_view name) const;
 
   const std::vector<Scenario>& scenarios() const { return scenarios_; }

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "common/assertx.hpp"
+#include "engine/job_pool.hpp"
 #include "engine/result_stream.hpp"
 #include "engine/sweep_journal.hpp"
-#include "engine/trial_runner.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace churnet {

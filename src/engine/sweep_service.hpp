@@ -3,7 +3,7 @@
 // count and kill/resume history (DESIGN.md decision 17).
 //
 // SweepService runs a SweepPlan's pending jobs on the engine's job pool
-// (run_jobs, engine/trial_runner.hpp), at most one thread per pending
+// (run_jobs, engine/job_pool.hpp), at most one thread per pending
 // job: first-error capture, serialized completion, fold after join.
 // Every completed row lands in the same three sinks: the in-memory
 // sample matrix (folded by job index into the SweepResult), the optional

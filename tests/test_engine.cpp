@@ -1,14 +1,15 @@
-// Tests for the experiment engine: scenario registry coverage and the
-// TrialRunner's seeding, determinism-across-thread-counts, NaN handling and
-// CSV/JSON sinks.
+// Tests for the experiment engine: scenario registry coverage and
+// resolution, and the job pool's width rule and error propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "churnet/churnet.hpp"
+#include "common/intra.hpp"
 
 namespace churnet {
 namespace {
@@ -146,6 +147,27 @@ TEST(ScenarioRegistryDeathTest, MalformedChurnSpecsDieWithReasons) {
   EXPECT_DEATH(mislabeled.make(plain), "streaming models take only");
 }
 
+TEST(ScenarioRegistry, TryResolveReturnsReasons) {
+  // The non-aborting twin of resolve(): a bad name comes back as nullopt
+  // with the reason resolve() would die with.
+  const ScenarioRegistry& registry = ScenarioRegistry::extended();
+  const std::pair<const char*, const char*> cases[] = {
+      {"PDGR+pareto(", "scenario 'PDGR+pareto(': churn spec 'pareto(': "
+                       "missing closing ')'"},
+      {"FOO", "unknown scenario 'FOO'; known scenarios: SDG SDGR PDG PDGR"},
+      {"PDGR+bogus(1)",
+       "scenario 'PDGR+bogus(1)': unknown churn regime 'bogus'"},
+      {"SDG+pareto(2.5)", "scenario 'SDG': streaming models take only"},
+      {"SDGR+massfail(0.1,1)", "scenario 'SDGR': streaming models take only"},
+  };
+  for (const auto& [name, reason] : cases) {
+    std::string error;
+    EXPECT_FALSE(registry.try_resolve(name, &error).has_value()) << name;
+    EXPECT_EQ(error.find(reason), 0u) << name << ": " << error;
+  }
+  EXPECT_FALSE(registry.try_resolve("FOO").has_value());  // error optional
+}
+
 TEST(ScenarioRegistry, ResolveBuildsChurnComposites) {
   const Scenario composite =
       ScenarioRegistry::paper().resolve("PDGR+pareto(2.5)");
@@ -200,129 +222,59 @@ TEST(ScenarioRegistry, ExtendedRegistryRegistersNewRegimes) {
   EXPECT_EQ(ScenarioRegistry::paper().scenarios().size(), 6u);
 }
 
-TEST(TrialRunner, RoutesSeedsThroughDeriveSeed) {
-  TrialRunnerOptions options;
-  options.replications = 6;
-  options.base_seed = 111;
-  options.stream = 42;
-  std::vector<std::uint64_t> seen_seeds(6, 0);
-  TrialRunner(options).run("seed_lo", [&](const TrialContext& ctx) {
-    seen_seeds[ctx.replication] = ctx.seed;
-    return static_cast<double>(ctx.seed & 0xFFFF);
-  });
-  std::set<std::uint64_t> distinct;
-  for (std::uint64_t rep = 0; rep < 6; ++rep) {
-    EXPECT_EQ(seen_seeds[rep], derive_seed(111, 42, rep)) << rep;
-    distinct.insert(seen_seeds[rep]);
-  }
-  EXPECT_EQ(distinct.size(), 6u);  // base seed never reused across reps
+TEST(JobPool, WidthIsMinOfThreadsAndJobs) {
+  EXPECT_EQ(pool_width(4, 10), 4u);
+  EXPECT_EQ(pool_width(4, 3), 3u);
+  EXPECT_EQ(pool_width(1, 10), 1u);
+  EXPECT_EQ(pool_width(4, 0), 1u);  // never narrower than one worker
+  // threads 0 = one per hardware thread, still capped by the job count.
+  EXPECT_EQ(pool_width(0, 1u << 20), effective_intra_threads(0));
+  EXPECT_EQ(pool_width(0, 1), 1u);
 }
 
-TEST(TrialRunner, DeterministicAcrossThreadCounts) {
-  // A real simulation workload: flooding completion on SDGR, all
-  // randomness derived from ctx.seed.
-  const auto body = [](const TrialContext& ctx) {
-    ScenarioParams params;
-    params.n = 200;
-    params.d = 21;
-    params.seed = ctx.seed;
-    AnyNetwork net =
-        ScenarioRegistry::paper().at("SDGR").make_warmed(params);
-    ProtocolScratch scratch;
-    const FloodTrace trace = net.flood({}, scratch);
-    return std::vector<double>{
-        trace.completed ? static_cast<double>(trace.completion_step)
-                        : std::nan(""),
-        static_cast<double>(trace.peak_informed)};
-  };
-
-  TrialRunnerOptions serial;
-  serial.replications = 12;
-  serial.threads = 1;
-  serial.base_seed = 2024;
-  serial.stream = 7;
-  TrialRunnerOptions parallel = serial;
-  parallel.threads = 4;
-
-  const TrialResult a =
-      TrialRunner(serial).run({"completion", "peak"}, body);
-  const TrialResult b =
-      TrialRunner(parallel).run({"completion", "peak"}, body);
-
-  ASSERT_EQ(a.samples().size(), b.samples().size());
-  for (std::size_t r = 0; r < a.samples().size(); ++r) {
-    ASSERT_EQ(a.samples()[r].size(), b.samples()[r].size());
-    for (std::size_t m = 0; m < a.samples()[r].size(); ++m) {
-      const double x = a.samples()[r][m];
-      const double y = b.samples()[r][m];
-      if (std::isnan(x)) {
-        EXPECT_TRUE(std::isnan(y));
-      } else {
-        EXPECT_EQ(x, y) << "rep " << r << " metric " << m;
-      }
-    }
-  }
-  for (const char* metric : {"completion", "peak"}) {
-    EXPECT_EQ(a.stats(metric).count(), b.stats(metric).count());
-    EXPECT_DOUBLE_EQ(a.stats(metric).mean(), b.stats(metric).mean());
-    EXPECT_DOUBLE_EQ(a.stats(metric).stddev(), b.stats(metric).stddev());
-  }
-  EXPECT_EQ(b.threads_used(), 4u);
-}
-
-TEST(TrialRunner, NanSamplesAreExcludedFromStatsButKeptInSamples) {
-  TrialRunnerOptions options;
-  options.replications = 10;
-  const TrialResult result =
-      TrialRunner(options).run("even_only", [](const TrialContext& ctx) {
-        return ctx.replication % 2 == 0
-                   ? static_cast<double>(ctx.replication)
-                   : std::nan("");
-      });
-  EXPECT_EQ(result.stats("even_only").count(), 5u);
-  EXPECT_DOUBLE_EQ(result.stats("even_only").mean(), 4.0);  // 0,2,4,6,8
-  EXPECT_EQ(result.samples().size(), 10u);
-  EXPECT_TRUE(std::isnan(result.samples()[1][0]));
-}
-
-TEST(TrialRunner, BodyExceptionsPropagate) {
+TEST(JobPool, BodyExceptionsPropagate) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    TrialRunnerOptions options;
-    options.replications = 4;
-    options.threads = threads;
     std::atomic<int> calls{0};
-    EXPECT_THROW(
-        TrialRunner(options).run("boom",
-                                 [&calls](const TrialContext& ctx) -> double {
-                                   ++calls;
-                                   if (ctx.replication == 2) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                   return 0.0;
-                                 }),
-        std::runtime_error)
+    EXPECT_THROW(run_jobs(
+                     4, threads,
+                     [&calls](std::uint64_t job) {
+                       ++calls;
+                       if (job == 2) throw std::runtime_error("boom");
+                       return std::vector<double>{0.0};
+                     },
+                     [](std::uint64_t, std::vector<double>&&) {}),
+                 std::runtime_error)
         << threads << " threads";
-    // Inline at width 1: replications run in order, and none starts after
-    // replication 2 threw.
+    // Inline at width 1: jobs run in order, and none starts after job 2
+    // threw.
     if (threads == 1) {
       EXPECT_EQ(calls.load(), 3);
     }
   }
 }
 
-TEST(TrialRunner, ToTableHasOneRowPerMetric) {
-  TrialRunnerOptions options;
-  options.replications = 3;
-  const TrialResult result = TrialRunner(options).run(
-      {"x", "y"}, [](const TrialContext& ctx) {
-        return std::vector<double>{static_cast<double>(ctx.replication),
-                                   ctx.replication == 1
-                                       ? std::nan("")
-                                       : 10.0};
-      });
-
-  Table table = result.to_table();
-  EXPECT_EQ(table.row_count(), 2u);
+TEST(JobPool, CompletionHookExceptionsPropagate) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    std::atomic<int> calls{0};
+    std::vector<std::uint64_t> completed;  // the hook runs under one mutex
+    EXPECT_THROW(run_jobs(
+                     4, threads,
+                     [&calls](std::uint64_t job) {
+                       ++calls;
+                       return std::vector<double>{static_cast<double>(job)};
+                     },
+                     [&completed](std::uint64_t job, std::vector<double>&&) {
+                       if (job == 1) throw std::runtime_error("hook");
+                       completed.push_back(job);
+                     }),
+                 std::runtime_error)
+        << threads << " threads";
+    // Inline at width 1: job 1's hook throws, so job 2 never starts.
+    if (threads == 1) {
+      EXPECT_EQ(calls.load(), 2);
+      EXPECT_EQ(completed, std::vector<std::uint64_t>{0});
+    }
+  }
 }
 
 }  // namespace

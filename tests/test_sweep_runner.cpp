@@ -337,5 +337,26 @@ TEST(Sweep, TableHasOneRowPerCell) {
   EXPECT_EQ(result.to_table().row_count(), 4u);
 }
 
+TEST(SweepResult, NanSamplesAreExcludedFromStatsButKeptInSamples) {
+  // NaN marks a missing observation (a run that never completed): the fold
+  // keeps it in samples() and leaves it out of stats().
+  SweepSpec spec;
+  spec.scenarios = {"SDGR"};
+  spec.n_values = {100};
+  spec.d_values = {4};
+  spec.metrics = {"alive", "completion_step"};
+  spec.replications = 4;
+  const SweepPlan plan(spec, ScenarioRegistry::paper());
+  const double nan = std::nan("");
+  const SweepResult result = plan.fold(
+      {{100.0, 3.0}, {100.0, nan}, {100.0, 5.0}, {100.0, nan}}, 0.0, 1);
+  EXPECT_EQ(result.stats(0, 0).count(), 4u);
+  EXPECT_EQ(result.stats(0, 1).count(), 2u);
+  EXPECT_DOUBLE_EQ(result.stats(0, 1).mean(), 4.0);
+  ASSERT_EQ(result.samples()[0].size(), 4u);
+  EXPECT_TRUE(std::isnan(result.samples()[0][1][1]));
+  EXPECT_TRUE(std::isnan(result.samples()[0][3][1]));
+}
+
 }  // namespace
 }  // namespace churnet

@@ -227,7 +227,17 @@ int main(int argc, char** argv) {
                  "(see --help)\n");
     return 1;
   }
-  if (const std::optional<std::string> reason = spec.validate()) {
+  // Scenario names are checked here too, so a bad one exits 1 with its
+  // reason instead of aborting when the sweep resolves it.
+  std::optional<std::string> reason = spec.validate();
+  for (std::size_t i = 0; !reason.has_value() && i < spec.scenarios.size();
+       ++i) {
+    std::string error;
+    if (!ScenarioRegistry::extended().try_resolve(spec.scenarios[i], &error)) {
+      reason = error;
+    }
+  }
+  if (reason.has_value()) {
     std::fprintf(stderr, "invalid sweep spec: %s\n", reason->c_str());
     std::cerr << '\n';
     print_spec_catalogs(std::cerr);
