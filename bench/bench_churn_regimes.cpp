@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       "bursty(4,0.5)", "drift(2)",   "drift(0.5)"};
 
   // Part 1: demography. One long run per regime; lifetimes and final size
-  // observed through hooks.
+  // observed through step()'s event reports.
   Table demography({"regime", "mean lifetime", "expected", "final size",
                     "expected size", "verdict"});
   for (std::size_t i = 0; i < regimes.size(); ++i) {
@@ -64,14 +64,22 @@ int main(int argc, char** argv) {
     config.churn = *ChurnSpec::parse(regime);
     PoissonNetwork net(config);
     OnlineStats lifetimes;
-    NetworkHooks hooks;
-    hooks.on_death = [&](NodeId node, double time) {
-      lifetimes.add(time - net.graph().birth_time(node));
-    };
-    net.set_hooks(std::move(hooks));
-    net.warm_up(10.0);          // the drift schedule's stationary phase
-    net.run_until(net.now() + 5.0 * n);  // measurement window
-    net.set_hooks({});
+    std::vector<double> birth_time;  // by slot
+    // Warm-up (the drift schedule's stationary phase), then the
+    // measurement window; each barrier also applies the event past it.
+    const double warm = net.churn().warm_up_time(10.0);
+    for (const double barrier : {warm, warm + 5.0 * n}) {
+      while (net.now() < barrier) {
+        const auto event = net.step();
+        const std::uint32_t slot = event.node.slot;
+        if (event.kind == ChurnEvent::Kind::kBirth) {
+          if (birth_time.size() <= slot) birth_time.resize(slot + 1);
+          birth_time[slot] = event.time;
+        } else {
+          lifetimes.add(event.time - birth_time[slot]);
+        }
+      }
+    }
 
     const double size = static_cast<double>(net.graph().alive_count());
     // Expected mean lifetime: n wherever the law fixes it. The bursty

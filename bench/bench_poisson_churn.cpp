@@ -13,8 +13,32 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "churnet/churnet.hpp"
+
+namespace {
+
+/// Steps `net` one event at a time until its clock reaches `barrier`, so
+/// the event that crosses the barrier is applied too. Each birth stamps
+/// its slot in `birth_time`; each death passes the victim's lifetime to
+/// `on_death`.
+template <typename OnDeath>
+void step_until(churnet::PoissonNetwork& net, double barrier,
+                std::vector<double>& birth_time, const OnDeath& on_death) {
+  while (net.now() < barrier) {
+    const auto event = net.step();
+    const std::uint32_t slot = event.node.slot;
+    if (event.kind == churnet::ChurnEvent::Kind::kBirth) {
+      if (birth_time.size() <= slot) birth_time.resize(slot + 1);
+      birth_time[slot] = event.time;
+    } else {
+      on_death(event.time - birth_time[slot]);
+    }
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace churnet;
@@ -35,20 +59,16 @@ int main(int argc, char** argv) {
 
   PoissonNetwork net(PoissonConfig::with_n(n, 1, EdgePolicy::kNone, seed));
 
-  // Observe lifetimes and birth/death counts via hooks over a long horizon.
+  // Observe lifetimes and birth/death counts from the event reports over a
+  // long horizon.
   OnlineStats lifetimes;
-  std::uint64_t births = 0;
-  std::uint64_t deaths = 0;
-  NetworkHooks hooks;
-  hooks.on_birth = [&](NodeId, double) { ++births; };
-  hooks.on_death = [&](NodeId node, double time) {
-    ++deaths;
-    lifetimes.add(time - net.graph().birth_time(node));
+  std::vector<double> birth_time;
+  const auto add_lifetime = [&lifetimes](double lifetime) {
+    lifetimes.add(lifetime);
   };
-  net.set_hooks(std::move(hooks));
 
   // Warm-up to t = 3n, then sample the band over many checkpoints.
-  net.run_until(3.0 * n);
+  step_until(net, 3.0 * n, birth_time, add_lifetime);
   std::uint64_t in_band = 0;
   std::uint64_t max_size = 0;
   std::uint64_t min_size = ~std::uint64_t{0};
@@ -56,8 +76,12 @@ int main(int argc, char** argv) {
   const double horizon = 7.0 * static_cast<double>(n) * std::log(n);
   const double step = (horizon - 3.0 * n) / kCheckpoints;
   double max_age = 0.0;
+  // Barriers are absolute, so the event each one also applies does not
+  // shift the next.
+  double barrier = 3.0 * n;
   for (int checkpoint = 0; checkpoint < kCheckpoints; ++checkpoint) {
-    net.run_until(net.now() + step);
+    barrier += step;
+    step_until(net, barrier, birth_time, add_lifetime);
     const std::uint64_t size = net.graph().alive_count();
     in_band += (size >= 0.9 * n && size <= 1.1 * n) ? 1 : 0;
     max_size = std::max(max_size, size);
@@ -66,7 +90,10 @@ int main(int argc, char** argv) {
   for (const NodeId node : net.graph().alive_nodes()) {
     max_age = std::max(max_age, net.age(node));
   }
-  net.set_hooks({});
+  // The network only ever moved through step_until, so every birth and
+  // death was observed.
+  const std::uint64_t births = net.graph().total_births();
+  const std::uint64_t deaths = lifetimes.count();
 
   const double birth_fraction =
       static_cast<double>(births) / static_cast<double>(births + deaths);
@@ -101,14 +128,10 @@ int main(int argc, char** argv) {
   PoissonNetwork net2(
       PoissonConfig::with_n(n, 1, EdgePolicy::kNone, seed + 1));
   std::vector<double> observed;
-  NetworkHooks hooks2;
-  hooks2.on_death = [&](NodeId node, double time) {
-    observed.push_back((time - net2.graph().birth_time(node)) /
-                       static_cast<double>(n));
-  };
-  net2.set_hooks(std::move(hooks2));
-  net2.run_until(30.0 * n);
-  net2.set_hooks({});
+  std::vector<double> birth_time2;
+  step_until(net2, 30.0 * n, birth_time2, [&](double lifetime) {
+    observed.push_back(lifetime / static_cast<double>(n));
+  });
   for (const double k : {0.5, 1.0, 2.0, 3.0}) {
     std::uint64_t above = 0;
     for (const double lifetime : observed) above += lifetime > k ? 1 : 0;

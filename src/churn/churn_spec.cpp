@@ -96,8 +96,8 @@ std::vector<std::pair<std::string, std::string>> ChurnSpec::catalog() {
        "kills floor(p*alive) at once every T lifetimes, p in (0,1), T > 0 "
        "(defaults 0.1, 1); Poisson-family models only"},
       {"flashcrowd(f,T)",
-       "births floor(f*alive) at once every T lifetimes, f > 0, T > 0 "
-       "(defaults 0.1, 1); Poisson-family models only"},
+       "births floor(f*alive) at once every T lifetimes, f > 0, T > 0, "
+       "(1+f)e^-T < 1 (defaults 0.1, 1); Poisson-family models only"},
   };
 }
 
@@ -302,6 +302,17 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
       if (!(spec.b > 0.0)) {
         fail(error, "flashcrowd period must be > 0 lifetimes (got " +
                         fmt_fixed(spec.b, 3) + ")");
+        return std::nullopt;
+      }
+      // Between bursts the population's distance from n shrinks by e^-T,
+      // and each burst multiplies the population by (1+f): the burst tops
+      // converge only if (1+f)e^-T < 1, i.e. ln(1+f) < T.
+      if (!(std::log1p(spec.a) < spec.b)) {
+        fail(error, "flashcrowd has no stationary population unless "
+                    "(1+f)e^-T < 1, i.e. T > ln(1+f) lifetimes (got f=" +
+                        fmt_sci(spec.a) + ", T=" + fmt_sci(spec.b) +
+                        "); the burst-top population would grow without "
+                        "bound");
         return std::nullopt;
       }
       return spec;

@@ -49,6 +49,7 @@
 #include "common/assertx.hpp"
 #include "common/bitset64.hpp"
 #include "common/intra.hpp"
+#include "graph/change_feed.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/node_id.hpp"
 
@@ -99,7 +100,7 @@ struct FloodTrace {
   std::uint64_t step_reaching_fraction(double fraction) const;
 };
 
-/// An out-edge created while the driver was watching (via hooks).
+/// An out-edge created while the driver was watching (a kEdgeSet delta).
 struct CreatedEdge {
   NodeId owner;
   NodeId target;
@@ -273,6 +274,9 @@ class FloodScratch {
   std::vector<NodeId> neighbors;
   std::vector<CreatedEdge> created;
   std::vector<std::pair<NodeId, NodeId>> candidates;  // (sender, receiver)
+  // The driver's change feed, attached to the graph for one run and
+  // drained into `created` and the death set after every churn step.
+  ChangeFeed feed;
 
   // Slot-path buffers (slot-only mirrors of the above).
   std::vector<std::uint32_t> frontier_slots;

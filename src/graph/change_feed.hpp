@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "graph/node_id.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace churnet {
 
@@ -75,23 +74,19 @@ class ChangeFeed {
   // ---- recording interface (called by DynamicGraph) --------------------
 
   void record_birth(NodeId node, std::uint32_t out_slots, double time) {
-    telemetry::count(telemetry::Counter::kDeltas);
     deltas_.push_back(
         GraphDelta{GraphDelta::Kind::kBirth, out_slots, node, kInvalidNode,
                    time});
   }
   void record_death(NodeId node) {
-    telemetry::count(telemetry::Counter::kDeltas);
     deltas_.push_back(
         GraphDelta{GraphDelta::Kind::kDeath, 0, node, kInvalidNode, 0.0});
   }
   void record_edge_set(NodeId owner, std::uint32_t index, NodeId target) {
-    telemetry::count(telemetry::Counter::kDeltas);
     deltas_.push_back(
         GraphDelta{GraphDelta::Kind::kEdgeSet, index, owner, target, 0.0});
   }
   void record_edge_clear(NodeId owner, std::uint32_t index, NodeId target) {
-    telemetry::count(telemetry::Counter::kDeltas);
     deltas_.push_back(
         GraphDelta{GraphDelta::Kind::kEdgeClear, index, owner, target, 0.0});
   }

@@ -1,12 +1,7 @@
-// Edge-dynamics policy shared by the streaming and Poisson models, and the
-// observer hooks through which processes (flooding, instrumentation)
-// subscribe to topology changes.
+// Edge-dynamics policy shared by the streaming and Poisson models.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-
-#include "graph/node_id.hpp"
 
 namespace churnet {
 
@@ -14,20 +9,6 @@ namespace churnet {
 enum class EdgePolicy : std::uint8_t {
   kNone,        // edges are created only at birth and die with endpoints
   kRegenerate,  // an out-edge whose target dies is instantly redrawn
-};
-
-/// Observer callbacks invoked by the network models. All hooks are optional.
-/// Hooks must not mutate the network from inside a callback.
-struct NetworkHooks {
-  /// After a node was born and its initial requests were wired.
-  std::function<void(NodeId node, double time)> on_birth;
-  /// Just before a dying node is detached from the graph.
-  std::function<void(NodeId node, double time)> on_death;
-  /// After an out-edge (owner's request `index`) was pointed at `target`.
-  /// `regenerated` distinguishes birth-time wiring from regeneration.
-  std::function<void(NodeId owner, std::uint32_t index, NodeId target,
-                     bool regenerated, double time)>
-      on_edge_created;
 };
 
 }  // namespace churnet

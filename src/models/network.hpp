@@ -4,8 +4,9 @@
 // churn-free static baselines — exposes the same surface, captured by the
 // DynamicNetwork concept: advance one churn step, run to a model time,
 // warm up to stationarity, observe the alive graph, capture snapshots,
-// install hooks, and access the model's RNG. Processes and the experiment
-// engine are written once against this concept instead of per model.
+// attach a change feed, and access the model's RNG. Processes and the
+// experiment engine are written once against this concept instead of per
+// model.
 //
 // AnyNetwork type-erases the concept for runtime scenario selection (the
 // ScenarioRegistry hands out AnyNetwork instances chosen by name). It also
@@ -26,13 +27,12 @@
 #include "common/rng.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/snapshot.hpp"
-#include "models/edge_policy.hpp"
 #include "protocols/dissemination.hpp"
 
 namespace churnet {
 
 /// A dynamic network model: churn steps, run-to-time, warm-up, alive-graph
-/// access, snapshots, observer hooks, and a per-model RNG stream.
+/// access, snapshots, a change feed, and a per-model RNG stream.
 ///
 /// `step()` executes the model's smallest churn unit (a streaming round, a
 /// Poisson event); its return value is model-specific and not part of the
@@ -40,11 +40,10 @@ namespace churnet {
 /// discrete models, t is a round count.
 template <typename Net>
 concept DynamicNetwork = requires(Net& net, const Net& cnet, double time,
-                                  NetworkHooks hooks, ChangeFeed* feed) {
+                                  ChangeFeed* feed) {
   net.step();
   net.run_until(time);
   net.warm_up();
-  net.set_hooks(std::move(hooks));
   net.attach_change_feed(feed);
   { net.rng() } -> std::same_as<Rng&>;
   { cnet.graph() } -> std::same_as<const DynamicGraph&>;
@@ -79,7 +78,6 @@ class AnyNetwork {
   void step() { checked().step(); }
   void run_until(double time) { checked().run_until(time); }
   void warm_up() { checked().warm_up(); }
-  void set_hooks(NetworkHooks hooks) { checked().set_hooks(std::move(hooks)); }
   void attach_change_feed(ChangeFeed* feed) {
     checked().attach_change_feed(feed);
   }
@@ -130,7 +128,6 @@ class AnyNetwork {
     virtual void step() = 0;
     virtual void run_until(double time) = 0;
     virtual void warm_up() = 0;
-    virtual void set_hooks(NetworkHooks hooks) = 0;
     virtual void attach_change_feed(ChangeFeed* feed) = 0;
     virtual Rng& rng() = 0;
     virtual const DynamicGraph& graph() const = 0;
@@ -147,9 +144,6 @@ class AnyNetwork {
     void step() override { net.step(); }
     void run_until(double time) override { net.run_until(time); }
     void warm_up() override { net.warm_up(); }
-    void set_hooks(NetworkHooks hooks) override {
-      net.set_hooks(std::move(hooks));
-    }
     void attach_change_feed(ChangeFeed* feed) override {
       net.attach_change_feed(feed);
     }

@@ -54,10 +54,8 @@ PoissonNetwork::EventReport PoissonNetwork::apply(
   const WiringLimits limits{config_.max_in_degree, 8};
   if (event.is_birth) {
     const NodeId born = graph_.add_node(config_.d, event.time);
-    detail::issue_initial_requests(graph_, rng_, born, hooks_, event.time,
-                                   limits);
+    detail::issue_initial_requests(graph_, rng_, born, limits);
     churn_->on_birth(born, event.time);
-    if (hooks_.on_birth) hooks_.on_birth(born, event.time);
     report.node = born;
     return report;
   }
@@ -77,11 +75,10 @@ PoissonNetwork::EventReport PoissonNetwork::apply(
     victim = graph_.random_alive(rng_);
   }
   CHURNET_ASSERT(graph_.is_alive(victim));
-  if (hooks_.on_death) hooks_.on_death(victim, event.time);
   graph_.remove_node(victim, removal_scratch_);
   if (config_.policy == EdgePolicy::kRegenerate) {
     detail::regenerate_requests(graph_, rng_, removal_scratch_.orphans,
-                                hooks_, event.time, limits);
+                                limits);
   }
   churn_->on_death(victim, event.time);
   report.node = victim;

@@ -96,8 +96,6 @@ class PoissonNetwork {
   const ChurnProcess& churn() const { return *churn_; }
   Rng& rng() { return rng_; }
 
-  void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
-
   /// Attaches a caller-owned change feed to the underlying graph so every
   /// churn mutation records a GraphDelta (graph/change_feed.hpp);
   /// nullptr detaches.
@@ -114,7 +112,6 @@ class PoissonNetwork {
   std::unique_ptr<ChurnProcess> churn_;
   DynamicGraph graph_;
   Rng rng_;
-  NetworkHooks hooks_;
   RemovalScratch removal_scratch_;  // reused across events; zero-alloc deaths
   double now_ = 0.0;
   std::uint64_t events_ = 0;

@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/snapshot.hpp"
-#include "models/edge_policy.hpp"
 
 namespace churnet {
 
@@ -61,9 +60,6 @@ class StaticNetwork {
   const StaticConfig& config() const { return config_; }
   Rng& rng() { return rng_; }
 
-  /// Hooks are accepted for interface parity but never fire (no churn).
-  void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
-
   /// Attaches a caller-owned change feed to the underlying graph so every
   /// churn mutation records a GraphDelta (graph/change_feed.hpp);
   /// nullptr detaches.
@@ -75,7 +71,6 @@ class StaticNetwork {
   StaticConfig config_;
   DynamicGraph graph_;
   Rng rng_;
-  NetworkHooks hooks_;
   double now_ = 0.0;
 };
 

@@ -48,11 +48,10 @@ StreamingNetwork::RoundReport StreamingNetwork::step() {
       victim = event.victim_id;
     }
     report.died = victim;
-    if (hooks_.on_death) hooks_.on_death(victim, event.time);
     graph_.remove_node(victim, removal_scratch_);
     if (config_.policy == EdgePolicy::kRegenerate) {
       detail::regenerate_requests(graph_, rng_, removal_scratch_.orphans,
-                                  hooks_, event.time, limits);
+                                  limits);
     }
     churn.on_death(victim, event.time);
     event = churn.next(graph_.alive_count());
@@ -60,10 +59,8 @@ StreamingNetwork::RoundReport StreamingNetwork::step() {
   CHURNET_ASSERT(event.is_birth);
 
   const NodeId born = graph_.add_node(config_.d, event.time);
-  detail::issue_initial_requests(graph_, rng_, born, hooks_, event.time,
-                                 limits);
+  detail::issue_initial_requests(graph_, rng_, born, limits);
   churn.on_birth(born, event.time);
-  if (hooks_.on_birth) hooks_.on_birth(born, event.time);
 
   report.round = churn_.round();
   report.born = born;
@@ -83,15 +80,10 @@ void StreamingNetwork::run_growth_phase() {
   // Depth-guarded: records only when not already inside a make_warmed span.
   const telemetry::PhaseTimer span(telemetry::Phase::kGenesis);
   CHURNET_EXPECTS(churn_.round() == 0 && graph_.alive_count() == 0);
-  const bool hooked = static_cast<bool>(hooks_.on_birth) ||
-                      static_cast<bool>(hooks_.on_death) ||
-                      static_cast<bool>(hooks_.on_edge_created);
-  if (config_.max_in_degree != 0 || hooked ||
-      graph_.change_feed() != nullptr) {
-    // Bounded wiring interleaves draws with in-degree reads, hooks observe
-    // per-edge order within the round, and an attached change feed records
-    // per-edge deltas the bulk path cannot emit: all three need the exact
-    // sequential round loop.
+  if (config_.max_in_degree != 0 || graph_.change_feed() != nullptr) {
+    // Bounded wiring interleaves draws with in-degree reads, and an
+    // attached change feed records per-edge deltas the bulk path cannot
+    // emit: both need the exact sequential round loop.
     run_rounds(config_.n);
     return;
   }

@@ -75,7 +75,7 @@ class StreamingNetwork {
   /// Runs rounds 1..n — the pure-growth phase in which every round is a
   /// birth and nobody dies. Produces a graph (and RNG/churn state)
   /// identical to run_rounds(n) from round 0, but in the paper's unbounded
-  /// models with no hooks installed it records the n·d wiring draws
+  /// models with no change feed attached it records the n·d wiring draws
   /// serially and installs them through DynamicGraph::bulk_wire_genesis —
   /// a cache-blocked streaming pass (optionally sharded over
   /// config.intra_threads workers) instead of n·d random-access inserts.
@@ -103,9 +103,6 @@ class StreamingNetwork {
   const StreamingConfig& config() const { return config_; }
   Rng& rng() { return rng_; }
 
-  /// Installs observer hooks (replacing any previous ones).
-  void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
-
   /// Attaches a caller-owned change feed to the underlying graph so every
   /// churn mutation records a GraphDelta (graph/change_feed.hpp);
   /// nullptr detaches.
@@ -118,7 +115,6 @@ class StreamingNetwork {
   StreamingChurn churn_;
   DynamicGraph graph_;
   Rng rng_;
-  NetworkHooks hooks_;
   RemovalScratch removal_scratch_;  // reused across rounds; zero-alloc deaths
 };
 

@@ -12,7 +12,6 @@
 
 #include "common/rng.hpp"
 #include "graph/dynamic_graph.hpp"
-#include "models/edge_policy.hpp"
 
 namespace churnet {
 
@@ -72,14 +71,12 @@ inline constexpr std::uint32_t kWiringTile = 16;
 /// time. In unbounded mode a request's target depends only on the alive set
 /// and the RNG stream, and wiring earlier requests changes neither, so a
 /// tile's draws can all be issued (prefetching each target's in-list insert
-/// position) before its edges are written: draw order, edge order and hook
-/// order are identical to the one-at-a-time loop, batching only overlaps
-/// the misses. `slot_at(i)` names the i-th out-slot to fill.
+/// position) before its edges are written: draw order and edge order are
+/// identical to the one-at-a-time loop, batching only overlaps the misses.
+/// `slot_at(i)` names the i-th out-slot to fill.
 template <typename SlotAt>
 inline void wire_uniform_tiled(DynamicGraph& graph, Rng& rng,
-                               std::size_t count, const SlotAt& slot_at,
-                               bool regenerated, const NetworkHooks& hooks,
-                               double now) {
+                               std::size_t count, const SlotAt& slot_at) {
   NodeId targets[kWiringTile];
   for (std::size_t base = 0; base < count; base += kWiringTile) {
     const auto tile = static_cast<std::uint32_t>(
@@ -92,35 +89,24 @@ inline void wire_uniform_tiled(DynamicGraph& graph, Rng& rng,
       if (!targets[t].valid()) continue;  // no other node alive
       const OutSlotRef slot = slot_at(base + t);
       graph.set_out_edge(slot.owner, slot.index, targets[t]);
-      if (hooks.on_edge_created) {
-        hooks.on_edge_created(slot.owner, slot.index, targets[t],
-                              regenerated, now);
-      }
     }
   }
 }
 
 /// Wires every dangling out-slot of `owner` to a uniform random other node.
 inline void issue_initial_requests(DynamicGraph& graph, Rng& rng, NodeId owner,
-                                   const NetworkHooks& hooks, double now,
                                    const WiringLimits& limits = {}) {
   const std::uint32_t slots = graph.out_slot_count(owner);
   if (limits.max_in_degree == 0) {
-    wire_uniform_tiled(
-        graph, rng, slots,
-        [owner](std::size_t i) {
-          return OutSlotRef{owner, static_cast<std::uint32_t>(i)};
-        },
-        /*regenerated=*/false, hooks, now);
+    wire_uniform_tiled(graph, rng, slots, [owner](std::size_t i) {
+      return OutSlotRef{owner, static_cast<std::uint32_t>(i)};
+    });
     return;
   }
   for (std::uint32_t i = 0; i < slots; ++i) {
     const NodeId target = draw_target(graph, rng, owner, limits);
     if (!target.valid()) continue;  // no acceptable target: stays dangling
     graph.set_out_edge(owner, i, target);
-    if (hooks.on_edge_created) {
-      hooks.on_edge_created(owner, i, target, /*regenerated=*/false, now);
-    }
   }
 }
 
@@ -130,23 +116,16 @@ inline void issue_initial_requests(DynamicGraph& graph, Rng& rng, NodeId owner,
 /// same owners (they can only exist in the bounded-degree extension).
 inline void regenerate_requests(DynamicGraph& graph, Rng& rng,
                                 std::span<const OutSlotRef> orphans,
-                                const NetworkHooks& hooks, double now,
                                 const WiringLimits& limits = {}) {
   if (limits.max_in_degree == 0) {
-    wire_uniform_tiled(
-        graph, rng, orphans.size(),
-        [orphans](std::size_t i) { return orphans[i]; },
-        /*regenerated=*/true, hooks, now);
+    wire_uniform_tiled(graph, rng, orphans.size(),
+                       [orphans](std::size_t i) { return orphans[i]; });
     return;
   }
   for (const OutSlotRef& orphan : orphans) {
     const NodeId target = draw_target(graph, rng, orphan.owner, limits);
     if (!target.valid()) continue;
     graph.set_out_edge(orphan.owner, orphan.index, target);
-    if (hooks.on_edge_created) {
-      hooks.on_edge_created(orphan.owner, orphan.index, target,
-                            /*regenerated=*/true, now);
-    }
   }
   for (const OutSlotRef& orphan : orphans) {
     const std::uint32_t slots = graph.out_slot_count(orphan.owner);
@@ -155,10 +134,6 @@ inline void regenerate_requests(DynamicGraph& graph, Rng& rng,
       const NodeId target = draw_target(graph, rng, orphan.owner, limits);
       if (!target.valid()) break;
       graph.set_out_edge(orphan.owner, i, target);
-      if (hooks.on_edge_created) {
-        hooks.on_edge_created(orphan.owner, i, target,
-                              /*regenerated=*/true, now);
-      }
     }
   }
 }

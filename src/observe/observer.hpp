@@ -237,6 +237,7 @@ class ObserverSet {
   void on_deltas(const DynamicGraph& graph,
                  std::span<const GraphDelta> deltas, double now) {
     const telemetry::PhaseTimer span(telemetry::Phase::kDeltaFold);
+    telemetry::count(telemetry::Counter::kDeltas, deltas.size());
     for (const GraphDelta& delta : deltas) {
       if (delta.kind == GraphDelta::Kind::kBirth) {
         pending_births_.push_back(delta);

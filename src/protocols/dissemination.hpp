@@ -35,7 +35,7 @@
 #include <utility>
 
 #include "common/assertx.hpp"
-#include "models/edge_policy.hpp"
+#include "graph/change_feed.hpp"
 #include "protocols/gossip.hpp"
 #include "protocols/protocol.hpp"
 #include "telemetry/telemetry.hpp"
@@ -121,8 +121,10 @@ void commit_pairs(const DynamicGraph& graph, ProtocolScratch& scratch,
 /// semantic step per dissemination step. All allocations are reused
 /// across calls through `scratch`, and the protocol is reset via
 /// begin_run, so one (protocol, scratch) pair serves a whole replication
-/// loop without steady-state allocation. The driver installs its own
-/// network hooks for the duration of the call and clears them on return.
+/// loop without steady-state allocation. The driver watches churn through
+/// the graph's change feed: it attaches scratch.flood.feed for the duration
+/// of the call and detaches it on return. A graph holds one feed, so none
+/// may be attached on entry.
 template <typename Net>
 ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
                                    const ProtocolOptions& options,
@@ -148,20 +150,35 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
                      candidates != Candidates::kEvery && delivery_q >= 1.0;
 
   NodeId source = kInvalidNode;
-  NetworkHooks hooks;
-  hooks.on_birth = [&source](NodeId node, double) {
-    if (!source.valid()) source = node;
+  CHURNET_EXPECTS(net.graph().change_feed() == nullptr);
+  net.attach_change_feed(&fs.feed);
+  // Moves the last churn step's mutations into the driver's state: the
+  // first newborn, the deaths and the created edges.
+  const auto drain_feed = [&] {
+    for (const GraphDelta& delta : fs.feed.deltas()) {
+      switch (delta.kind) {
+        case GraphDelta::Kind::kBirth:
+          if (!source.valid()) source = delta.node;
+          break;
+        case GraphDelta::Kind::kDeath:
+          fs.note_death(delta.node);
+          break;
+        case GraphDelta::Kind::kEdgeSet:
+          fs.created.push_back({delta.node, delta.target});
+          break;
+        case GraphDelta::Kind::kEdgeClear:
+          break;
+      }
+    }
+    fs.feed.clear();
   };
-  hooks.on_edge_created = [&fs](NodeId owner, std::uint32_t, NodeId target,
-                                bool, double) {
-    fs.created.push_back({owner, target});
-  };
-  hooks.on_death = [&fs](NodeId node, double) { fs.note_death(node); };
-  net.set_hooks(std::move(hooks));
 
   if constexpr (Semantics::kSourceIsNewborn) {
     // The paper's convention: flooding starts from the node joining at t0.
-    while (!source.valid()) net.step();
+    while (!source.valid()) {
+      net.step();
+      drain_feed();
+    }
   } else {
     CHURNET_EXPECTS(net.graph().alive_count() > 0);
     source = net.graph().random_alive(net.rng());
@@ -213,8 +230,9 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
     fs.created.clear();
     fs.clear_deaths();
 
-    // One semantic step of churn; hooks record deaths and new edges.
+    // One semantic step of churn; its feed records deaths and new edges.
     Semantics::advance(net);
+    drain_feed();
 
     for (const NodeId dead : fs.deaths()) {
       fs.unmark_informed(dead);
@@ -272,7 +290,7 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
     }
   }
 
-  net.set_hooks({});
+  net.attach_change_feed(nullptr);
   stats.rounds = trace.steps;
   stats.completed = trace.completed;
   stats.final_coverage = trace.final_fraction;

@@ -60,7 +60,7 @@ inline constexpr std::size_t kPhaseCount = 6;
 
 enum class Counter : std::uint8_t {
   kChurnEvents = 0,  // node births + deaths (DynamicGraph mutations)
-  kDeltas,           // GraphDeltas recorded into change feeds
+  kDeltas,           // GraphDeltas folded by ObserverSet::on_deltas
   kMessages,         // dissemination messages (transmissions + probes)
   kSnapshotBytes,    // bytes materialized into dense snapshots
   kSnapshots,        // dense snapshot builds/updates

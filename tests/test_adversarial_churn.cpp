@@ -421,6 +421,29 @@ TEST(AdversaryPolicy, BudgetBoundariesDrawNothingAndInteriorMatchesRate) {
 
 // ---- integration oracles on the real networks -------------------------------
 
+/// (node, total degree) of every alive node, taken before a step: the
+/// graph the step's victim is chosen from (a Poisson step is one event,
+/// and a streaming round's death comes before its birth).
+std::vector<std::pair<NodeId, std::uint32_t>> alive_degrees(
+    const DynamicGraph& graph) {
+  std::vector<std::pair<NodeId, std::uint32_t>> degrees;
+  for (const NodeId node : graph.alive_nodes()) {
+    degrees.emplace_back(node, graph.degree(node));
+  }
+  return degrees;
+}
+
+std::uint32_t degree_in(
+    const std::vector<std::pair<NodeId, std::uint32_t>>& degrees,
+    NodeId node) {
+  const auto it = std::find_if(degrees.begin(), degrees.end(),
+                               [node](const auto& entry) {
+                                 return entry.first == node;
+                               });
+  EXPECT_NE(it, degrees.end());
+  return it == degrees.end() ? 0 : it->second;
+}
+
 TEST(AdversarialNetworks, PoissonMaxdegKillsTheCurrentHub) {
   PoissonConfig config = PoissonConfig::with_n(250, 4, EdgePolicy::kRegenerate,
                                                9);
@@ -429,21 +452,23 @@ TEST(AdversarialNetworks, PoissonMaxdegKillsTheCurrentHub) {
   net.warm_up(3.0);
 
   int deaths = 0;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId victim, double) {
-    // The hook fires before the victim is detached, so the maxdeg
-    // invariant is checkable against the live graph: no alive node has a
-    // strictly larger degree, and no smaller slot ties the victim's.
-    const std::uint32_t victim_degree = net.graph().degree(victim);
-    for (const NodeId node : net.graph().alive_nodes()) {
-      const std::uint32_t degree = net.graph().degree(node);
+  for (int event = 0; event < 400; ++event) {
+    const auto before = alive_degrees(net.graph());
+    const auto report = net.step();
+    if (report.kind != ChurnEvent::Kind::kDeath) continue;
+    // The maxdeg invariant on the graph the victim was chosen from: no
+    // alive node has a strictly larger degree, and no smaller slot ties
+    // the victim's.
+    const NodeId victim = report.node;
+    const std::uint32_t victim_degree = degree_in(before, victim);
+    for (const auto& [node, degree] : before) {
       EXPECT_LE(degree, victim_degree);
-      if (node.slot < victim.slot) EXPECT_LT(degree, victim_degree);
+      if (node.slot < victim.slot) {
+        EXPECT_LT(degree, victim_degree);
+      }
     }
     ++deaths;
-  };
-  net.set_hooks(std::move(hooks));
-  net.run_events(400);
+  }
   EXPECT_GT(deaths, 50);
 }
 
@@ -459,17 +484,17 @@ TEST(AdversarialNetworks, StreamingMaxdegKeepsScheduleAndKillsHubs) {
   ASSERT_EQ(net.graph().alive_count(), config.n);
 
   int deaths = 0;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId victim, double) {
-    const std::uint32_t victim_degree = net.graph().degree(victim);
-    for (const NodeId node : net.graph().alive_nodes()) {
-      EXPECT_LE(net.graph().degree(node), victim_degree);
+  const std::uint64_t start_round = net.round();
+  for (int round = 0; round < 200; ++round) {
+    const auto before = alive_degrees(net.graph());
+    const auto report = net.step();
+    if (!report.died.has_value()) continue;
+    const std::uint32_t victim_degree = degree_in(before, *report.died);
+    for (const auto& [node, degree] : before) {
+      EXPECT_LE(degree, victim_degree);
     }
     ++deaths;
-  };
-  net.set_hooks(std::move(hooks));
-  const std::uint64_t start_round = net.round();
-  net.run_rounds(200);
+  }
   // The round schedule is untouched: one death + one birth per round, the
   // population stays pinned at n.
   EXPECT_EQ(net.round(), start_round + 200);
@@ -479,30 +504,36 @@ TEST(AdversarialNetworks, StreamingMaxdegKeepsScheduleAndKillsHubs) {
 
 // ---- the degree index on live networks --------------------------------------
 
-/// Steps `net` while checking, at every death, that the graph's degree
-/// index answers both degree questions exactly as the reference scan. The
-/// death hook fires after victim selection and before the removal, so every
-/// adversarial death is checked on the very state its victim was chosen
-/// from; under a full budget the victim itself must be the reference's.
+/// Steps `net` while checking, before every step, that the graph's degree
+/// index answers both degree questions exactly as the reference scan. A
+/// Poisson step is one event and a streaming round's death comes before its
+/// birth, so every adversarial death is checked on the very state its
+/// victim was chosen from; under a full budget the victim the feed names
+/// must be the reference's.
 void check_index_at_every_death(AnyNetwork& net, bool maximize, double budget,
                                 int steps, const std::string& label) {
   int deaths = 0;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId victim, double) {
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
+  for (int i = 0; i < steps; ++i) {
     const DynamicGraph& graph = net.graph();
     for (const bool rule_max : {true, false}) {
       ASSERT_EQ(graph.extreme_degree(rule_max),
                 reference_extreme_degree(graph, rule_max))
           << label << (rule_max ? " max" : " min") << " at death " << deaths;
     }
-    if (budget >= 1.0) {
-      EXPECT_EQ(victim, reference_extreme_degree(graph, maximize)) << label;
+    const NodeId expected = reference_extreme_degree(graph, maximize);
+    feed.clear();
+    net.step();
+    for (const GraphDelta& delta : feed.deltas()) {
+      if (delta.kind != GraphDelta::Kind::kDeath) continue;
+      if (budget >= 1.0) {
+        EXPECT_EQ(delta.node, expected) << label;
+      }
+      ++deaths;
     }
-    ++deaths;
-  };
-  net.set_hooks(std::move(hooks));
-  for (int i = 0; i < steps; ++i) net.step();
-  net.set_hooks({});
+  }
+  net.attach_change_feed(nullptr);
   EXPECT_GT(deaths, steps / 4) << label;
   EXPECT_TRUE(net.graph().check_consistency()) << label;
 }
@@ -545,7 +576,7 @@ TEST(DegreeIndex, MatchesReferenceUnderBoundedInDegree) {
 
 TEST(DegreeIndex, BulkGenesisRebuildsAnActiveIndex) {
   // Switch the index on over the empty graph, so the streaming growth
-  // phase (bulk-wired: no hooks, unbounded) must rebuild it.
+  // phase (bulk-wired: no feed, unbounded) must rebuild it.
   ScenarioParams params;
   params.n = 150;
   params.d = 4;
@@ -804,7 +835,8 @@ TEST(BurstChurn, FlashcrowdBurstsAreExactAndTrackTheFixedPoint) {
   EXPECT_EQ(churn.name(), "flashcrowd(0.25,1.00)");
   const BurstRun run = drive_bursts(churn, 0.25, kN, 60, /*expect_births=*/true);
   // Fixed point with growth factor (1+f), f=0.25, T=1 (converges because
-  // (1+f)e^{-T} < 1): N_b = n(1-e^{-1})/(1-1.25e^{-1}) ~ 1.170n.
+  // (1+f)e^{-T} < 1, which ChurnSpec::parse requires of every flashcrowd
+  // spec): N_b = n(1-e^{-1})/(1-1.25e^{-1}) ~ 1.170n.
   const double expected =
       static_cast<double>(kN) * (1.0 - std::exp(-1.0)) /
       (1.0 - 1.25 * std::exp(-1.0));
@@ -840,17 +872,17 @@ TEST(BurstChurn, PoissonNetworkRealizesBurstDeathsAtOneTimestamp) {
   // Count deaths per timestamp; burst instants must carry mass >= 2 while
   // baseline timestamps are unique (continuous distributions).
   std::vector<std::pair<double, int>> death_clusters;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId, double time) {
-    if (!death_clusters.empty() && death_clusters.back().first == time) {
+  const double horizon = net.now() + 3.0 * 400.0;  // three burst periods
+  for (;;) {
+    const auto event = net.step();
+    if (event.time > horizon) break;
+    if (event.kind != ChurnEvent::Kind::kDeath) continue;
+    if (!death_clusters.empty() && death_clusters.back().first == event.time) {
       ++death_clusters.back().second;
     } else {
-      death_clusters.push_back({time, 1});
+      death_clusters.push_back({event.time, 1});
     }
-  };
-  net.set_hooks(std::move(hooks));
-  const double horizon = net.now() + 3.0 * 400.0;  // three burst periods
-  net.run_until(horizon);
+  }
   int bursts_seen = 0;
   for (const auto& [time, count] : death_clusters) {
     if (count >= 2) ++bursts_seen;
@@ -985,6 +1017,13 @@ TEST(AdversarialChurnSpec, RejectsMalformedSpecsWithClearErrors) {
             std::string::npos);
   EXPECT_NE(error_of("flashcrowd(0.2,-1)").find("period"),
             std::string::npos);
+  // A flashcrowd whose burst tops grow without bound ((1+f)e^-T >= 1).
+  for (const char* text :
+       {"flashcrowd(100,1)", "flashcrowd(1e9,1)", "flashcrowd(0.5,1e-300)"}) {
+    EXPECT_NE(error_of(text).find("no stationary population"),
+              std::string::npos)
+        << text;
+  }
   // Unknown names list the full catalog.
   const std::string unknown = error_of("sybil(0.5)");
   EXPECT_NE(unknown.find("unknown churn regime"), std::string::npos);

@@ -9,7 +9,7 @@
 // structure). They drive the same primitives (StreamingChurn's
 // round-structured API, PoissonChurn's raw jump chain, the shared wiring
 // helpers) in the exact pre-refactor order, so any divergence in the
-// refactored paths — an extra RNG draw, a reordered hook, a changed
+// refactored paths — an extra RNG draw, a reordered mutation, a changed
 // timestamp — shows up as a hard mismatch here.
 #include <gtest/gtest.h>
 
@@ -54,19 +54,15 @@ class ReferenceStreamingNetwork {
     const WiringLimits limits{config_.max_in_degree, 8};
     if (victim.has_value()) {
       report.died = victim;
-      if (hooks_.on_death) hooks_.on_death(*victim, time_of_round);
       const std::vector<OutSlotRef> orphans = graph_.remove_node(*victim);
       if (config_.policy == EdgePolicy::kRegenerate) {
-        detail::regenerate_requests(graph_, rng_, orphans, hooks_,
-                                    time_of_round, limits);
+        detail::regenerate_requests(graph_, rng_, orphans, limits);
       }
     }
 
     const NodeId born = graph_.add_node(config_.d, time_of_round);
-    detail::issue_initial_requests(graph_, rng_, born, hooks_, time_of_round,
-                                   limits);
+    detail::issue_initial_requests(graph_, rng_, born, limits);
     churn_.record_birth(born);
-    if (hooks_.on_birth) hooks_.on_birth(born, time_of_round);
 
     report.round = churn_.round();
     report.born = born;
@@ -85,14 +81,15 @@ class ReferenceStreamingNetwork {
   const DynamicGraph& graph() const { return graph_; }
   double now() const { return static_cast<double>(churn_.round()); }
   Rng& rng() { return rng_; }
-  void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
+  void attach_change_feed(ChangeFeed* feed) {
+    graph_.attach_change_feed(feed);
+  }
 
  private:
   StreamingConfig config_;
   StreamingChurn churn_;
   DynamicGraph graph_;
   Rng rng_;
-  NetworkHooks hooks_;
 };
 
 /// The seed repository's PoissonNetwork (PR 1 state): owns a PoissonChurn
@@ -143,7 +140,9 @@ class ReferencePoissonNetwork {
   const DynamicGraph& graph() const { return graph_; }
   double now() const { return now_; }
   Rng& rng() { return rng_; }
-  void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
+  void attach_change_feed(ChangeFeed* feed) {
+    graph_.attach_change_feed(feed);
+  }
 
  private:
   EventReport apply(const ChurnEvent& event) {
@@ -155,18 +154,14 @@ class ReferencePoissonNetwork {
     const WiringLimits limits{config_.max_in_degree, 8};
     if (event.kind == ChurnEvent::Kind::kBirth) {
       const NodeId born = graph_.add_node(config_.d, event.time);
-      detail::issue_initial_requests(graph_, rng_, born, hooks_, event.time,
-                                     limits);
-      if (hooks_.on_birth) hooks_.on_birth(born, event.time);
+      detail::issue_initial_requests(graph_, rng_, born, limits);
       report.node = born;
       return report;
     }
     const NodeId victim = graph_.random_alive(rng_);
-    if (hooks_.on_death) hooks_.on_death(victim, event.time);
     const std::vector<OutSlotRef> orphans = graph_.remove_node(victim);
     if (config_.policy == EdgePolicy::kRegenerate) {
-      detail::regenerate_requests(graph_, rng_, orphans, hooks_, event.time,
-                                  limits);
+      detail::regenerate_requests(graph_, rng_, orphans, limits);
     }
     report.node = victim;
     return report;
@@ -176,7 +171,6 @@ class ReferencePoissonNetwork {
   PoissonChurn churn_;
   DynamicGraph graph_;
   Rng rng_;
-  NetworkHooks hooks_;
   double now_ = 0.0;
   bool pending_valid_ = false;
   ChurnEvent pending_{};

@@ -32,8 +32,9 @@ namespace {
 // ---------------------------------------------------------------------------
 // The pre-rewrite driver, embedded as a live oracle. This is the exact
 // stamp-array FloodScratch and flood_dynamic step loop the bitset path
-// replaced (only renamed); it shares FloodTrace/FloodOptions/semantics
-// with the current code, which did not change.
+// replaced (only renamed, and reading churn from a change feed of its own
+// where it used network callbacks); it shares FloodTrace/FloodOptions/
+// semantics with the current code, which did not change.
 // ---------------------------------------------------------------------------
 
 class LegacyFloodScratch {
@@ -124,21 +125,26 @@ FloodTrace legacy_flood_dynamic(Net& net, const FloodOptions& options,
   scratch.begin_trial(net.graph().slot_upper_bound());
 
   NodeId source = kInvalidNode;
-  NetworkHooks hooks;
-  hooks.on_birth = [&source](NodeId node, double) {
-    if (!source.valid()) source = node;
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
+  const auto drain_feed = [&] {
+    for (const GraphDelta& delta : feed.deltas()) {
+      if (delta.kind == GraphDelta::Kind::kBirth) {
+        if (!source.valid()) source = delta.node;
+      } else if (delta.kind == GraphDelta::Kind::kDeath) {
+        scratch.note_death(delta.node);
+      } else if (delta.kind == GraphDelta::Kind::kEdgeSet) {
+        scratch.created.push_back({delta.node, delta.target});
+      }
+    }
+    feed.clear();
   };
-  hooks.on_edge_created = [&scratch](NodeId owner, std::uint32_t,
-                                     NodeId target, bool, double) {
-    scratch.created.push_back({owner, target});
-  };
-  hooks.on_death = [&scratch](NodeId node, double) {
-    scratch.note_death(node);
-  };
-  net.set_hooks(std::move(hooks));
 
   if constexpr (Semantics::kSourceIsNewborn) {
-    while (!source.valid()) net.step();
+    while (!source.valid()) {
+      net.step();
+      drain_feed();
+    }
   } else {
     CHURNET_EXPECTS(net.graph().alive_count() > 0);
     source = net.graph().random_alive(net.rng());
@@ -189,6 +195,7 @@ FloodTrace legacy_flood_dynamic(Net& net, const FloodOptions& options,
     scratch.clear_deaths();
 
     Semantics::advance(net);
+    drain_feed();
 
     for (const NodeId dead : scratch.deaths()) {
       scratch.unmark_informed(dead);
@@ -234,7 +241,7 @@ FloodTrace legacy_flood_dynamic(Net& net, const FloodOptions& options,
     }
   }
 
-  net.set_hooks({});
+  net.attach_change_feed(nullptr);
   return trace;
 }
 

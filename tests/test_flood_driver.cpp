@@ -3,8 +3,10 @@
 // repo's dedicated streaming and Poisson drivers bit-for-bit at fixed
 // seeds. The reference implementations below are
 // verbatim copies of those seed drivers (unordered_set bookkeeping, no
-// scratch reuse); the traces — full per-step series included — must match
-// exactly because neither implementation consumes network randomness.
+// scratch reuse), except that they read created edges and deaths from a
+// change feed of their own instead of network callbacks; the traces — full
+// per-step series included — must match exactly because neither
+// implementation consumes network randomness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,19 +31,30 @@ void ref_record_step(FloodTrace& trace, const FloodOptions& options,
   trace.alive_per_step.push_back(alive);
 }
 
+/// Moves the edges created (and, with `deaths`, the nodes that died) since
+/// the last drain out of `feed`.
+void drain_feed(ChangeFeed& feed, std::vector<RefCreatedEdge>& created,
+                std::unordered_set<NodeId>* deaths = nullptr) {
+  for (const GraphDelta& delta : feed.deltas()) {
+    if (delta.kind == GraphDelta::Kind::kEdgeSet) {
+      created.push_back({delta.node, delta.target});
+    } else if (delta.kind == GraphDelta::Kind::kDeath && deaths != nullptr) {
+      deaths->insert(delta.node);
+    }
+  }
+  feed.clear();
+}
+
 /// Verbatim copy of the seed repo's flood_streaming.
 FloodTrace seed_flood_streaming(StreamingNetwork& net,
                                 const FloodOptions& options) {
   FloodTrace trace;
   std::vector<RefCreatedEdge> created;
-  NetworkHooks hooks;
-  hooks.on_edge_created = [&created](NodeId owner, std::uint32_t, NodeId target,
-                                     bool, double) {
-    created.push_back({owner, target});
-  };
-  net.set_hooks(std::move(hooks));
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
 
   const auto source_round = net.step();
+  feed.clear();
   const NodeId source = source_round.born;
   std::unordered_set<NodeId> informed{source};
   std::vector<NodeId> frontier{source};
@@ -78,6 +91,7 @@ FloodTrace seed_flood_streaming(StreamingNetwork& net,
     created.clear();
 
     const auto report = net.step();
+    drain_feed(feed, created);
     if (report.died.has_value()) informed.erase(*report.died);
 
     frontier.clear();
@@ -112,7 +126,7 @@ FloodTrace seed_flood_streaming(StreamingNetwork& net,
     }
   }
 
-  net.set_hooks({});
+  net.attach_change_feed(nullptr);
   return trace;
 }
 
@@ -122,13 +136,8 @@ FloodTrace seed_flood_poisson_discretized(PoissonNetwork& net,
   FloodTrace trace;
   std::vector<RefCreatedEdge> created;
   std::unordered_set<NodeId> deaths;
-  NetworkHooks hooks;
-  hooks.on_edge_created = [&created](NodeId owner, std::uint32_t, NodeId target,
-                                     bool, double) {
-    created.push_back({owner, target});
-  };
-  hooks.on_death = [&deaths](NodeId node, double) { deaths.insert(node); };
-  net.set_hooks(std::move(hooks));
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
 
   NodeId source;
   for (;;) {
@@ -138,6 +147,7 @@ FloodTrace seed_flood_poisson_discretized(PoissonNetwork& net,
       break;
     }
   }
+  feed.clear();
   std::unordered_set<NodeId> informed{source};
   std::vector<NodeId> frontier{source};
   created.clear();
@@ -175,6 +185,7 @@ FloodTrace seed_flood_poisson_discretized(PoissonNetwork& net,
 
     net.run_until(clock + 1.0);
     clock += 1.0;
+    drain_feed(feed, created, &deaths);
 
     for (const NodeId dead : deaths) informed.erase(dead);
 
@@ -210,7 +221,7 @@ FloodTrace seed_flood_poisson_discretized(PoissonNetwork& net,
     }
   }
 
-  net.set_hooks({});
+  net.attach_change_feed(nullptr);
   return trace;
 }
 
@@ -328,6 +339,46 @@ TEST(FloodDriver, ScratchReuseAcrossTrialsDoesNotChangeTraces) {
   pref.warm_up(5.0);
   expect_traces_identical(flood_dynamic(pref, {}),
                           flood_dynamic(pnet, {}, scratch));
+}
+
+// ---- the driver's change feed ----------------------------------------------
+
+// The driver watches churn through a feed of its own, attached for one run
+// only: on return the graph carries no feed, so the next run (or an
+// observation window) can attach one.
+TEST(FloodDriver, DetachesItsFeedOnReturn) {
+  StreamingConfig config;
+  config.n = 200;
+  config.d = 4;
+  config.policy = EdgePolicy::kRegenerate;
+  config.seed = 31;
+  StreamingNetwork net(config);
+  net.warm_up();
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_GT(flood_dynamic(net, {}).steps, 0u);
+    EXPECT_EQ(net.graph().change_feed(), nullptr);
+  }
+
+  AnyNetwork erased{
+      PoissonNetwork(PoissonConfig::with_n(200, 4, EdgePolicy::kNone, 32))};
+  erased.warm_up();
+  PushProtocol push(2);
+  EXPECT_GT(erased.disseminate(push).trace.steps, 0u);
+  EXPECT_EQ(erased.graph().change_feed(), nullptr);
+}
+
+// A graph holds one feed, so disseminating while a caller's feed is
+// attached is a contract violation, not a silent detach.
+TEST(FloodDriverDeathTest, CallerFeedAttachedAborts) {
+  StreamingConfig config;
+  config.n = 100;
+  config.d = 4;
+  config.seed = 33;
+  StreamingNetwork net(config);
+  net.warm_up();
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
+  EXPECT_DEATH(flood_dynamic(net, {}), "change_feed");
 }
 
 // ---- the slot-path commit --------------------------------------------------

@@ -41,6 +41,7 @@ std::vector<std::uint64_t> naive_flood_streaming(StreamingNetwork& net,
     if (informed.size() + 1 >= net.graph().alive_count()) break;
     if (informed.empty()) break;
   }
+  net.attach_change_feed(nullptr);
   return informed_per_step;
 }
 
@@ -49,9 +50,8 @@ std::vector<std::uint64_t> naive_flood_poisson(PoissonNetwork& net,
                                                std::uint64_t max_steps) {
   std::vector<std::uint64_t> informed_per_step;
   std::unordered_set<NodeId> deaths;
-  NetworkHooks hooks;
-  hooks.on_death = [&deaths](NodeId node, double) { deaths.insert(node); };
-  net.set_hooks(std::move(hooks));
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
 
   NodeId source;
   for (;;) {
@@ -76,8 +76,12 @@ std::vector<std::uint64_t> naive_flood_poisson(PoissonNetwork& net,
       }
     }
     deaths.clear();
+    feed.clear();
     net.run_until(clock + 1.0);
     clock += 1.0;
+    for (const GraphDelta& delta : feed.deltas()) {
+      if (delta.kind == GraphDelta::Kind::kDeath) deaths.insert(delta.node);
+    }
     for (const NodeId dead : deaths) informed.erase(dead);
     for (const auto& [u, v] : candidates) {
       if (deaths.contains(u) || deaths.contains(v)) continue;
@@ -87,7 +91,7 @@ std::vector<std::uint64_t> naive_flood_poisson(PoissonNetwork& net,
     if (informed.size() == net.graph().alive_count()) break;
     if (informed.empty()) break;
   }
-  net.set_hooks({});
+  net.attach_change_feed(nullptr);
   return informed_per_step;
 }
 

@@ -3,6 +3,8 @@
 // StaticNetwork baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "churnet/churnet.hpp"
 
 namespace churnet {
@@ -58,14 +60,16 @@ TEST(AnyNetwork, ForwardsToWrappedModelIdentically) {
   EXPECT_EQ(se.node_count(), st.node_count());
   EXPECT_EQ(se.edge_count(), st.edge_count());
 
-  // Hooks pass through the erasure.
-  int births = 0;
-  NetworkHooks hooks;
-  hooks.on_birth = [&births](NodeId, double) { ++births; };
-  erased.set_hooks(std::move(hooks));
+  // A change feed passes through the erasure.
+  ChangeFeed feed;
+  erased.attach_change_feed(&feed);
   erased.step();
-  EXPECT_EQ(births, 1);
-  erased.set_hooks({});
+  erased.attach_change_feed(nullptr);
+  EXPECT_EQ(std::count_if(feed.deltas().begin(), feed.deltas().end(),
+                          [](const GraphDelta& delta) {
+                            return delta.kind == GraphDelta::Kind::kBirth;
+                          }),
+            1);
 
   // Typed access recovers the model; wrong types yield nullptr.
   EXPECT_NE(erased.get_if<StreamingNetwork>(), nullptr);

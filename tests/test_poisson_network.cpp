@@ -53,12 +53,22 @@ TEST(PoissonNetwork, LifetimesAreExponentialWithMeanN) {
   constexpr std::uint32_t kN = 400;
   PoissonNetwork net(PoissonConfig::with_n(kN, 1, EdgePolicy::kNone, 3));
   OnlineStats lifetimes;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId node, double time) {
-    lifetimes.add(time - net.graph().birth_time(node));
-  };
-  net.set_hooks(std::move(hooks));
-  net.warm_up(30.0);
+  // Every death up to the warm_up(30) horizon, timed against a birth-time
+  // table indexed by slot (a slot's occupant is born after its last death).
+  const double horizon = net.churn().warm_up_time(30.0);
+  std::vector<double> birth_time;
+  for (;;) {
+    const auto event = net.step();
+    if (event.time > horizon) break;
+    if (event.kind == ChurnEvent::Kind::kBirth) {
+      if (birth_time.size() <= event.node.slot) {
+        birth_time.resize(event.node.slot + 1);
+      }
+      birth_time[event.node.slot] = event.time;
+    } else {
+      lifetimes.add(event.time - birth_time[event.node.slot]);
+    }
+  }
   ASSERT_GT(lifetimes.count(), 5000u);
   // Mean lifetime 1/mu = n; exponential => stddev == mean.
   EXPECT_NEAR(lifetimes.mean(), kN, 0.06 * kN);
@@ -68,12 +78,15 @@ TEST(PoissonNetwork, LifetimesAreExponentialWithMeanN) {
 TEST(PoissonNetwork, BirthsArePoissonRateOne) {
   PoissonNetwork net(PoissonConfig::with_n(300, 1, EdgePolicy::kNone, 4));
   net.warm_up(3.0);
-  std::uint64_t births = 0;
-  NetworkHooks hooks;
-  hooks.on_birth = [&](NodeId, double) { ++births; };
-  net.set_hooks(std::move(hooks));
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
   const double horizon = 5000.0;
   net.run_until(net.now() + horizon);
+  net.attach_change_feed(nullptr);
+  const auto births = std::count_if(
+      feed.deltas().begin(), feed.deltas().end(), [](const GraphDelta& delta) {
+        return delta.kind == GraphDelta::Kind::kBirth;
+      });
   // Poisson(5000): 6 sigma ~ 425.
   EXPECT_NEAR(static_cast<double>(births), horizon, 450.0);
 }
@@ -208,21 +221,24 @@ TEST(PoissonNetwork, DeathVictimIsUniform) {
   net.warm_up(5.0);
   std::uint64_t younger_half = 0;
   std::uint64_t deaths = 0;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId victim, double) {
-    // Median birth_seq over the alive set.
+  std::vector<std::uint64_t> seq_by_slot;
+  for (int event = 0; event < 4000; ++event) {
+    // Median birth_seq over the alive set the next event's victim (if it
+    // is a death) is drawn from.
     std::vector<std::uint64_t> seqs;
     for (const NodeId node : net.graph().alive_nodes()) {
       seqs.push_back(net.graph().birth_seq(node));
+      if (seq_by_slot.size() <= node.slot) seq_by_slot.resize(node.slot + 1);
+      seq_by_slot[node.slot] = seqs.back();
     }
     std::nth_element(seqs.begin(), seqs.begin() + seqs.size() / 2,
                      seqs.end());
     const std::uint64_t median_seq = seqs[seqs.size() / 2];
-    younger_half += net.graph().birth_seq(victim) > median_seq ? 1 : 0;
+    const auto report = net.step();
+    if (report.kind != ChurnEvent::Kind::kDeath) continue;
+    younger_half += seq_by_slot[report.node.slot] > median_seq ? 1 : 0;
     ++deaths;
-  };
-  net.set_hooks(std::move(hooks));
-  net.run_events(4000);
+  }
   ASSERT_GT(deaths, 1000u);
   EXPECT_NEAR(static_cast<double>(younger_half) / static_cast<double>(deaths),
               0.5, 0.05);

@@ -189,48 +189,43 @@ TEST(StreamingNetworkSdgr, EdgeCountIsExactlyND) {
   EXPECT_EQ(net.graph().edge_count(), 80u * 3u);
 }
 
+struct EdgeSetCounts {
+  std::uint64_t initial = 0;      // kEdgeSet owned by the round's newborn
+  std::uint64_t regenerated = 0;  // kEdgeSet owned by anyone else
+};
+
+/// Steps `net` for `rounds` rounds with a change feed attached and counts
+/// its kEdgeSet deltas: birth wiring sets the newborn's out-slots, and
+/// regeneration redraws the out-slots of older nodes.
+EdgeSetCounts count_edge_sets(StreamingNetwork& net, std::uint64_t rounds) {
+  EdgeSetCounts counts;
+  ChangeFeed feed;
+  net.attach_change_feed(&feed);
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    feed.clear();
+    const NodeId born = net.step().born;
+    for (const GraphDelta& delta : feed.deltas()) {
+      if (delta.kind != GraphDelta::Kind::kEdgeSet) continue;
+      (delta.node == born ? counts.initial : counts.regenerated) += 1;
+    }
+  }
+  net.attach_change_feed(nullptr);
+  return counts;
+}
+
 TEST(StreamingNetworkSdgr, RegenerationReportsHookFlag) {
   StreamingNetwork net(make_config(30, 4, EdgePolicy::kRegenerate, 13));
   net.warm_up();
   net.run_rounds(35);
-  std::uint64_t initial_edges = 0;
-  std::uint64_t regenerated_edges = 0;
-  NetworkHooks hooks;
-  hooks.on_edge_created = [&](NodeId, std::uint32_t, NodeId, bool regen,
-                              double) {
-    (regen ? regenerated_edges : initial_edges) += 1;
-  };
-  net.set_hooks(std::move(hooks));
-  net.run_rounds(100);
-  EXPECT_EQ(initial_edges, 100u * 4u);
-  EXPECT_GT(regenerated_edges, 0u);
+  const EdgeSetCounts counts = count_edge_sets(net, 100);
+  EXPECT_EQ(counts.initial, 100u * 4u);
+  EXPECT_GT(counts.regenerated, 0u);
 }
 
 TEST(StreamingNetworkSdg, NoRegenerationHookEvents) {
   StreamingNetwork net(make_config(30, 4, EdgePolicy::kNone, 14));
   net.warm_up();
-  std::uint64_t regenerated_edges = 0;
-  NetworkHooks hooks;
-  hooks.on_edge_created = [&](NodeId, std::uint32_t, NodeId, bool regen,
-                              double) { regenerated_edges += regen ? 1 : 0; };
-  net.set_hooks(std::move(hooks));
-  net.run_rounds(100);
-  EXPECT_EQ(regenerated_edges, 0u);
-}
-
-TEST(StreamingNetwork, DeathHookFiresBeforeRemoval) {
-  StreamingNetwork net(make_config(20, 2, EdgePolicy::kNone, 15));
-  net.warm_up();
-  bool checked = false;
-  NetworkHooks hooks;
-  hooks.on_death = [&](NodeId node, double) {
-    // At hook time the node must still be queryable.
-    EXPECT_TRUE(net.graph().is_alive(node));
-    checked = true;
-  };
-  net.set_hooks(std::move(hooks));
-  net.step();
-  EXPECT_TRUE(checked);
+  EXPECT_EQ(count_edge_sets(net, 100).regenerated, 0u);
 }
 
 TEST(StreamingNetworkSdgr, Lemma314OlderTargetFractionMatchesFormula) {

@@ -18,7 +18,9 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "engine/scenario.hpp"
 #include "engine/sweep_service.hpp"
+#include "observe/pipeline.hpp"
 #include "telemetry/trace_sink.hpp"
 
 // ---- counting global allocator ---------------------------------------------
@@ -208,6 +210,60 @@ TEST_F(TelemetryTest, TrialRecorderSlicesThreadTotals) {
       slice.counters[static_cast<std::size_t>(tel::Counter::kTrials)], 1u);
   EXPECT_EQ(
       slice.phase_calls[static_cast<std::size_t>(tel::Phase::kObserve)], 1u);
+}
+
+// ---- what the deltas counter counts ------------------------------------------
+
+/// Adds up the deltas ObserverSet::on_deltas hands it over an 8-round
+/// observation window.
+class DeltaTally final : public MetricObserver {
+ public:
+  explicit DeltaTally(std::uint64_t* folded) : folded_(folded) {}
+  std::string name() const override { return "delta_tally"; }
+  void append_metric_names(std::vector<std::string>& out) const override {
+    out.push_back("delta_tally");
+  }
+  void begin_trial(std::uint64_t) override {}
+  void on_deltas(const DynamicGraph&, std::span<const GraphDelta> deltas,
+                 double) override {
+    *folded_ += deltas.size();
+  }
+  std::uint32_t observation_rounds() const override { return 8; }
+  void append_values(std::vector<double>& out) const override {
+    out.push_back(static_cast<double>(*folded_));
+  }
+
+ private:
+  std::uint64_t* folded_;
+};
+
+TEST_F(TelemetryTest, DeltasCountsObserverFoldsAndNotTheDriverFeed) {
+  const auto deltas = [] {
+    return tel::thread_totals()
+        .counters[static_cast<std::size_t>(tel::Counter::kDeltas)];
+  };
+  ScenarioParams params;
+  params.n = 200;
+  params.d = 4;
+  params.seed = 5;
+  AnyNetwork net = ScenarioRegistry::paper().at("PDGR").make_warmed(params);
+
+  // The dissemination driver drains its own feed; none of that counts.
+  EXPECT_GT(net.flood().steps, 0u);
+  EXPECT_EQ(deltas(), 0u);
+
+  // An incremental window counts exactly what its observers folded, and
+  // the flood after it adds nothing.
+  std::uint64_t folded = 0;
+  std::vector<std::unique_ptr<MetricObserver>> tally;
+  tally.push_back(std::make_unique<DeltaTally>(&folded));
+  ObserverSet observers(std::move(tally));
+  FloodProtocol flood;
+  ProtocolScratch scratch;
+  observe_protocol(net, observers, 7, flood, {}, scratch,
+                   /*incremental=*/true);
+  EXPECT_GT(folded, 0u);
+  EXPECT_EQ(deltas(), folded);
 }
 
 // ---- zero steady-state allocation -------------------------------------------

@@ -59,18 +59,18 @@ TEST(Wiring, IssueInitialRequestsFillsAllSlots) {
   Rng rng(5);
   for (int i = 0; i < 10; ++i) graph.add_node(0, 0.0);
   const NodeId owner = graph.add_node(5, 1.0);
-  NetworkHooks hooks;
-  int created = 0;
-  hooks.on_edge_created = [&](NodeId o, std::uint32_t, NodeId t, bool regen,
-                              double time) {
-    EXPECT_EQ(o, owner);
-    EXPECT_NE(t, owner);
-    EXPECT_FALSE(regen);
-    EXPECT_DOUBLE_EQ(time, 1.0);
-    ++created;
-  };
-  detail::issue_initial_requests(graph, rng, owner, hooks, 1.0);
-  EXPECT_EQ(created, 5);
+  ChangeFeed feed;
+  graph.attach_change_feed(&feed);
+  detail::issue_initial_requests(graph, rng, owner);
+  graph.attach_change_feed(nullptr);
+  ASSERT_EQ(feed.size(), 5u);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const GraphDelta& delta = feed.deltas()[i];
+    EXPECT_EQ(delta.kind, GraphDelta::Kind::kEdgeSet);
+    EXPECT_EQ(delta.node, owner);
+    EXPECT_EQ(delta.index, i);
+    EXPECT_NE(delta.target, owner);
+  }
   EXPECT_EQ(graph.out_degree(owner), 5u);
 }
 
@@ -84,12 +84,16 @@ TEST(Wiring, RegenerateRefillsOrphans) {
   graph.set_out_edge(nodes[1], 1, nodes[5]);
   const auto orphans = graph.remove_node(nodes[5]);
   ASSERT_EQ(orphans.size(), 2u);
-  NetworkHooks hooks;
-  int regenerated = 0;
-  hooks.on_edge_created = [&](NodeId, std::uint32_t, NodeId, bool regen,
-                              double) { regenerated += regen ? 1 : 0; };
-  detail::regenerate_requests(graph, rng, orphans, hooks, 2.0);
-  EXPECT_EQ(regenerated, 2);
+  ChangeFeed feed;
+  graph.attach_change_feed(&feed);
+  detail::regenerate_requests(graph, rng, orphans);
+  graph.attach_change_feed(nullptr);
+  ASSERT_EQ(feed.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(feed.deltas()[i].kind, GraphDelta::Kind::kEdgeSet);
+    EXPECT_EQ(feed.deltas()[i].node, orphans[i].owner);
+    EXPECT_EQ(feed.deltas()[i].index, orphans[i].index);
+  }
   EXPECT_EQ(graph.out_degree(nodes[0]), 1u);
   EXPECT_TRUE(graph.out_target(nodes[0], 0).valid());
   EXPECT_TRUE(graph.check_consistency());
@@ -105,7 +109,7 @@ TEST(Wiring, RegenerateWithCapRetriesOtherDanglingSlots) {
   const auto orphans = graph.remove_node(nodes[7]);
   ASSERT_EQ(orphans.size(), 1u);
   WiringLimits limits{10, 8};  // generous cap activates the retry pass
-  detail::regenerate_requests(graph, rng, orphans, {}, 1.0, limits);
+  detail::regenerate_requests(graph, rng, orphans, limits);
   // All three slots of nodes[0] should now be wired.
   EXPECT_EQ(graph.out_degree(nodes[0]), 3u);
   EXPECT_TRUE(graph.check_consistency());
@@ -118,7 +122,7 @@ TEST(Wiring, CapZeroNeverRetriesDanglingSlots) {
   for (int i = 0; i < 8; ++i) nodes.push_back(graph.add_node(3, 0.0));
   graph.set_out_edge(nodes[0], 0, nodes[7]);
   const auto orphans = graph.remove_node(nodes[7]);
-  detail::regenerate_requests(graph, rng, orphans, {}, 1.0, {});
+  detail::regenerate_requests(graph, rng, orphans, {});
   // Only the orphaned slot is refilled; the two never-wired slots stay
   // dangling (paper semantics: regeneration only replaces lost edges).
   EXPECT_EQ(graph.out_degree(nodes[0]), 1u);
@@ -130,7 +134,7 @@ TEST(Wiring, InitialRequestsWithTightCapLeaveDangling) {
   const NodeId a = graph.add_node(0, 0.0);
   const NodeId owner = graph.add_node(4, 0.0);
   WiringLimits limits{2, 16};
-  detail::issue_initial_requests(graph, rng, owner, {}, 0.0, limits);
+  detail::issue_initial_requests(graph, rng, owner, limits);
   // Only node `a` is available and it accepts at most 2 in-edges.
   EXPECT_EQ(graph.out_degree(owner), 2u);
   EXPECT_EQ(graph.in_degree(a), 2u);

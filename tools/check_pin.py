@@ -3,6 +3,8 @@
 
     check_pin.py campaign <workload> --sweep <churnet_sweep> --out <dir>
                  [--also-threads N]
+    check_pin.py same <name> --sweep <churnet_sweep> --out <dir>
+                 --args "<shared args>" --variant="<args>" --variant=...
     check_pin.py bench --suite <bench_perf_suite> --golden <golden.json>
                  --out <BENCH_core.json>
 
@@ -12,6 +14,10 @@ Thread counts, pins and the hash come from WORKLOADS and fnv1a in
 campaignbench/run.py, imported, never copied. --also-threads N reruns the
 workload at N threads and requires the same CSV bytes.
 
+same: runs churnet_sweep once per --variant, on the shared --args plus the
+variant's own, and requires every CSV to be byte-identical to the first
+variant's. Arguments are split like a shell would split them.
+
 bench: runs bench_perf_suite --quick --out <out>, then diff_bench_golden.py
 <golden> <out>. The deterministic fields must match exactly; perf rates are
 compared warn-only, since ctest runs tests side by side.
@@ -19,6 +25,7 @@ compared warn-only, since ctest runs tests side by side.
 Exit 0 when the pin holds, 1 otherwise.
 """
 import argparse
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,13 +33,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_sweep(sweep, workload, threads, csv):
-    subprocess.run([sweep, "--config",
-                    str(ROOT / "campaignbench" / "workloads" /
-                        f"{workload}.json"),
-                    "--threads", str(threads), "--csv", str(csv), "--quiet"],
-                   check=True)
+def run_sweep(sweep, args, csv):
+    subprocess.run([sweep, *args, "--csv", str(csv), "--quiet"], check=True)
     return csv.read_bytes()
+
+
+def run_workload(sweep, workload, threads, csv):
+    config = ROOT / "campaignbench" / "workloads" / f"{workload}.json"
+    return run_sweep(sweep, ["--config", str(config), "--threads",
+                             str(threads)], csv)
 
 
 def check_campaign(args):
@@ -44,8 +53,8 @@ def check_campaign(args):
     pin = WORKLOADS[args.workload]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = run_sweep(args.sweep, args.workload, pin["threads"],
-                     out / f"{args.workload}.csv")
+    data = run_workload(args.sweep, args.workload, pin["threads"],
+                        out / f"{args.workload}.csv")
     got = fnv1a(data)
     if got != pin["csv_fnv"]:
         print(f"{args.workload}: CSV FNV-1a {got}, pinned {pin['csv_fnv']}",
@@ -53,14 +62,35 @@ def check_campaign(args):
         return 1
     print(f"{args.workload}: CSV FNV-1a {got} matches the pin")
     if args.also_threads is not None:
-        again = run_sweep(args.sweep, args.workload, args.also_threads,
-                          out / f"{args.workload}_t{args.also_threads}.csv")
+        again = run_workload(args.sweep, args.workload, args.also_threads,
+                             out / f"{args.workload}_t{args.also_threads}.csv")
         if again != data:
             print(f"{args.workload}: CSV at --threads {args.also_threads} "
                   f"differs from --threads {pin['threads']}",
                   file=sys.stderr)
             return 1
         print(f"{args.workload}: identical at --threads {args.also_threads}")
+    return 0
+
+
+def check_same(args):
+    if len(args.variant) < 2:
+        print(f"{args.name}: needs at least two --variant", file=sys.stderr)
+        return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    shared = shlex.split(args.args)
+    first = None
+    for i, variant in enumerate(args.variant):
+        data = run_sweep(args.sweep, shared + shlex.split(variant),
+                         out / f"{args.name}_{i}.csv")
+        if first is None:
+            first = data
+        elif data != first:
+            print(f"{args.name}: CSV with '{variant}' differs from "
+                  f"'{args.variant[0]}'", file=sys.stderr)
+            return 1
+    print(f"{args.name}: {len(args.variant)} variants byte-identical")
     return 0
 
 
@@ -79,14 +109,21 @@ def main():
     campaign.add_argument("--sweep", required=True)
     campaign.add_argument("--out", required=True)
     campaign.add_argument("--also-threads", type=int)
+    same = kinds.add_parser("same")
+    same.add_argument("name")
+    same.add_argument("--sweep", required=True)
+    same.add_argument("--out", required=True)
+    same.add_argument("--args", required=True)
+    same.add_argument("--variant", action="append", required=True)
     bench = kinds.add_parser("bench")
     bench.add_argument("--suite", required=True)
     bench.add_argument("--golden", required=True)
     bench.add_argument("--out", required=True)
     args = parser.parse_args()
+    checks = {"campaign": check_campaign, "same": check_same,
+              "bench": check_bench}
     try:
-        return check_campaign(args) if args.kind == "campaign" \
-            else check_bench(args)
+        return checks[args.kind](args)
     except subprocess.CalledProcessError as error:
         print(f"{error.cmd[0]} exited {error.returncode}", file=sys.stderr)
         return 1
