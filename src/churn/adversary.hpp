@@ -1,6 +1,6 @@
 // Adversarial victim selection: churn regimes in which deaths target the
-// network instead of striking uniformly (ROADMAP item 2; cf. Cruciani 2025
-// on expander maintenance under targeted deletions).
+// network instead of striking uniformly (DESIGN.md §3 and decision 18; cf.
+// Cruciani 2025 on expander maintenance under targeted deletions).
 //
 // An AdversaryPolicy owns the adversary's state and RNG stream and picks
 // victims through the GraphReadView contract (churn/churn_process.hpp):

@@ -10,6 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+// Every pinned output assumes sums are evaluated in source order
+// (DESIGN.md decision 1); -ffast-math reassociates them.
+#ifdef __FAST_MATH__
+#error "churnet must not be built with -ffast-math: it reorders pinned sums"
+#endif
+
 namespace churnet::detail {
 
 [[noreturn]] inline void contract_failure(const char* kind, const char* expr,

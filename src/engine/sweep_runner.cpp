@@ -54,23 +54,39 @@ const MetricInfo* find_metric(std::string_view name) {
   return nullptr;
 }
 
-/// Accepts only exact integers in [lo, hi]; fractional, out-of-range and
-/// non-numeric values are config errors, never silent truncation (a
-/// static_cast from an out-of-range double is undefined behavior).
-bool read_integer(const JsonValue& value, const char* key, double lo,
-                  double hi, double* out, std::string* error) {
-  const bool ok = value.is_number() && value.as_number() >= lo &&
-                  value.as_number() <= hi &&
-                  std::floor(value.as_number()) == value.as_number();
-  if (!ok) {
-    if (error != nullptr) {
-      *error = std::string(key) + " must be an integer in [" +
-               std::to_string(static_cast<long long>(lo)) + ", " +
-               std::to_string(static_cast<unsigned long long>(hi)) + "]";
-    }
+struct IntegerKey {
+  const char* name;
+  double lo;
+  double hi;
+};
+
+constexpr double kU32Max = std::numeric_limits<std::uint32_t>::max();
+
+// The range of every integer key. Doubles hold integers exactly up to 2^53;
+// larger seeds belong in the CLI flag, not a JSON config.
+constexpr IntegerKey kIntegerKeys[] = {
+    {"n", 1.0, kU32Max},
+    {"d", 1.0, kU32Max},
+    {"replications", 1.0, 1e15},
+    {"seed", 0.0, 9007199254740992.0},
+    {"max_in_degree", 0.0, kU32Max},
+    {"intra_threads", 0.0, kU32Max},
+};
+
+/// Accepts only exact integers in the key's range; fractional,
+/// out-of-range and non-numeric values are config errors, never silent
+/// truncation (a static_cast from an out-of-range double is undefined
+/// behavior).
+bool read_integer(const JsonValue& value, const char* key, double* out,
+                  std::string* error) {
+  const double number =
+      value.is_number() ? value.as_number()
+                        : std::numeric_limits<double>::quiet_NaN();
+  if (const auto reason = SweepSpec::check_integer(key, number)) {
+    if (error != nullptr) *error = *reason;
     return false;
   }
-  *out = value.as_number();
+  *out = number;
   return true;
 }
 
@@ -83,12 +99,7 @@ bool read_u32_list(const JsonValue& value, const char* key,
   out->clear();
   for (const JsonValue& item : value.items()) {
     double number = 0.0;
-    if (!read_integer(item, key, 1.0,
-                      static_cast<double>(
-                          std::numeric_limits<std::uint32_t>::max()),
-                      &number, error)) {
-      return false;
-    }
+    if (!read_integer(item, key, &number, error)) return false;
     out->push_back(static_cast<std::uint32_t>(number));
   }
   return true;
@@ -168,6 +179,22 @@ std::vector<std::string> SweepSpec::default_metrics() {
           "final_fraction", "messages"};
 }
 
+std::optional<std::string> SweepSpec::check_integer(std::string_view key,
+                                                    double value) {
+  for (const IntegerKey& known : kIntegerKeys) {
+    if (key != known.name) continue;
+    if (value >= known.lo && value <= known.hi &&
+        std::floor(value) == value) {
+      return std::nullopt;
+    }
+    return std::string(known.name) + " must be an integer in [" +
+           std::to_string(static_cast<long long>(known.lo)) + ", " +
+           std::to_string(static_cast<unsigned long long>(known.hi)) + "]";
+  }
+  CHURNET_EXPECTS(false && "check_integer: unknown integer key");
+  return std::nullopt;
+}
+
 std::optional<SweepSpec> SweepSpec::from_json(const JsonValue& json,
                                               std::string* error) {
   if (!json.is_object()) {
@@ -217,34 +244,23 @@ std::optional<SweepSpec> SweepSpec::from_json(const JsonValue& json,
       spec.incremental_observers = value.as_bool();
     } else if (key == "replications") {
       double number = 0.0;
-      if (!read_integer(value, "replications", 1.0, 1e15, &number, error)) {
+      if (!read_integer(value, "replications", &number, error)) {
         return std::nullopt;
       }
       spec.replications = static_cast<std::uint64_t>(number);
     } else if (key == "seed") {
-      // Doubles hold integers exactly up to 2^53; larger seeds belong in
-      // the CLI flag, not a JSON config.
       double number = 0.0;
-      if (!read_integer(value, "seed", 0.0, 9007199254740992.0, &number,
-                        error)) {
-        return std::nullopt;
-      }
+      if (!read_integer(value, "seed", &number, error)) return std::nullopt;
       spec.base_seed = static_cast<std::uint64_t>(number);
     } else if (key == "max_in_degree") {
       double number = 0.0;
-      if (!read_integer(value, "max_in_degree", 0.0,
-                        static_cast<double>(
-                            std::numeric_limits<std::uint32_t>::max()),
-                        &number, error)) {
+      if (!read_integer(value, "max_in_degree", &number, error)) {
         return std::nullopt;
       }
       spec.max_in_degree = static_cast<std::uint32_t>(number);
     } else if (key == "intra_threads") {
       double number = 0.0;
-      if (!read_integer(value, "intra_threads", 0.0,
-                        static_cast<double>(
-                            std::numeric_limits<std::uint32_t>::max()),
-                        &number, error)) {
+      if (!read_integer(value, "intra_threads", &number, error)) {
         return std::nullopt;
       }
       spec.intra_threads = static_cast<std::uint32_t>(number);

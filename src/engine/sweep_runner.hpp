@@ -140,6 +140,13 @@ struct SweepSpec {
   /// >= 1); scenario names are resolved later by SweepPlan. Returns an
   /// error reason, or nullopt when valid.
   std::optional<std::string> validate() const;
+
+  /// The range rule of an integer key ("n", "d", "replications", "seed",
+  /// "max_in_degree", "intra_threads"): nullopt when `value` is an exact
+  /// integer in the key's range, else the reason naming the range. The
+  /// JSON reader and churnet_sweep's inline flags both apply it.
+  static std::optional<std::string> check_integer(std::string_view key,
+                                                  double value);
 };
 
 /// One grid cell's identity in results and sinks.

@@ -248,15 +248,24 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
   const std::uint32_t limit = std::min(max_size, options.growth_limit);
   IncrementalSet tracker(snapshot);
   std::vector<std::uint32_t> boundary_pool;
+  // inside[c]: entries of c's adjacency list whose other endpoint is in the
+  // set. Adjacency is symmetric with multiplicity, so a candidate's count
+  // of outside neighbors is degree(c) - inside[c]; a self-loop's two
+  // entries never count as inside, since a candidate is never in the set.
+  std::vector<std::uint32_t> inside(n, 0);
+  std::vector<std::uint32_t> inside_touched;
   for (std::uint32_t seed_index = 0; seed_index < options.greedy_seeds;
        ++seed_index) {
     tracker.clear();
     boundary_pool.clear();
+    for (const std::uint32_t v : inside_touched) inside[v] = 0;
+    inside_touched.clear();
     GrowthObserver observer(result, options.min_size, max_size, "greedy");
     const auto start = static_cast<std::uint32_t>(rng.below(n));
     tracker.add(start);
     observer.step(tracker);
     for (const std::uint32_t w : snapshot.neighbors(start)) {
+      if (inside[w]++ == 0) inside_touched.push_back(w);
       boundary_pool.push_back(w);
     }
     while (tracker.size() < limit && !boundary_pool.empty()) {
@@ -278,10 +287,8 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
           if (boundary_pool.empty()) break;
           continue;
         }
-        std::int64_t outside = 0;
-        for (const std::uint32_t w : snapshot.neighbors(candidate)) {
-          if (!tracker.contains(w)) ++outside;
-        }
+        const std::int64_t outside =
+            std::int64_t{snapshot.degree(candidate)} - inside[candidate];
         if (outside < best_score) {
           best_score = outside;
           best_pos = pos;
@@ -303,6 +310,7 @@ void probe_greedy_growth(const Snapshot& snapshot, Rng& rng,
       tracker.add(chosen);
       observer.step(tracker);
       for (const std::uint32_t w : snapshot.neighbors(chosen)) {
+        if (inside[w]++ == 0) inside_touched.push_back(w);
         if (!tracker.contains(w)) boundary_pool.push_back(w);
       }
     }

@@ -9,7 +9,7 @@
 //     and suffixes (the paper's worst cases are sets of old nodes), and a
 //     greedy minimum-boundary growth. A probe that stays above the paper's
 //     ε = 0.1 across thousands of adversarial candidates is evidence for the
-//     expansion theorems, not a certificate; EXPERIMENTS.md says so plainly.
+//     expansion theorems, not a certificate; DESIGN.md §8 says so plainly.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/assertx.hpp"
@@ -9,6 +11,45 @@
 namespace churnet {
 
 namespace {
+
+/// Rows whose neighbor sums lazy_walk_product runs side by side.
+constexpr std::uint32_t kRowGroup = 4;
+
+/// next = P x with P = (I + D^{-1} A) / 2. Each row adds its neighbors in
+/// CSR order into its own accumulator, exactly as a one-row loop does; the
+/// rows of a group only interleave, so kRowGroup add chains overlap instead
+/// of one. No sum is reassociated, so every entry of `next` is the one-row
+/// loop's, bit for bit. Rows past the last full group take the one-row loop.
+void lazy_walk_product(const Snapshot& snapshot, const std::vector<double>& x,
+                       std::vector<double>& next) {
+  const std::uint32_t n = snapshot.node_count();
+  const std::uint32_t grouped = n - n % kRowGroup;
+  for (std::uint32_t v = 0; v < grouped; v += kRowGroup) {
+    std::span<const std::uint32_t> rows[kRowGroup];
+    double sums[kRowGroup];
+    std::size_t common = std::numeric_limits<std::size_t>::max();
+    for (std::uint32_t r = 0; r < kRowGroup; ++r) {
+      rows[r] = snapshot.neighbors(v + r);
+      sums[r] = 0.0;
+      common = std::min(common, rows[r].size());
+    }
+    for (std::size_t j = 0; j < common; ++j) {
+      for (std::uint32_t r = 0; r < kRowGroup; ++r) sums[r] += x[rows[r][j]];
+    }
+    for (std::uint32_t r = 0; r < kRowGroup; ++r) {
+      for (std::size_t j = common; j < rows[r].size(); ++j) {
+        sums[r] += x[rows[r][j]];
+      }
+      next[v + r] = 0.5 * (x[v + r] +
+                           sums[r] / static_cast<double>(rows[r].size()));
+    }
+  }
+  for (std::uint32_t v = grouped; v < n; ++v) {
+    double sum = 0.0;
+    for (const std::uint32_t w : snapshot.neighbors(v)) sum += x[w];
+    next[v] = 0.5 * (x[v] + sum / static_cast<double>(snapshot.degree(v)));
+  }
+}
 
 /// Shared deflated-power-iteration core. `seed` fills the start vector
 /// (after the degree-0 early-out, so it is only invoked — and only consumes
@@ -83,13 +124,7 @@ SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
   double rayleigh = 0.0;
   for (std::uint32_t iteration = 1; iteration <= max_iterations;
        ++iteration) {
-    // next = P x with P = (I + D^{-1} A) / 2.
-    for (std::uint32_t v = 0; v < n; ++v) {
-      double sum = 0.0;
-      for (const std::uint32_t w : snapshot.neighbors(v)) sum += x[w];
-      next[v] =
-          0.5 * (x[v] + sum / static_cast<double>(snapshot.degree(v)));
-    }
+    lazy_walk_product(snapshot, x, next);
     deflate(next);  // numerical re-orthogonalization against constants
     // Rayleigh quotient <x, Px>_pi with the pre-normalized x.
     double quotient = 0.0;

@@ -195,19 +195,6 @@ Snapshot Snapshot::from_edges(
   return snap;
 }
 
-std::span<const std::uint32_t> Snapshot::neighbors(
-    std::uint32_t index) const {
-  CHURNET_EXPECTS(index < node_count());
-  const std::uint64_t begin = offsets_[index];
-  const std::uint64_t end = offsets_[index + 1];
-  return {adjacency_.data() + begin, adjacency_.data() + end};
-}
-
-std::uint32_t Snapshot::degree(std::uint32_t index) const {
-  CHURNET_EXPECTS(index < node_count());
-  return static_cast<std::uint32_t>(offsets_[index + 1] - offsets_[index]);
-}
-
 std::optional<std::uint32_t> Snapshot::index_of(NodeId id) const {
   const auto it = index_.find(id);
   if (it == index_.end()) return std::nullopt;

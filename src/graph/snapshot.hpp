@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/assertx.hpp"
 #include "graph/change_feed.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/node_id.hpp"
@@ -62,9 +63,17 @@ class Snapshot {
   std::uint64_t edge_count() const { return adjacency_.size() / 2; }
 
   /// Neighbors of node `index`, with multiplicity for parallel edges.
-  std::span<const std::uint32_t> neighbors(std::uint32_t index) const;
+  /// Inline: the observer kernels call it once per row or candidate.
+  std::span<const std::uint32_t> neighbors(std::uint32_t index) const {
+    CHURNET_EXPECTS(index < node_count());
+    return {adjacency_.data() + offsets_[index],
+            adjacency_.data() + offsets_[index + 1]};
+  }
 
-  std::uint32_t degree(std::uint32_t index) const;
+  std::uint32_t degree(std::uint32_t index) const {
+    CHURNET_EXPECTS(index < node_count());
+    return static_cast<std::uint32_t>(offsets_[index + 1] - offsets_[index]);
+  }
 
   /// Dense index -> stable NodeId in the originating graph.
   NodeId node_id(std::uint32_t index) const { return node_ids_.at(index); }

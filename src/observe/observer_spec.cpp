@@ -42,8 +42,24 @@ const KnownObserver* find_observer(std::string_view name) {
   return nullptr;
 }
 
-bool positive_integer(double value) {
-  return value >= 1.0 && std::floor(value) == value;
+// Upper bounds on the integer arguments. Past them a spec would run for
+// hours (or overflow the uint32_t the observer takes), so parse() rejects
+// it instead. Each is far above any value the tree uses.
+constexpr double kMaxSetsPerSize = 1024;           // 16x expansion(64)
+constexpr double kMaxSpectralIterations = 100000;  // 200x the default
+constexpr double kMaxDemographyWindow = 16777216;  // 2^24 rounds
+
+/// Accepts an integer in [1, max]; otherwise stores a reason naming both
+/// bounds and returns false.
+bool integer_argument(double value, double max, const char* what,
+                      std::string* error) {
+  if (value >= 1.0 && value <= max && std::floor(value) == value) return true;
+  const std::string got =
+      std::abs(value) < 1e15 ? fmt_fixed(value, 3) : fmt_sci(value);
+  return spec_fail(error, std::string(what) +
+                              " must be an integer >= 1 and at most " +
+                              fmt_int(static_cast<std::int64_t>(max)) +
+                              " (got " + got + ")");
 }
 
 }  // namespace
@@ -60,11 +76,14 @@ std::string ObserverSpec::known_names() {
 std::vector<std::pair<std::string, std::string>> ObserverSpec::catalog() {
   return {
       {"expansion(k)",
-       "vertex-expansion probe, k random sets per size (default 8) -> "
-       "expansion_min_ratio, expansion_argmin_size, expansion_sets_probed"},
+       "vertex-expansion probe, k random sets per size (default 8, at most " +
+           fmt_int(static_cast<std::int64_t>(kMaxSetsPerSize)) +
+           ") -> expansion_min_ratio, expansion_argmin_size, "
+           "expansion_sets_probed"},
       {"spectral(i)",
-       "lazy-walk spectral gap, i power iterations (default 500) -> "
-       "spectral_gap, spectral_lambda2, spectral_converged"},
+       "lazy-walk spectral gap, i power iterations (default 500, at most " +
+           fmt_int(static_cast<std::int64_t>(kMaxSpectralIterations)) +
+           ") -> spectral_gap, spectral_lambda2, spectral_converged"},
       {"isolated",
        "isolated-node census -> isolated_count, isolated_fraction"},
       {"degrees",
@@ -74,8 +93,9 @@ std::vector<std::pair<std::string, std::string>> ObserverSpec::catalog() {
        "dissemination coverage curve at target fraction f (default 0.5) -> "
        "coverage_step, coverage_final, coverage_auc"},
       {"demography(w)",
-       "alive-count trajectory over a w-round window (default 64) -> "
-       "alive_mean, alive_min, alive_max"},
+       "alive-count trajectory over a w-round window (default 64, at most " +
+           fmt_int(static_cast<std::int64_t>(kMaxDemographyWindow)) +
+           ") -> alive_mean, alive_min, alive_max"},
   };
 }
 
@@ -144,18 +164,14 @@ std::optional<ObserverSpec> ObserverSpec::parse(std::string_view text,
     parsed.a = call.args.empty() ? known->default_arg : call.args[0];
     switch (known->kind) {
       case Kind::kExpansion:
-        if (!positive_integer(parsed.a)) {
-          spec_fail(error, "expansion sets-per-size must be an integer >= 1 "
-                           "(got " +
-                               fmt_fixed(parsed.a, 3) + ")");
+        if (!integer_argument(parsed.a, kMaxSetsPerSize,
+                              "expansion sets-per-size", error)) {
           return std::nullopt;
         }
         break;
       case Kind::kSpectral:
-        if (!positive_integer(parsed.a)) {
-          spec_fail(error, "spectral iteration count must be an integer >= 1 "
-                           "(got " +
-                               fmt_fixed(parsed.a, 3) + ")");
+        if (!integer_argument(parsed.a, kMaxSpectralIterations,
+                              "spectral iteration count", error)) {
           return std::nullopt;
         }
         break;
@@ -167,10 +183,8 @@ std::optional<ObserverSpec> ObserverSpec::parse(std::string_view text,
         }
         break;
       case Kind::kDemography:
-        if (!positive_integer(parsed.a)) {
-          spec_fail(error, "demography window must be an integer >= 1 round "
-                           "(got " +
-                               fmt_fixed(parsed.a, 3) + ")");
+        if (!integer_argument(parsed.a, kMaxDemographyWindow,
+                              "demography window (rounds)", error)) {
           return std::nullopt;
         }
         break;

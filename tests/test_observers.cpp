@@ -96,6 +96,24 @@ TEST(ObserverSpec, RejectsMalformedSpecsWithReasons) {
   EXPECT_NE(error_of("spectral(").find("missing"), std::string::npos);
   EXPECT_NE(error_of("isolated+isolated").find("appears twice"),
             std::string::npos);
+  // Integer arguments are bounded, and the reason names the bound: past
+  // it a probe would run for hours or overflow its uint32_t.
+  EXPECT_NE(error_of("expansion(1000000000)").find("at most 1024"),
+            std::string::npos);
+  EXPECT_NE(error_of("expansion(1025)").find("at most 1024"),
+            std::string::npos);
+  EXPECT_NE(error_of("spectral(1e300)").find("at most 100000"),
+            std::string::npos);
+  EXPECT_NE(error_of("spectral(100001)").find("at most 100000"),
+            std::string::npos);
+  EXPECT_NE(error_of("demography(1000000000)").find("at most 16777216"),
+            std::string::npos);
+  EXPECT_NE(error_of("demography(16777217)").find("at most 16777216"),
+            std::string::npos);
+  for (const char* at_bound :
+       {"expansion(1024)", "spectral(100000)", "demography(16777216)"}) {
+    EXPECT_TRUE(ObserverSpec::parse(at_bound).has_value()) << at_bound;
+  }
 }
 
 TEST(ObserverSpec, KnownNameDispatchAndMetricColumns) {

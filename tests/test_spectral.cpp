@@ -1,15 +1,21 @@
 // Tests for expansion/spectral.hpp: lambda_2 of the lazy random walk
-// against known spectra, Cheeger bound sanity, and agreement with the
-// combinatorial probe on expanders vs non-expanders.
+// against known spectra, Cheeger bound sanity, agreement with the
+// combinatorial probe on expanders vs non-expanders, and bit-identity of
+// the row-grouped product against the one-row reference kernel.
 #include "expansion/spectral.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "baselines/static_dout.hpp"
 #include "expansion/expansion.hpp"
+#include "models/poisson_network.hpp"
+#include "models/streaming_network.hpp"
 
 namespace churnet {
 namespace {
@@ -141,6 +147,192 @@ TEST(Spectral, DeterministicForSeed) {
   const SpectralResult ra = spectral_gap(snap, a);
   const SpectralResult rb = spectral_gap(snap, b);
   EXPECT_DOUBLE_EQ(ra.lambda2, rb.lambda2);
+}
+
+// ---------------------------------------------------------------------------
+// The one-row power iteration, embedded as a reference: run_power_iteration
+// as it was before the product summed rows in groups, specialized to the
+// cold start (random seed vector, no final iterate kept). The grouped
+// kernel must match it bit for bit and leave the RNG in the same state.
+// ---------------------------------------------------------------------------
+
+SpectralResult reference_spectral_gap(const Snapshot& snapshot, Rng& rng,
+                                      std::uint32_t max_iterations,
+                                      double tolerance) {
+  const std::uint32_t n = snapshot.node_count();
+  CHURNET_EXPECTS(n >= 2);
+  SpectralResult result;
+
+  std::uint64_t total_degree = 0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t deg = snapshot.degree(v);
+    if (deg == 0) {
+      result.lambda2 = 1.0;
+      result.spectral_gap = 0.0;
+      result.cheeger_lower = 0.0;
+      result.cheeger_upper = 0.0;
+      result.converged = true;
+      return result;
+    }
+    total_degree += deg;
+  }
+
+  std::vector<double> pi(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    pi[v] = static_cast<double>(snapshot.degree(v)) /
+            static_cast<double>(total_degree);
+  }
+
+  std::vector<double> x(n);
+  for (double& value : x) value = rng.normal();
+  std::vector<double> next(n);
+
+  auto deflate = [&](std::vector<double>& values) {
+    double mean = 0.0;
+    for (std::uint32_t v = 0; v < n; ++v) mean += pi[v] * values[v];
+    for (double& value : values) value -= mean;
+  };
+  auto pi_norm = [&](const std::vector<double>& values) {
+    double sum = 0.0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      sum += pi[v] * values[v] * values[v];
+    }
+    return std::sqrt(sum);
+  };
+
+  deflate(x);
+  {
+    double norm = pi_norm(x);
+    if (norm <= 0.0) {
+      for (double& value : x) value = rng.normal();
+      deflate(x);
+      norm = pi_norm(x);
+    }
+    CHURNET_ASSERT(norm > 0.0);
+    for (double& value : x) value /= norm;
+  }
+
+  double rayleigh = 0.0;
+  for (std::uint32_t iteration = 1; iteration <= max_iterations;
+       ++iteration) {
+    // next = P x with P = (I + D^{-1} A) / 2.
+    for (std::uint32_t v = 0; v < n; ++v) {
+      double sum = 0.0;
+      for (const std::uint32_t w : snapshot.neighbors(v)) sum += x[w];
+      next[v] =
+          0.5 * (x[v] + sum / static_cast<double>(snapshot.degree(v)));
+    }
+    deflate(next);
+    double quotient = 0.0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      quotient += pi[v] * x[v] * next[v];
+    }
+    const double norm = pi_norm(next);
+    result.iterations = iteration;
+    if (norm <= 1e-300) {
+      rayleigh = 0.0;
+      result.converged = true;
+      break;
+    }
+    for (std::uint32_t v = 0; v < n; ++v) x[v] = next[v] / norm;
+    if (std::abs(quotient - rayleigh) < tolerance && iteration > 8) {
+      rayleigh = quotient;
+      result.converged = true;
+      break;
+    }
+    rayleigh = quotient;
+  }
+
+  result.lambda2 = std::clamp(rayleigh, 0.0, 1.0);
+  result.spectral_gap = 1.0 - result.lambda2;
+  result.cheeger_lower = result.spectral_gap / 2.0;
+  result.cheeger_upper = std::sqrt(2.0 * result.spectral_gap);
+  return result;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Runs the kernel and the reference from equal RNG states and requires
+/// bit-equal results and RNG states (the cached normal spare included).
+void expect_matches_reference(const Snapshot& snap, std::uint64_t seed,
+                              std::uint32_t max_iterations, double tolerance,
+                              const std::string& label) {
+  SCOPED_TRACE(label + " max_iterations=" + std::to_string(max_iterations));
+  Rng kernel_rng(seed);
+  Rng reference_rng(seed);
+  const SpectralResult got =
+      spectral_gap(snap, kernel_rng, max_iterations, tolerance);
+  const SpectralResult want =
+      reference_spectral_gap(snap, reference_rng, max_iterations, tolerance);
+  EXPECT_EQ(bits(got.lambda2), bits(want.lambda2));
+  EXPECT_EQ(bits(got.spectral_gap), bits(want.spectral_gap));
+  EXPECT_EQ(bits(got.cheeger_lower), bits(want.cheeger_lower));
+  EXPECT_EQ(bits(got.cheeger_upper), bits(want.cheeger_upper));
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(bits(kernel_rng.normal()), bits(reference_rng.normal()));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(kernel_rng.next_u64(), reference_rng.next_u64());
+  }
+}
+
+/// A connected multigraph on n nodes: a ring plus random chords, with
+/// parallel edges and self-loops, so rows of one group differ in degree.
+Snapshot multigraph(std::uint32_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Edges edges;
+  for (std::uint32_t v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
+  for (std::uint32_t k = 0; k < 3 * n; ++k) {
+    const auto a = static_cast<std::uint32_t>(rng.below(n));
+    const auto b = static_cast<std::uint32_t>(rng.below(n));
+    edges.emplace_back(a, b);
+    if (k % 7 == 0) edges.emplace_back(a, b);  // parallel edge
+    if (k % 11 == 0) edges.emplace_back(a, a);  // self-loop
+  }
+  return Snapshot::from_edges(n, edges);
+}
+
+TEST(SpectralKernel, MatchesReferenceOnMultigraphsOfEveryResidue) {
+  // n = 0, 1, 2, 3 (mod 4): a full last group and each leftover count.
+  for (const std::uint32_t n : {2u, 3u, 5u, 8u, 41u, 42u, 43u, 64u, 301u}) {
+    const Snapshot snap = multigraph(n, 100 + n);
+    for (const std::uint32_t iterations : {1u, 5u, 8u, 500u}) {
+      expect_matches_reference(snap, 7 + n, iterations, 1e-9,
+                               "multigraph n=" + std::to_string(n));
+    }
+    expect_matches_reference(snap, 9 + n, 2000, 1e-4,
+                             "loose tolerance n=" + std::to_string(n));
+  }
+}
+
+TEST(SpectralKernel, MatchesReferenceOnDegreeZeroEarlyOut) {
+  // Node 6 has no edges: both kernels return lambda2 = 1 without a draw.
+  const Snapshot snap = Snapshot::from_edges(
+      7, Edges{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {0, 0}});
+  expect_matches_reference(snap, 21, 500, 1e-9, "degree-0 vertex");
+  Rng rng(21);
+  EXPECT_EQ(spectral_gap(snap, rng).iterations, 0u);
+}
+
+TEST(SpectralKernel, MatchesReferenceOnWarmedSnapshots) {
+  StreamingConfig sdgr;
+  sdgr.n = 1000;
+  sdgr.d = 4;
+  sdgr.policy = EdgePolicy::kRegenerate;
+  sdgr.seed = 31;
+  StreamingNetwork streaming(sdgr);
+  streaming.warm_up();
+  const Snapshot sdgr_snap = streaming.snapshot();
+
+  PoissonNetwork poisson(
+      PoissonConfig::with_n(1000, 4, EdgePolicy::kRegenerate, 32));
+  poisson.warm_up();
+  const Snapshot pdgr_snap = poisson.snapshot();
+
+  for (const std::uint32_t iterations : {3u, 500u}) {
+    expect_matches_reference(sdgr_snap, 33, iterations, 1e-9, "SDGR");
+    expect_matches_reference(pdgr_snap, 34, iterations, 1e-9, "PDGR");
+  }
 }
 
 }  // namespace

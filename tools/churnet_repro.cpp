@@ -295,9 +295,9 @@ std::vector<ReproTarget> make_targets() {
         no_sparse_set}}});
 
   // -- Resilience under adversarial and correlated churn (beyond the
-  // paper's oblivious model; ROADMAP item 2): how expansion, spectral gap,
-  // isolation and flooding coverage degrade as the adversary budget grows,
-  // and under correlated mass failures / flash crowds.
+  // paper's oblivious model; DESIGN.md decision 18): how expansion,
+  // spectral gap, isolation and flooding coverage degrade as the adversary
+  // budget grows, and under correlated mass failures / flash crowds.
   targets.push_back(ReproTarget{
       "resilience", "beyond-paper: adversarial/correlated churn",
       "degradation of expansion, spectral gap, isolated census and "

@@ -24,10 +24,12 @@
 // Inline flags override the config file's values key by key.
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -39,20 +41,48 @@ namespace {
 
 using namespace churnet;
 
+/// Applies the JSON reader's range rule for `key` to an integer flag's
+/// value; exits 1 with the reason, prefixed by `what`, when it fails.
+void check_flag_integer(const std::string& what, const char* key,
+                        double value) {
+  if (const auto reason = SweepSpec::check_integer(key, value)) {
+    std::fprintf(stderr, "%s: %s\n", what.c_str(), reason->c_str());
+    std::exit(1);
+  }
+}
+
 std::vector<std::uint32_t> split_u32_list(const std::string& text,
                                           const char* flag) {
   std::vector<std::uint32_t> values;
   for (const std::string& part : split_spec_list(text)) {
     char* end = nullptr;
+    errno = 0;
     const long long value = std::strtoll(part.c_str(), &end, 10);
-    if (end != part.c_str() + part.size() || value < 1) {
+    if (end != part.c_str() + part.size()) {
       std::fprintf(stderr, "--%s: bad entry '%s' (need integers >= 1)\n",
                    flag, part.c_str());
       std::exit(1);
     }
+    check_flag_integer("--" + std::string(flag) + ": bad entry '" + part +
+                           "'",
+                       flag,
+                       errno == ERANGE ? std::numeric_limits<double>::infinity()
+                                       : static_cast<double>(value));
     values.push_back(static_cast<std::uint32_t>(value));
   }
   return values;
+}
+
+/// An integer flag where 0 keeps the config's value; any other value must
+/// pass the JSON reader's rule for `key`. Cli::get_int saturates past
+/// int64, which the rule rejects as well.
+std::int64_t integer_flag(const Cli& cli, const char* flag, const char* key) {
+  const std::int64_t value = cli.get_int(flag);
+  if (value != 0) {
+    check_flag_integer("--" + std::string(flag), key,
+                       static_cast<double>(value));
+  }
+  return value;
 }
 
 /// Writes through a sink member to `path` ("-" = stdout).
@@ -206,19 +236,22 @@ int main(int argc, char** argv) {
   if (cli.get_flag("incremental-observers")) {
     spec.incremental_observers = true;
   }
-  if (cli.get_int("reps") > 0) {
-    spec.replications = static_cast<std::uint64_t>(cli.get_int("reps"));
+  if (const std::int64_t reps = integer_flag(cli, "reps", "replications");
+      reps > 0) {
+    spec.replications = static_cast<std::uint64_t>(reps);
   }
   if (cli.get_int("seed") > 0) {
     spec.base_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   }
-  if (cli.get_int("max-in-degree") > 0) {
-    spec.max_in_degree =
-        static_cast<std::uint32_t>(cli.get_int("max-in-degree"));
+  if (const std::int64_t cap =
+          integer_flag(cli, "max-in-degree", "max_in_degree");
+      cap > 0) {
+    spec.max_in_degree = static_cast<std::uint32_t>(cap);
   }
-  if (cli.get_int("intra-threads") > 0) {
-    spec.intra_threads =
-        static_cast<std::uint32_t>(cli.get_int("intra-threads"));
+  if (const std::int64_t intra =
+          integer_flag(cli, "intra-threads", "intra_threads");
+      intra > 0) {
+    spec.intra_threads = static_cast<std::uint32_t>(intra);
   }
 
   if (spec.scenarios.empty()) {
