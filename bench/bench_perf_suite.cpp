@@ -15,6 +15,7 @@
 //                      diffed — they ARE the trajectory.
 //
 // Engineering bench only; reproduces no paper claim.
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -31,6 +32,13 @@
 namespace {
 
 using namespace churnet;
+
+/// The process's peak resident set so far (getrusage), in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -328,6 +336,11 @@ int main(int argc, char** argv) {
     const std::uint64_t checksum = graph_checksum(net.graph());
     const std::uint64_t churned_alive = net.graph().alive_count();
     const std::uint64_t churned_edges = net.graph().edge_count();
+    // Live memory after the churn segment: the graph's arrays per alive
+    // node (capacity, so reserved headroom counts).
+    const double arena_bytes_per_node =
+        static_cast<double>(net.graph().arena_bytes()) /
+        static_cast<double>(churned_alive);
 
     // The sweep's flood shape: the now warmed network flooded once more
     // with default options, i.e. to completion — on SDG that means waiting
@@ -352,6 +365,10 @@ int main(int argc, char** argv) {
                 "(completed %d)\n",
                 static_cast<unsigned long long>(warm.steps), warm_elapsed,
                 warm.completed ? 1 : 0);
+    const double peak_mb = peak_rss_mb();
+    std::printf("memory: arena %.1f B/node after churn, process peak RSS "
+                "%.1f MB\n",
+                arena_bytes_per_node, peak_mb);
     json << "    \"flood_large_n\": {\n      \"config\": {\"n\": " << large_n
          << ", \"d\": 8, \"scenario\": \"SDG\", \"churn_rounds\": "
          << churn_rounds << "},\n"
@@ -372,6 +389,9 @@ int main(int argc, char** argv) {
          << ", \"flood_wall_seconds\": " << fmt_fixed(flood_elapsed, 4)
          << ", \"churn_wall_seconds\": " << fmt_fixed(churn_elapsed, 4)
          << ", \"warm_flood_wall_seconds\": " << fmt_fixed(warm_elapsed, 4)
+         << ", \"arena_bytes_per_node\": "
+         << fmt_fixed(arena_bytes_per_node, 1)
+         << ", \"peak_rss_mb\": " << fmt_fixed(peak_mb, 1)
          << "}\n    },\n";
   }
 

@@ -20,8 +20,13 @@ constexpr std::uint32_t kRowGroup = 4;
 /// rows of a group only interleave, so kRowGroup add chains overlap instead
 /// of one. No sum is reassociated, so every entry of `next` is the one-row
 /// loop's, bit for bit. Rows past the last full group take the one-row loop.
-void lazy_walk_product(const Snapshot& snapshot, const std::vector<double>& x,
-                       std::vector<double>& next) {
+/// The kernel starts on a cache-line boundary so that its loops keep one
+/// placement however much code links before it: shifted by 16 bytes, they
+/// made a resilience campaign's observation phase about 15% slower on an
+/// AVX-512 Xeon (GCC 12, Release).
+[[gnu::aligned(64)]] void lazy_walk_product(const Snapshot& snapshot,
+                                            const std::vector<double>& x,
+                                            std::vector<double>& next) {
   const std::uint32_t n = snapshot.node_count();
   const std::uint32_t grouped = n - n % kRowGroup;
   for (std::uint32_t v = 0; v < grouped; v += kRowGroup) {

@@ -116,14 +116,14 @@ struct CreatedEdge {
 ///
 /// Two candidate representations coexist; the protocol picks one
 /// (DisseminationProtocol::candidates()). Protocols that propose record
-/// (sender, receiver) NodeId pairs in `candidates` (propose order is
+/// (sender, receiver) slot pairs in `cand_pairs` (propose order is
 /// load-bearing: commit order, stats, and on_informed indices follow it),
 /// with `mark_candidate` bits deduplicating receivers where one message
-/// per receiver suffices. Plain flooding skips the pair list entirely:
-/// receivers are candidate *bits* in slot space, each candidate word
-/// flagged in a summary level (one bit per word, the degree-index
-/// pattern), and commit_candidates() turns them into the next frontier
-/// with a fused AND-NOT over only the flagged words.
+/// per receiver suffices. Plain flooding under receiver survival skips the
+/// pair list entirely: receivers are candidate *bits* in slot space, each
+/// candidate word flagged in a summary level (one bit per word, the
+/// degree-index pattern), and commit_candidates() turns them into the next
+/// frontier with a fused AND-NOT over only the flagged words.
 class FloodScratch {
  public:
   using Word = Bitset64::Word;
@@ -139,7 +139,7 @@ class FloodScratch {
     frontier.clear();
     frontier_slots.clear();
     created.clear();
-    candidates.clear();
+    cand_pairs.clear();
     deaths_.clear();
   }
 
@@ -160,7 +160,7 @@ class FloodScratch {
     ++informed_count_;
     return true;
   }
-  /// Slot variant for the slot path; the slot must be in range
+  /// Slot variant for the step commits; the slot must be in range
   /// (ensure_slots ran this step).
   bool mark_informed_slot(std::uint32_t slot) {
     if (!informed_.test_and_set(slot)) return false;
@@ -182,10 +182,10 @@ class FloodScratch {
   /// step's candidate marks (walking the recorded pairs — O(step
   /// candidates), not O(slots)) and the pair list itself.
   void begin_step() {
-    for (const auto& [sender, receiver] : candidates) {
-      candidate_.reset(receiver.slot);
+    for (const auto& [sender, receiver] : cand_pairs) {
+      candidate_.reset(receiver);
     }
-    candidates.clear();
+    cand_pairs.clear();
   }
   /// Pair-path receiver dedup: true the first time `node` is proposed
   /// this step.
@@ -262,7 +262,6 @@ class FloodScratch {
     death_.set(node.slot);
     deaths_.push_back(node);
   }
-  bool died_this_step(NodeId node) const { return death_.test(node.slot); }
   bool died_this_step_slot(std::uint32_t slot) const {
     return death_.test(slot);
   }
@@ -273,16 +272,16 @@ class FloodScratch {
   std::vector<NodeId> frontier;
   std::vector<NodeId> neighbors;
   std::vector<CreatedEdge> created;
-  std::vector<std::pair<NodeId, NodeId>> candidates;  // (sender, receiver)
   // The driver's change feed, attached to the graph for one run and
   // drained into `created` and the death set after every churn step.
   ChangeFeed feed;
+  // One step's (sender, receiver) slot pairs: every send() on the pair
+  // path, and the boundary messages of the slot path under pair survival.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cand_pairs;
 
   // Slot-path buffers (slot-only mirrors of the above).
   std::vector<std::uint32_t> frontier_slots;
   std::vector<std::uint32_t> neighbor_slots;
-  // (sender, receiver) slots under pair-survival semantics.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cand_pairs;
   // Sharded-scan buffers: per-chunk pair outputs (merged in chunk order)
   // and per-worker neighbor staging.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>

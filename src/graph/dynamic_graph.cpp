@@ -4,6 +4,7 @@
 #include "graph/dynamic_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace churnet {
 
@@ -25,6 +26,15 @@ void DynamicGraph::reserve(std::uint32_t nodes, std::uint32_t out_slots_hint) {
                   << in_class_of(std::max(out_slots_hint, kMinInChunk));
   out_free_.reserve(4);
   in_pool_.reserve(slots * first_in_cap_ + slots * first_in_cap_ / 2);
+}
+
+std::size_t DynamicGraph::arena_bytes() const {
+  const auto bytes = [](const auto& array) {
+    return array.capacity() * sizeof(array[0]);
+  };
+  return bytes(core_) + bytes(birth_seqs_) + bytes(birth_times_) +
+         bytes(out_pool_) + bytes(in_pool_) + bytes(alive_slots_) +
+         bytes(free_slots_);
 }
 
 std::uint32_t DynamicGraph::grow_slot_arrays() {
@@ -65,6 +75,30 @@ void DynamicGraph::build_degree_index() const {
 }
 
 bool DynamicGraph::check_consistency() const {
+  // In-list chunk placement: every held and every free-listed chunk lies
+  // inside the slab at a class capacity, no two overlap (one mark per pool
+  // entry), and together they cover the slab, so no entry leaks.
+  std::vector<bool> claimed(in_pool_.size(), false);
+  std::uint64_t claimed_entries = 0;
+  const auto claim_chunk = [&](std::uint32_t base, std::uint32_t cap) {
+    if (!std::has_single_bit(cap) || cap < kMinInChunk ||
+        cap > (kMinInChunk << (kInClassCount - 1))) {
+      return false;
+    }
+    if (static_cast<std::uint64_t>(base) + cap > in_pool_.size()) return false;
+    for (std::uint32_t i = base; i < base + cap; ++i) {
+      if (claimed[i]) return false;
+      claimed[i] = true;
+    }
+    claimed_entries += cap;
+    return true;
+  };
+  for (std::uint32_t cls = 0; cls < kInClassCount; ++cls) {
+    for (const std::uint32_t base : in_free_[cls]) {
+      if (!claim_chunk(base, kMinInChunk << cls)) return false;
+    }
+  }
+
   std::uint64_t seen_edges = 0;
   for (std::uint32_t s = 0; s < core_.size(); ++s) {
     const SlotCore& core = core_[s];
@@ -76,9 +110,7 @@ bool DynamicGraph::check_consistency() const {
         out_pool_.size()) {
       return false;
     }
-    if (core.in_cap > 0 &&
-        static_cast<std::uint64_t>(core.in_base) + core.in_cap >
-            in_pool_.size()) {
+    if (core.in_cap > 0 && !claim_chunk(core.in_base, core.in_cap)) {
       return false;
     }
     for (std::uint32_t i = 0; i < core.out_count; ++i) {
@@ -113,7 +145,7 @@ bool DynamicGraph::check_consistency() const {
       }
     }
   }
-  return seen_edges == edge_count_;
+  return seen_edges == edge_count_ && claimed_entries == in_pool_.size();
 }
 
 std::uint32_t DynamicGraph::acquire_out_run(std::uint32_t stride) {
@@ -140,26 +172,40 @@ void DynamicGraph::release_out_run(std::uint32_t base, std::uint32_t stride) {
   out_free_.push_back(OutFreeList{stride, {base}});
 }
 
-void DynamicGraph::grow_in_chunk(SlotCore& core) {
-  // First chunk at the reserve() hint size, then geometric upgrades; the
-  // retired chunk returns to its class free list, so steady-state churn
-  // recycles chunks without touching the allocator.
-  const std::uint32_t new_cap =
-      core.in_cap == 0 ? first_in_cap_ : core.in_cap * 2;
-  const std::uint32_t cls = in_class_of(new_cap);
-  CHURNET_EXPECTS(cls < kInClassCount);
-  std::uint32_t new_base;
-  std::vector<std::uint32_t>& list = in_free_[cls];
-  if (!list.empty()) {
-    new_base = list.back();
-    list.pop_back();
-  } else {
+std::uint32_t DynamicGraph::acquire_in_chunk(std::uint32_t cls) {
+  // The smallest class >= cls with a free chunk; LIFO within a class.
+  std::uint32_t from = cls;
+  while (from < kInClassCount && in_free_[from].empty()) ++from;
+  if (from == kInClassCount) {
     const std::size_t base = in_pool_.size();
     const std::uint32_t cap = kMinInChunk << cls;
     CHURNET_EXPECTS(base + cap <= NodeId::kInvalidSlot);
     in_pool_.resize(base + cap);
-    new_base = static_cast<std::uint32_t>(base);
+    return static_cast<std::uint32_t>(base);
   }
+  const std::uint32_t base = in_free_[from].back();
+  in_free_[from].pop_back();
+  // Buddy split without merging: keep the lowest piece, and free the upper
+  // half at every class between, largest first.
+  while (from > cls) {
+    --from;
+    in_free_[from].push_back(base + (kMinInChunk << from));
+  }
+  return base;
+}
+
+void DynamicGraph::grow_in_chunk(SlotCore& core) {
+  // First chunk at the reserve() hint size, then geometric upgrades; the
+  // retired chunk returns to its class free list, so steady-state churn
+  // recycles chunks without touching the allocator. A class with no free
+  // chunk splits a larger retired one before the slab grows: regeneration
+  // frees founders' large chunks that newborns' small requests would
+  // otherwise never reuse, and a growing slab copies itself.
+  const std::uint32_t new_cap =
+      core.in_cap == 0 ? first_in_cap_ : core.in_cap * 2;
+  const std::uint32_t cls = in_class_of(new_cap);
+  CHURNET_EXPECTS(cls < kInClassCount);
+  const std::uint32_t new_base = acquire_in_chunk(cls);
   if (core.in_count > 0) {
     std::copy_n(in_pool_.begin() + core.in_base, core.in_count,
                 in_pool_.begin() + new_base);

@@ -23,7 +23,8 @@
 // Storage is a flat arena (DESIGN.md, "Memory layout" / decision 11):
 // per-node out-slot runs live contiguously in one pooled array recycled
 // through per-stride free lists, in-lists are capacity-class chunks carved
-// from a slab pool, and hot per-slot metadata is a fixed 32-byte record.
+// from a slab pool (split from larger retired chunks before the slab
+// grows), and hot per-slot metadata is a fixed 32-byte record.
 // Pool entries are 8 bytes: they store the peer's slot index only, because
 // both endpoints of a live edge are alive by construction, so the peer's
 // generation is always recoverable from its slot record. Together with the
@@ -430,6 +431,13 @@ class DynamicGraph {
     return static_cast<std::uint32_t>(core_.size());
   }
 
+  /// Bytes the seven per-slot and per-edge arrays hold (capacity times
+  /// element size): slot records, birth sequences and times, the out- and
+  /// in-list pools, and the alive and free slot lists. Free lists are
+  /// excluded. Once reserve() and warm-up have sized the pools, steady-state
+  /// churn leaves it unchanged.
+  std::size_t arena_bytes() const;
+
   /// Verifies the full doubly-indexed adjacency invariant; O(V+E).
   /// Used by tests and debug assertions, returns true when consistent.
   bool check_consistency() const;
@@ -513,6 +521,10 @@ class DynamicGraph {
   void release_in_chunk(std::uint32_t base, std::uint32_t cap) {
     in_free_[in_class_of(cap)].push_back(base);
   }
+  /// Base of a free chunk of class `cls`: from its free list, else split
+  /// from the smallest larger class with a free chunk, else carved from the
+  /// slab's end.
+  std::uint32_t acquire_in_chunk(std::uint32_t cls);
   void grow_in_chunk(SlotCore& core);                    // cold: upgrade
 
   // ---- arenas ----------------------------------------------------------

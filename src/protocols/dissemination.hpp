@@ -18,8 +18,9 @@
 //     pairs instead. The frontier is slot-ordered; ProtocolScratch::informed
 //     stays empty and no protocol hook is called.
 //   * kFirstPerReceiver / kEvery: the protocol proposes (sender, receiver)
-//     NodeId pairs through a StepView, and the driver commits them in
-//     propose order, calling on_informed / on_death.
+//     pairs through a StepView, which keeps them as slot pairs, and the
+//     driver commits them in propose order, calling on_informed /
+//     on_death.
 //
 // Both give the same informed sets, traces and ProtocolStats for flooding
 // (tests/test_protocol_equivalence.cpp). On top of the flood loop the
@@ -89,25 +90,28 @@ void commit_slots(FloodScratch& fs, std::uint64_t messages,
   }
 }
 
-/// Pair-path commit: surviving deliveries in propose order.
+/// Pair-path commit: surviving deliveries in propose order. send() took
+/// only live receivers, so a receiver is dead now iff its slot's death bit
+/// is set (a newborn reusing the slot does not clear it), and survival
+/// never loads a slot record; only a newly informed receiver's NodeId is
+/// rebuilt from its slot.
 template <typename Semantics>
 void commit_pairs(const DynamicGraph& graph, ProtocolScratch& scratch,
                   DisseminationProtocol& protocol, ProtocolStats& stats) {
   FloodScratch& fs = scratch.flood;
   fs.frontier.clear();
-  for (std::size_t i = 0; i < fs.candidates.size(); ++i) {
-    const auto [u, v] = fs.candidates[i];
+  for (std::size_t i = 0; i < fs.cand_pairs.size(); ++i) {
+    const auto [u, v] = fs.cand_pairs[i];
+    if (fs.died_this_step_slot(v)) continue;
     if constexpr (Semantics::kPairCandidates) {
-      if (fs.died_this_step(u) || fs.died_this_step(v)) continue;
-      CHURNET_ASSERT(graph.is_alive(v));
-    } else {
-      if (!graph.is_alive(v)) continue;  // the interval's death
+      if (fs.died_this_step_slot(u)) continue;
     }
-    if (fs.mark_informed(v)) {
+    if (fs.mark_informed_slot(v)) {
       ++stats.useful_deliveries;
-      fs.frontier.push_back(v);
-      scratch.informed.push_back(v);
-      protocol.on_informed(v, u, i);
+      const NodeId node = graph.alive_id_at(v);
+      fs.frontier.push_back(node);
+      scratch.informed.push_back(node);
+      protocol.on_informed(node, i);
     } else {
       ++stats.duplicate_deliveries;
     }
@@ -194,8 +198,7 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
     }
     fs.frontier.push_back(node);
     scratch.informed.push_back(node);
-    protocol.on_informed(node, kInvalidNode,
-                         DisseminationProtocol::kNoCandidate);
+    protocol.on_informed(node, DisseminationProtocol::kNoCandidate);
   };
   inform_source(source);
   // Extra sources: uniform alive nodes from the protocol RNG (the network

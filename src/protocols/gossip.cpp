@@ -132,8 +132,7 @@ void TtlFloodProtocol::propose(StepView& view) {
       });
 }
 
-void TtlFloodProtocol::on_informed(NodeId node, NodeId sender,
-                                   std::size_t candidate_index) {
+void TtlFloodProtocol::on_informed(NodeId node, std::size_t candidate_index) {
   if (node.slot >= stamp_.size()) {
     const std::size_t size = std::max<std::size_t>(
         node.slot + 1, stamp_.size() + stamp_.size() / 2);
@@ -141,7 +140,7 @@ void TtlFloodProtocol::on_informed(NodeId node, NodeId sender,
     hop_.resize(size, 0);
   }
   stamp_[node.slot] = epoch_;
-  if (!sender.valid() || candidate_index == kNoCandidate) {
+  if (candidate_index == kNoCandidate) {
     hop_[node.slot] = 0;  // source
     return;
   }

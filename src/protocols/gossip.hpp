@@ -54,8 +54,7 @@ class TtlFloodProtocol : public DisseminationProtocol {
   std::string name() const override;
   void begin_run(std::uint64_t seed, std::uint32_t slot_bound) override;
   void propose(StepView& view) override;
-  void on_informed(NodeId node, NodeId sender,
-                   std::size_t candidate_index) override;
+  void on_informed(NodeId node, std::size_t candidate_index) override;
   void on_death(NodeId node) override;
   /// Hops follow the first sender in propose order.
   Candidates candidates() const override {
@@ -139,9 +138,8 @@ class LossyProtocol : public DisseminationProtocol {
   std::string name() const override;
   void begin_run(std::uint64_t seed, std::uint32_t slot_bound) override;
   void propose(StepView& view) override { inner_->propose(view); }
-  void on_informed(NodeId node, NodeId sender,
-                   std::size_t candidate_index) override {
-    inner_->on_informed(node, sender, candidate_index);
+  void on_informed(NodeId node, std::size_t candidate_index) override {
+    inner_->on_informed(node, candidate_index);
   }
   void on_death(NodeId node) override { inner_->on_death(node); }
   /// Every send needs its own loss coin, so a slot set becomes pairs.

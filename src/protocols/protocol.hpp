@@ -171,11 +171,15 @@ class StepView {
     return scratch_.shard_neighbors;
   }
 
-  /// Offers one rumor transmission sender -> receiver. Applies the lossy
-  /// coin and (where the driver deduplicates) receiver deduplication.
-  /// Returns true iff a delivery candidate was recorded — exactly then the
-  /// candidate index protocols see in on_informed advances by one.
+  /// Offers one rumor transmission sender -> receiver; the receiver must be
+  /// alive. Applies the lossy coin and (where the driver deduplicates)
+  /// receiver deduplication. Returns true iff a delivery candidate was
+  /// recorded — exactly then the candidate index protocols see in
+  /// on_informed advances by one. Candidates are kept as slot pairs: the
+  /// commit decides survival from the step's death bits, so it never loads
+  /// a receiver's slot record.
   bool send(NodeId sender, NodeId receiver) {
+    CHURNET_EXPECTS(graph_.is_alive(receiver));
     ++stats_.messages_sent;
     if (delivery_q_ < 1.0 && !loss_rng_->bernoulli(delivery_q_)) {
       ++stats_.lost_messages;
@@ -189,7 +193,7 @@ class StepView {
         return false;
       }
     }
-    scratch_.flood.candidates.emplace_back(sender, receiver);
+    scratch_.flood.cand_pairs.emplace_back(sender.slot, receiver.slot);
     return true;
   }
 
@@ -258,11 +262,10 @@ class DisseminationProtocol {
   /// Notification that `node` became informed — by candidate
   /// `candidate_index` of this step (an index into the propose-order
   /// candidate list, aligned with send() calls that returned true), or as
-  /// a source (sender invalid, kNoCandidate).
-  virtual void on_informed(NodeId node, NodeId sender,
-                           std::size_t candidate_index) {
+  /// a source (kNoCandidate). The sender is not passed: it may have died
+  /// during the step, and a protocol that needs it records it at send().
+  virtual void on_informed(NodeId node, std::size_t candidate_index) {
     (void)node;
-    (void)sender;
     (void)candidate_index;
   }
 

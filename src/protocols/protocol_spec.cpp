@@ -17,14 +17,25 @@ bool fail(std::string* error, std::string message) {
   return spec_fail(error, std::move(message));
 }
 
-/// Reads a positive integer argument (fanout, ttl, sources); rejects
-/// fractional and out-of-range values with the parameter's name.
+// Upper bounds on the integer arguments. A step's pair list holds up to
+// fanout x informed entries, so a gossip fanout shares the expansion(k)
+// bound; the largest fanout in the tree is 3. Hop bounds and source counts
+// only cap loops the graph already bounds.
+constexpr std::uint32_t kMaxFanout = 1024;
+constexpr std::uint32_t kMaxCount = 1'000'000'000;
+
+/// Reads an integer argument in [minimum, maximum] (fanout, ttl, sources);
+/// rejects fractional and out-of-range values with the parameter's name and
+/// both bounds.
 bool read_count(double value, const char* what, std::uint32_t minimum,
-                std::uint32_t* out, std::string* error) {
-  if (std::floor(value) != value || value < minimum || value > 1e9) {
+                std::uint32_t maximum, std::uint32_t* out,
+                std::string* error) {
+  if (std::floor(value) != value || value < minimum || value > maximum) {
+    const std::string got =
+        std::abs(value) < 1e15 ? fmt_fixed(value, 3) : fmt_sci(value);
     fail(error, std::string(what) + " must be an integer >= " +
-                    std::to_string(minimum) + " (got " + fmt_fixed(value, 3) +
-                    ")");
+                    std::to_string(minimum) + " and at most " +
+                    std::to_string(maximum) + " (got " + got + ")");
     return false;
   }
   *out = static_cast<std::uint32_t>(value);
@@ -122,7 +133,8 @@ std::optional<ProtocolSpec> ProtocolSpec::parse(std::string_view text,
         fail(error, "sources(s) needs a source count");
         return std::nullopt;
       }
-      if (!read_count(call.args[0], "source count", 1, &spec.sources, error)) {
+      if (!read_count(call.args[0], "source count", 1, kMaxCount,
+                      &spec.sources, error)) {
         return std::nullopt;
       }
       have_sources = true;
@@ -141,22 +153,24 @@ std::optional<ProtocolSpec> ProtocolSpec::parse(std::string_view text,
       if (!arity(1)) return std::nullopt;
       spec.kind = Kind::kPush;
       if (!call.args.empty() &&
-          !read_count(call.args[0], "push fanout", 1, &spec.fanout, error)) {
+          !read_count(call.args[0], "push fanout", 1, kMaxFanout,
+                      &spec.fanout, error)) {
         return std::nullopt;
       }
     } else if (call.name == "pull") {
       if (!arity(1)) return std::nullopt;
       spec.kind = Kind::kPull;
       if (!call.args.empty() &&
-          !read_count(call.args[0], "pull fanout", 1, &spec.fanout, error)) {
+          !read_count(call.args[0], "pull fanout", 1, kMaxFanout,
+                      &spec.fanout, error)) {
         return std::nullopt;
       }
     } else if (call.name == "push-pull" || call.name == "pushpull") {
       if (!arity(1)) return std::nullopt;
       spec.kind = Kind::kPushPull;
       if (!call.args.empty() &&
-          !read_count(call.args[0], "push-pull fanout", 1, &spec.fanout,
-                      error)) {
+          !read_count(call.args[0], "push-pull fanout", 1, kMaxFanout,
+                      &spec.fanout, error)) {
         return std::nullopt;
       }
     } else if (call.name == "ttl") {
@@ -167,7 +181,8 @@ std::optional<ProtocolSpec> ProtocolSpec::parse(std::string_view text,
              "ttl(h) needs a hop bound (an unbounded TTL is just flood)");
         return std::nullopt;
       }
-      if (!read_count(call.args[0], "ttl hop bound", 0, &spec.ttl, error)) {
+      if (!read_count(call.args[0], "ttl hop bound", 0, kMaxCount,
+                      &spec.ttl, error)) {
         return std::nullopt;
       }
     } else {
@@ -199,11 +214,15 @@ std::vector<std::pair<std::string, std::string>> ProtocolSpec::catalog() {
   return {
       {"flood", "full flooding (the paper's process; default)"},
       {"push(k)", "PUSH gossip: informed nodes send to k random neighbors "
-                  "per step (default k=1)"},
+                  "per step (default k=1, at most " +
+                      std::to_string(kMaxFanout) + ")"},
       {"pull(k)", "PULL gossip: uninformed nodes probe k random neighbors "
-                  "per step (default k=1)"},
+                  "per step (default k=1, at most " +
+                      std::to_string(kMaxFanout) + ")"},
       {"push-pull(k)", "PUSH-PULL: every node contacts k random neighbors; "
-                       "informed ends exchange the rumor (default k=1)"},
+                       "informed ends exchange the rumor (default k=1, at "
+                       "most " +
+                           std::to_string(kMaxFanout) + ")"},
       {"ttl(h)", "hop-bounded flooding: forwarding stops h hops from the "
                  "source"},
       {"+lossy(q)", "modifier: each message is delivered independently "

@@ -11,9 +11,9 @@
 //
 //   flood           full flooding (the paper's process; the driver runs
 //                   it on slot-set candidates, see dissemination.hpp)
-//   push(k)         PUSH gossip, fanout k >= 1 (default 1)
-//   pull(k)         PULL gossip, fanout k >= 1 (default 1)
-//   push-pull(k)    PUSH-PULL gossip, fanout k >= 1 (default 1)
+//   push(k)         PUSH gossip, fanout 1 <= k <= 1024 (default 1)
+//   pull(k)         PULL gossip, fanout 1 <= k <= 1024 (default 1)
+//   push-pull(k)    PUSH-PULL gossip, fanout 1 <= k <= 1024 (default 1)
 //   ttl(h)          hop-bounded flooding, h >= 0 hops (no default: a TTL
 //                   without a bound is just flood)
 //   +lossy(q)       per-message delivery probability q in (0, 1]

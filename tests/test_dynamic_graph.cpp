@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "models/streaming_network.hpp"
 
 namespace churnet {
 namespace {
@@ -275,6 +276,50 @@ TEST(DynamicGraph, RetargetAfterClearWorks) {
   EXPECT_EQ(graph.in_degree(b), 0u);
   EXPECT_EQ(graph.in_degree(c), 1u);
   EXPECT_TRUE(graph.check_consistency());
+}
+
+TEST(DynamicGraph, RetiredChunksSplitBeforeTheSlabGrows) {
+  // A hub's in-list climbs the capacity classes to a 128-entry chunk and
+  // retires one chunk per class on the way (4 + 8 + 16 + 32 + 64 entries).
+  // Once the hub dies, 252 retired entries make room for 63 first-size
+  // (4-entry) in-lists: the empty classes split the larger chunks instead
+  // of growing the slab.
+  DynamicGraph graph;
+  const NodeId hub = graph.add_node(0, 0.0);
+  std::vector<NodeId> spokes;
+  for (int i = 0; i < 100; ++i) {
+    const NodeId spoke = graph.add_node(1, 0.0);
+    graph.set_out_edge(spoke, 0, hub);
+    spokes.push_back(spoke);
+  }
+  ASSERT_TRUE(graph.check_consistency());
+  graph.remove_node(hub);
+  ASSERT_TRUE(graph.check_consistency());
+
+  const std::size_t arena = graph.arena_bytes();
+  for (std::size_t i = 0; i < 63; ++i) {
+    graph.set_out_edge(spokes[i], 0, spokes[i + 1]);
+    ASSERT_TRUE(graph.check_consistency()) << "in-list " << i;
+    EXPECT_EQ(graph.arena_bytes(), arena) << "in-list " << i;
+  }
+}
+
+TEST(DynamicGraph, RegenerationChurnKeepsTheGenesisArena) {
+  // SDGR warm-up: dying founders retire chunks of classes that newborns'
+  // requests never ask for. Splitting them keeps every in-list inside the
+  // slab genesis reserved, so no arena reallocates (and copies) after the
+  // growth phase.
+  StreamingConfig config;
+  config.n = 20000;
+  config.d = 8;
+  config.policy = EdgePolicy::kRegenerate;
+  config.seed = 12345;
+  StreamingNetwork net(config);
+  net.run_growth_phase();
+  const std::size_t arena = net.graph().arena_bytes();
+  net.run_rounds(3ull * config.n);
+  EXPECT_EQ(net.graph().arena_bytes(), arena);
+  EXPECT_TRUE(net.graph().check_consistency());
 }
 
 // Property test: random add/remove/wire churn keeps the structure

@@ -106,6 +106,27 @@ TEST(ProtocolSpec, RejectsBadAritiesAndArguments) {
   EXPECT_NE(parse_error("").find("empty protocol spec"), std::string::npos);
 }
 
+TEST(ProtocolSpec, BoundsGossipFanoutAtTheExpansionLimit) {
+  // A step's pair list holds up to fanout x informed entries: push(1e9)
+  // would run for seconds before failing, so parse() names the bound.
+  EXPECT_NE(parse_error("push(1000000000)")
+                .find("push fanout must be an integer >= 1 and at most 1024"),
+            std::string::npos);
+  EXPECT_NE(parse_error("pull(1025)")
+                .find("pull fanout must be an integer >= 1 and at most 1024"),
+            std::string::npos);
+  EXPECT_NE(parse_error("push-pull(1e300)").find("at most 1024"),
+            std::string::npos);
+  EXPECT_EQ(parse_ok("push(1024)").fanout, 1024u);
+  EXPECT_EQ(parse_ok("push(1024)").canonical(), "push(1024)");
+  // The catalog lines name the bound too.
+  for (const auto& [name, text] : ProtocolSpec::catalog()) {
+    if (name == "push(k)" || name == "pull(k)" || name == "push-pull(k)") {
+      EXPECT_NE(text.find("at most 1024"), std::string::npos) << name;
+    }
+  }
+}
+
 TEST(ProtocolSpec, RejectsOutOfRangeLossProbability) {
   for (const char* text :
        {"flood+lossy(0)", "flood+lossy(-0.5)", "flood+lossy(1.5)"}) {

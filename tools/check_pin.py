@@ -5,6 +5,8 @@
                  [--also-threads N]
     check_pin.py same <name> --sweep <churnet_sweep> --out <dir>
                  --args "<shared args>" --variant="<args>" --variant=...
+    check_pin.py fnv <name> --sweep <churnet_sweep> --out <dir>
+                 --args "<args>" --expect <16 hex digits>
     check_pin.py bench --suite <bench_perf_suite> --golden <golden.json>
                  --out <BENCH_core.json>
 
@@ -17,6 +19,10 @@ workload at N threads and requires the same CSV bytes.
 same: runs churnet_sweep once per --variant, on the shared --args plus the
 variant's own, and requires every CSV to be byte-identical to the first
 variant's. Arguments are split like a shell would split them.
+
+fnv: runs churnet_sweep once on --args and compares the CSV's FNV-1a with
+--expect, a value recorded from a known-good build. fnv1a comes from
+campaignbench/run.py, as for campaign.
 
 bench: runs bench_perf_suite --quick --out <out>, then diff_bench_golden.py
 <golden> <out>. The deterministic fields must match exactly; perf rates are
@@ -44,18 +50,22 @@ def run_workload(sweep, workload, threads, csv):
                              str(threads)], csv)
 
 
-def check_campaign(args):
+def import_campaignbench():
     # No bytecode: importing must leave campaignbench/ as it is.
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "campaignbench"))
-    from run import WORKLOADS, fnv1a
+    import run
+    return run
 
-    pin = WORKLOADS[args.workload]
+
+def check_campaign(args):
+    bench = import_campaignbench()
+    pin = bench.WORKLOADS[args.workload]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = run_workload(args.sweep, args.workload, pin["threads"],
                         out / f"{args.workload}.csv")
-    got = fnv1a(data)
+    got = bench.fnv1a(data)
     if got != pin["csv_fnv"]:
         print(f"{args.workload}: CSV FNV-1a {got}, pinned {pin['csv_fnv']}",
               file=sys.stderr)
@@ -94,6 +104,20 @@ def check_same(args):
     return 0
 
 
+def check_fnv(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data = run_sweep(args.sweep, shlex.split(args.args),
+                     out / f"{args.name}.csv")
+    got = import_campaignbench().fnv1a(data)
+    if got != args.expect:
+        print(f"{args.name}: CSV FNV-1a {got}, pinned {args.expect}",
+              file=sys.stderr)
+        return 1
+    print(f"{args.name}: CSV FNV-1a {got} matches the pin")
+    return 0
+
+
 def check_bench(args):
     subprocess.run([args.suite, "--quick", "--out", args.out], check=True)
     return subprocess.run([sys.executable,
@@ -115,13 +139,19 @@ def main():
     same.add_argument("--out", required=True)
     same.add_argument("--args", required=True)
     same.add_argument("--variant", action="append", required=True)
+    fnv = kinds.add_parser("fnv")
+    fnv.add_argument("name")
+    fnv.add_argument("--sweep", required=True)
+    fnv.add_argument("--out", required=True)
+    fnv.add_argument("--args", required=True)
+    fnv.add_argument("--expect", required=True)
     bench = kinds.add_parser("bench")
     bench.add_argument("--suite", required=True)
     bench.add_argument("--golden", required=True)
     bench.add_argument("--out", required=True)
     args = parser.parse_args()
     checks = {"campaign": check_campaign, "same": check_same,
-              "bench": check_bench}
+              "fnv": check_fnv, "bench": check_bench}
     try:
         return checks[args.kind](args)
     except subprocess.CalledProcessError as error:
