@@ -395,143 +395,6 @@ int main(int argc, char** argv) {
          << "}\n    },\n";
   }
 
-  // --- section 2.75: incremental observation engine -----------------------
-  // Observed churn rounds/sec: a multi-window SDGR trial measured with the
-  // full structural observer stack (expansion probe, spectral gap,
-  // isolated census, degree histogram), snapshot every 8 rounds, driven
-  // delta-fed vs from-scratch. Per-window metric checksums for BOTH modes
-  // are deterministic drift guards; the first window must be bit-identical
-  // across modes (the incremental engine's equivalence contract), later
-  // windows diverge by design (persistent sets + warm spectral are a
-  // different, faster estimator). The rate ratio is the headline
-  // incremental-observation speedup in README's perf table.
-  {
-    const char* observer_text = "expansion(64)+spectral+isolated+degrees";
-    constexpr std::uint32_t kWindows = 8;
-    constexpr std::uint32_t kRoundsPerWindow = 8;
-    std::vector<std::uint32_t> observe_ns;
-    if (scale.size_factor < 1.0) {
-      observe_ns = {20000};
-    } else {
-      observe_ns = {100000, 1000000};
-    }
-    std::printf("\n--- incremental observation (SDGR, d=8, %s, %u windows x "
-                "%u rounds) ---\n",
-                observer_text, kWindows, kRoundsPerWindow);
-    Table observe_table({"n", "mode", "rounds/sec", "observe s", "checksum"});
-    json << "    \"observe_incremental\": {\n      \"config\": {\"scenario\": "
-         << "\"SDGR\", \"d\": 8, \"observers\": \"" << observer_text
-         << "\", \"windows\": " << kWindows << ", \"rounds_per_window\": "
-         << kRoundsPerWindow << "},\n      \"sizes\": {\n";
-    const ObserverSpec observer_spec = *ObserverSpec::parse(observer_text);
-    bool first_size = true;
-    for (std::size_t size_index = 0; size_index < observe_ns.size();
-         ++size_index) {
-      const std::uint32_t observe_n = observe_ns[size_index];
-      const std::uint64_t trial_seed = derive_seed(seed, 5, size_index);
-
-      struct ModeResult {
-        std::vector<std::vector<double>> windows;
-        double churn_wall = 0.0;
-        double observe_wall = 0.0;
-      };
-      const auto run_mode = [&](bool incremental) {
-        ScenarioParams params;
-        params.n = observe_n;
-        params.d = 8;
-        params.seed = trial_seed;
-        AnyNetwork net = registry.at("SDGR").make_warmed(params);
-        ObserverSet observers = make_observer_set(observer_spec);
-        const std::uint64_t observer_seed = derive_seed(trial_seed, 2, 0);
-        ChangeFeed feed;
-        ModeResult result;
-        if (incremental) {
-          net.attach_change_feed(&feed);
-          observers.begin_incremental_trial(observer_seed, net.graph(),
-                                            net.now());
-        }
-        for (std::uint32_t window = 0; window < kWindows; ++window) {
-          const auto churn_start = std::chrono::steady_clock::now();
-          for (std::uint32_t r = 0; r < kRoundsPerWindow; ++r) {
-            if (incremental) {
-              feed.clear();
-              net.step();
-              observers.on_deltas(net.graph(), feed.deltas(), net.now());
-            } else {
-              net.step();
-            }
-          }
-          result.churn_wall += seconds_since(churn_start);
-          const auto observe_start = std::chrono::steady_clock::now();
-          // From-scratch mode re-measures each window the pre-engine way:
-          // a fresh trial reset, a fresh dense snapshot, cold probes.
-          if (!incremental) observers.begin_trial(observer_seed);
-          observers.observe(net.graph(), net.now());
-          result.observe_wall += seconds_since(observe_start);
-          std::vector<double> values;
-          observers.append_values(values);
-          result.windows.push_back(std::move(values));
-        }
-        if (incremental) net.attach_change_feed(nullptr);
-        return result;
-      };
-
-      const ModeResult scratch_mode = run_mode(false);
-      const ModeResult incremental_mode = run_mode(true);
-
-      const auto checksum_of = [](const ModeResult& mode) {
-        Fnv fnv;
-        for (const std::vector<double>& window : mode.windows) {
-          for (const double value : window) fnv.add_double(value);
-        }
-        return fnv.hash;
-      };
-      const std::uint64_t scratch_checksum = checksum_of(scratch_mode);
-      const std::uint64_t incremental_checksum =
-          checksum_of(incremental_mode);
-      const bool first_window_identical =
-          scratch_mode.windows.front() == incremental_mode.windows.front();
-
-      const double total_rounds =
-          static_cast<double>(kWindows) * kRoundsPerWindow;
-      const double scratch_rate =
-          total_rounds / (scratch_mode.churn_wall + scratch_mode.observe_wall);
-      const double incremental_rate =
-          total_rounds /
-          (incremental_mode.churn_wall + incremental_mode.observe_wall);
-      const double speedup = incremental_rate / scratch_rate;
-
-      observe_table.add_row({fmt_int(observe_n), "scratch",
-                             fmt_sci(scratch_rate, 2),
-                             fmt_fixed(scratch_mode.observe_wall, 3),
-                             hex(scratch_checksum)});
-      observe_table.add_row({fmt_int(observe_n), "incremental",
-                             fmt_sci(incremental_rate, 2),
-                             fmt_fixed(incremental_mode.observe_wall, 3),
-                             hex(incremental_checksum)});
-      std::printf("n=%u: incremental/scratch speedup %.2fx "
-                  "(first window identical: %s)\n",
-                  observe_n, speedup, first_window_identical ? "yes" : "NO");
-
-      json << (first_size ? "" : ",\n") << "        \"" << observe_n
-           << "\": {\"deterministic\": {\"first_window_identical\": "
-           << (first_window_identical ? 1 : 0)
-           << ", \"scratch_checksum\": \"" << hex(scratch_checksum)
-           << "\", \"incremental_checksum\": \"" << hex(incremental_checksum)
-           << "\"}, \"perf\": {\"incremental_rounds_per_sec\": "
-           << fmt_fixed(incremental_rate, 1)
-           << ", \"scratch_rounds_per_sec\": " << fmt_fixed(scratch_rate, 1)
-           << ", \"speedup\": " << fmt_fixed(speedup, 2)
-           << ", \"incremental_observe_wall_seconds\": "
-           << fmt_fixed(incremental_mode.observe_wall, 4)
-           << ", \"scratch_observe_wall_seconds\": "
-           << fmt_fixed(scratch_mode.observe_wall, 4) << "}}";
-      first_size = false;
-    }
-    json << "\n      }\n    },\n";
-    observe_table.print(std::cout);
-  }
-
   // --- section 3: sweep cells/sec ----------------------------------------
   SweepSpec spec;
   spec.scenarios = {"SDGR", "PDGR+pareto(2.5)"};

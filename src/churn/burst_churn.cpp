@@ -1,7 +1,7 @@
 #include "churn/burst_churn.hpp"
 
 #include "common/assertx.hpp"
-#include "common/table.hpp"
+#include "common/specgram.hpp"
 
 namespace churnet {
 
@@ -9,6 +9,7 @@ BurstChurn::BurstChurn(Kind kind, double frac, double period_lifetimes,
                        double lambda, double mu, std::uint64_t seed)
     : kind_(kind),
       frac_(frac),
+      period_lifetimes_(period_lifetimes),
       period_(period_lifetimes / mu),
       lambda_(lambda),
       mu_(mu),
@@ -29,7 +30,8 @@ BurstChurn::BurstChurn(Kind kind, double frac, double period_lifetimes,
 
 std::string BurstChurn::name() const {
   const char* base = kind_ == Kind::kMassFail ? "massfail(" : "flashcrowd(";
-  return base + fmt_fixed(frac_, 2) + "," + fmt_fixed(period_ * mu_, 2) + ")";
+  return base + fmt_spec_arg(frac_) + "," + fmt_spec_arg(period_lifetimes_) +
+         ")";
 }
 
 ChurnProcess::Step BurstChurn::next(std::uint64_t alive) {

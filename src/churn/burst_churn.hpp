@@ -64,6 +64,7 @@ class BurstChurn final : public ChurnProcess {
  private:
   Kind kind_;
   double frac_;
+  double period_lifetimes_;  // as parsed: name() prints it
   double period_;  // time units between bursts (period_lifetimes / mu)
   double lambda_;
   double mu_;

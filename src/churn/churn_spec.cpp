@@ -27,6 +27,11 @@ constexpr double kDefaultAdversaryBudget = 1.0;
 constexpr double kDefaultBurstFraction = 0.1;
 constexpr double kDefaultBurstPeriod = 1.0;
 
+// The samplers cross phase and burst boundaries one loop step at a time, so
+// a period far below a lifetime stalls the run. The shortest period in the
+// tree is 0.25 lifetimes.
+constexpr double kMinPeriodLifetimes = 0.01;
+
 // The one name -> kind table: parse() dispatches through it and
 // is_known_name() scans it, so a regime added here is automatically
 // routable by ScenarioRegistry::resolve's segment dispatch.
@@ -60,6 +65,17 @@ bool fail(std::string* error, std::string message) {
   return spec_fail(error, std::move(message));
 }
 
+/// Rejects a phase length or burst period below kMinPeriodLifetimes (and
+/// NaN).
+bool check_period(const char* what, double period, std::string* error) {
+  if (period >= kMinPeriodLifetimes) return true;
+  return fail(error, std::string(what) + " must be at least " +
+                         fmt_spec_arg(kMinPeriodLifetimes) +
+                         " lifetimes (got " + fmt_spec_arg(period) +
+                         "); each boundary costs the sampler a step, so a "
+                         "shorter period stalls the run");
+}
+
 }  // namespace
 
 bool ChurnSpec::is_known_name(std::string_view name) {
@@ -67,6 +83,7 @@ bool ChurnSpec::is_known_name(std::string_view name) {
 }
 
 std::vector<std::pair<std::string, std::string>> ChurnSpec::catalog() {
+  const std::string min_period = fmt_spec_arg(kMinPeriodLifetimes);
   return {
       {"stream",
        "the paper's streaming round schedule (Def. 3.2); streaming models "
@@ -77,8 +94,8 @@ std::vector<std::pair<std::string, std::string>> ChurnSpec::catalog() {
       {"weibull(k)",
        "Weibull session lengths, shape k > 0 (default 0.7), mean 1/mu"},
       {"bursty(b,p)",
-       "on/off death rates mu*b / mu/b (b > 1), phase length p > 0 "
-       "lifetimes (defaults 4, 0.5)"},
+       "on/off death rates mu*b / mu/b (b > 1), phase length p >= " +
+           min_period + " lifetimes (defaults 4, 0.5)"},
       {"drift(g)",
        "stationary through warm-up, then birth rate g*lambda (default 2)"},
       {"maxdeg(b)",
@@ -93,11 +110,12 @@ std::vector<std::pair<std::string, std::string>> ChurnSpec::catalog() {
        "adversarial neighborhood capture of a persistent target, budget b "
        "in [0,1] (default 1)"},
       {"massfail(p,T)",
-       "kills floor(p*alive) at once every T lifetimes, p in (0,1), T > 0 "
-       "(defaults 0.1, 1); Poisson-family models only"},
+       "kills floor(p*alive) at once every T lifetimes, p in (0,1), T >= " +
+           min_period + " (defaults 0.1, 1); Poisson-family models only"},
       {"flashcrowd(f,T)",
-       "births floor(f*alive) at once every T lifetimes, f > 0, T > 0, "
-       "(1+f)e^-T < 1 (defaults 0.1, 1); Poisson-family models only"},
+       "births floor(f*alive) at once every T lifetimes, f > 0, T >= " +
+           min_period +
+           ", (1+f)e^-T < 1 (defaults 0.1, 1); Poisson-family models only"},
   };
 }
 
@@ -139,25 +157,25 @@ std::string ChurnSpec::canonical() const {
     case Kind::kJumpChain:
       return "poisson";
     case Kind::kPareto:
-      return "pareto(" + fmt_fixed(a, 2) + ")";
+      return "pareto(" + fmt_spec_arg(a) + ")";
     case Kind::kWeibull:
-      return "weibull(" + fmt_fixed(a, 2) + ")";
+      return "weibull(" + fmt_spec_arg(a) + ")";
     case Kind::kBursty:
-      return "bursty(" + fmt_fixed(a, 2) + "," + fmt_fixed(b, 2) + ")";
+      return "bursty(" + fmt_spec_arg(a) + "," + fmt_spec_arg(b) + ")";
     case Kind::kDrift:
-      return "drift(" + fmt_fixed(a, 2) + ")";
+      return "drift(" + fmt_spec_arg(a) + ")";
     case Kind::kMaxDeg:
-      return "maxdeg(" + fmt_fixed(a, 2) + ")";
+      return "maxdeg(" + fmt_spec_arg(a) + ")";
     case Kind::kMinDeg:
-      return "mindeg(" + fmt_fixed(a, 2) + ")";
+      return "mindeg(" + fmt_spec_arg(a) + ")";
     case Kind::kCutSet:
-      return "cutset(" + fmt_fixed(a, 2) + ")";
+      return "cutset(" + fmt_spec_arg(a) + ")";
     case Kind::kEclipse:
-      return "eclipse(" + fmt_fixed(a, 2) + ")";
+      return "eclipse(" + fmt_spec_arg(a) + ")";
     case Kind::kMassFail:
-      return "massfail(" + fmt_fixed(a, 2) + "," + fmt_fixed(b, 2) + ")";
+      return "massfail(" + fmt_spec_arg(a) + "," + fmt_spec_arg(b) + ")";
     case Kind::kFlashCrowd:
-      return "flashcrowd(" + fmt_fixed(a, 2) + "," + fmt_fixed(b, 2) + ")";
+      return "flashcrowd(" + fmt_spec_arg(a) + "," + fmt_spec_arg(b) + ")";
   }
   CHURNET_ASSERT(false);
   return "";
@@ -244,9 +262,7 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
                         ")");
         return std::nullopt;
       }
-      if (!(spec.b > 0.0)) {
-        fail(error, "bursty phase length must be > 0 lifetimes (got " +
-                        fmt_fixed(spec.b, 3) + ")");
+      if (!check_period("bursty phase length", spec.b, error)) {
         return std::nullopt;
       }
       return spec;
@@ -284,9 +300,7 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
                         "mid-burst");
         return std::nullopt;
       }
-      if (!(spec.b > 0.0)) {
-        fail(error, "massfail period must be > 0 lifetimes (got " +
-                        fmt_fixed(spec.b, 3) + ")");
+      if (!check_period("massfail period", spec.b, error)) {
         return std::nullopt;
       }
       return spec;
@@ -313,6 +327,9 @@ std::optional<ChurnSpec> ChurnSpec::parse(std::string_view text,
                         fmt_sci(spec.a) + ", T=" + fmt_sci(spec.b) +
                         "); the burst-top population would grow without "
                         "bound");
+        return std::nullopt;
+      }
+      if (!check_period("flashcrowd period", spec.b, error)) {
         return std::nullopt;
       }
       return spec;

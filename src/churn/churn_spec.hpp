@@ -15,7 +15,7 @@
 //   pareto(a)       Pareto(tail index a > 1) session lengths, mean 1/mu
 //   weibull(k)      Weibull(shape k > 0) session lengths, mean 1/mu
 //   bursty(b,p)     on/off death rates mu*b / mu/b (b > 1), phase length
-//                   p > 0 expected lifetimes
+//                   p >= 0.01 expected lifetimes
 //   drift(g)        stationary through warm-up, then birth rate g*lambda
 //   maxdeg(b)       adversarial: each death is a max-degree kill with
 //                   probability b in [0,1] (the budget); runs on streaming
@@ -23,11 +23,11 @@
 //   mindeg(b)       adversarial min-degree kills, budget b
 //   cutset(b)       adversarial small-set boundary kills, budget b
 //   eclipse(b)      adversarial neighborhood capture of a target, budget b
-//   massfail(p,T)   kills floor(p*alive) at once every T lifetimes,
-//                   jump-chain baseline between bursts; Poisson-family
-//                   models only (churn/burst_churn.hpp)
-//   flashcrowd(f,T) births floor(f*alive) at once every T lifetimes;
-//                   Poisson-family models only
+//   massfail(p,T)   kills floor(p*alive) at once every T >= 0.01
+//                   lifetimes, jump-chain baseline between bursts;
+//                   Poisson-family models only (churn/burst_churn.hpp)
+//   flashcrowd(f,T) births floor(f*alive) at once every T >= 0.01
+//                   lifetimes; Poisson-family models only
 //
 // Omitted arguments take the documented defaults. Malformed specs are
 // rejected with a one-line reason (unknown name, wrong arity, parameter

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/assertx.hpp"
-#include "common/table.hpp"
+#include "common/specgram.hpp"
 
 namespace churnet {
 
@@ -68,7 +68,7 @@ void LifetimeChurn::on_birth(NodeId id, double time) {
 std::string LifetimeChurn::name() const {
   const char* base =
       law_.kind == LifetimeLaw::Kind::kPareto ? "pareto" : "weibull";
-  return std::string(base) + "(" + fmt_fixed(law_.shape, 2) + ")";
+  return std::string(base) + "(" + fmt_spec_arg(law_.shape) + ")";
 }
 
 }  // namespace churnet

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/assertx.hpp"
-#include "common/table.hpp"
+#include "common/specgram.hpp"
 
 namespace churnet {
 
@@ -68,8 +68,8 @@ PhasedChurn make_bursty_churn(double boost, double phase_lifetimes,
       ChurnPhase{phase_duration, lambda, mu * boost},  // burst: mass deaths
       ChurnPhase{phase_duration, lambda, mu / boost},  // calm: recovery
   };
-  return PhasedChurn("bursty(" + fmt_fixed(boost, 2) + "," +
-                         fmt_fixed(phase_lifetimes, 2) + ")",
+  return PhasedChurn("bursty(" + fmt_spec_arg(boost) + "," +
+                         fmt_spec_arg(phase_lifetimes) + ")",
                      std::move(phases), /*cycle=*/true,
                      /*mean_lifetime=*/1.0 / mu, seed);
 }
@@ -84,7 +84,7 @@ PhasedChurn make_drift_churn(double growth, double lambda, double mu,
       ChurnPhase{10.0 / mu, lambda, mu},
       ChurnPhase{0.0, lambda * growth, mu},  // terminal: never ends
   };
-  return PhasedChurn("drift(" + fmt_fixed(growth, 2) + ")",
+  return PhasedChurn("drift(" + fmt_spec_arg(growth) + ")",
                      std::move(phases), /*cycle=*/false,
                      /*mean_lifetime=*/1.0 / mu, seed);
 }

@@ -1,6 +1,8 @@
 #include "common/specgram.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace churnet {
@@ -76,6 +78,14 @@ std::string spec_call_name(std::string_view text) {
   const std::size_t open = text.find('(');
   if (open != std::string_view::npos) text = text.substr(0, open);
   return lowercase_spec(trim_spec(text));
+}
+
+std::string fmt_spec_arg(double value) {
+  char buffer[512];  // "%.2f" of the largest double takes 313 characters
+  std::snprintf(buffer, sizeof buffer, "%.2f", value);
+  if (std::strtod(buffer, nullptr) == value) return buffer;
+  const auto printed = std::to_chars(buffer, buffer + sizeof buffer, value);
+  return std::string(buffer, printed.ptr);
 }
 
 std::vector<std::string> split_spec_list(std::string_view text) {

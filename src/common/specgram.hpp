@@ -41,6 +41,13 @@ std::string spec_call_name(std::string_view text);
 /// inside '(...)' stays within its segment.
 std::vector<std::string_view> split_spec_segments(std::string_view text);
 
+/// Prints a numeric spec argument so that it parses back to the same
+/// double: the two-decimal text when that round-trips ("2.50" for 2.5),
+/// otherwise the shortest text that does ("0.501", "1e-300"). Canonical
+/// spec names print their arguments with it, so distinct specs get
+/// distinct names.
+std::string fmt_spec_arg(double value);
+
 /// Splits a comma-separated list of specs into entries, dropping all
 /// whitespace; commas inside '(...)' belong to an entry's arguments
 /// ("PDGR+bursty(4,0.5)" is one entry). Empty entries are skipped.

@@ -102,13 +102,12 @@ struct SweepSpec {
   /// after `metrics`. Empty = no observers.
   std::string observers;
   /// Run the observer set delta-fed (DESIGN.md §6, decision 15): a
-  /// ChangeFeed is attached for the observation window and observers
-  /// measure from running state instead of a fresh snapshot. Purely a
-  /// wall-clock knob for single-observation trials — every sweep cell
-  /// observes once per replication, and the first observation of an
-  /// incremental trial is bit-identical to the from-scratch one, so the
-  /// CSV/JSON output is byte-identical either way (the release-smoke CI
-  /// job cmp's them).
+  /// ChangeFeed is attached for the observation window and the censuses
+  /// measure from running state instead of a snapshot. Purely a
+  /// wall-clock knob — every sweep cell observes once per replication,
+  /// and that observation is bit-identical to the from-scratch one, so
+  /// the CSV/JSON output is byte-identical either way (the
+  /// sweep_same_incremental_observers pin ctest compares them).
   bool incremental_observers = false;
   std::uint64_t replications = 8;
   std::uint64_t base_seed = 12345;

@@ -56,16 +56,10 @@ constexpr std::uint32_t kRowGroup = 4;
   }
 }
 
-/// Shared deflated-power-iteration core. `seed` fills the start vector
-/// (after the degree-0 early-out, so it is only invoked — and only consumes
-/// RNG draws — when the iteration actually runs). When `final_x` is
-/// non-null the pi-normalized iterate at stop is copied into it (the warm
-/// state for the next probe).
-template <typename SeedFn>
-SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
-                                   std::uint32_t max_iterations,
-                                   double tolerance, SeedFn&& seed,
-                                   std::vector<double>* final_x) {
+}  // namespace
+
+SpectralResult spectral_gap(const Snapshot& snapshot, Rng& rng,
+                            std::uint32_t max_iterations, double tolerance) {
   const std::uint32_t n = snapshot.node_count();
   CHURNET_EXPECTS(n >= 2);
   SpectralResult result;
@@ -94,8 +88,10 @@ SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
             static_cast<double>(total_degree);
   }
 
+  // The start vector is drawn only past the degree-0 early-out, so a
+  // disconnected snapshot consumes no RNG draws.
   std::vector<double> x(n);
-  seed(x);
+  for (double& value : x) value = rng.normal();
   std::vector<double> next(n);
 
   auto deflate = [&](std::vector<double>& values) {
@@ -113,15 +109,7 @@ SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
 
   deflate(x);
   {
-    double norm = pi_norm(x);
-    if (norm <= 0.0) {
-      // A warm seed can (degenerately) lie entirely in the top eigenspace;
-      // fall back to a fresh random vector, deterministically from `rng`.
-      // Unreachable with a random seed, so the cold path is unaffected.
-      for (double& value : x) value = rng.normal();
-      deflate(x);
-      norm = pi_norm(x);
-    }
+    const double norm = pi_norm(x);
     CHURNET_ASSERT(norm > 0.0);
     for (double& value : x) value /= norm;
   }
@@ -153,81 +141,11 @@ SpectralResult run_power_iteration(const Snapshot& snapshot, Rng& rng,
     rayleigh = quotient;
   }
 
-  if (final_x != nullptr) *final_x = std::move(x);
-
   // The lazy walk's spectrum lies in [0, 1]; clamp numerical noise.
   result.lambda2 = std::clamp(rayleigh, 0.0, 1.0);
   result.spectral_gap = 1.0 - result.lambda2;
   result.cheeger_lower = result.spectral_gap / 2.0;
   result.cheeger_upper = std::sqrt(2.0 * result.spectral_gap);
-  return result;
-}
-
-}  // namespace
-
-SpectralResult spectral_gap(const Snapshot& snapshot, Rng& rng,
-                            std::uint32_t max_iterations, double tolerance) {
-  return run_power_iteration(
-      snapshot, rng, max_iterations, tolerance,
-      [&rng](std::vector<double>& x) {
-        for (double& value : x) value = rng.normal();
-      },
-      nullptr);
-}
-
-SpectralResult spectral_gap_warm(const Snapshot& snapshot, Rng& rng,
-                                 SpectralWarmState& state,
-                                 std::uint32_t max_iterations,
-                                 double tolerance) {
-  const std::uint32_t n = snapshot.node_count();
-  SpectralResult result;
-  if (!state.valid) {
-    // Cold start: draw-for-draw identical to spectral_gap.
-    result = run_power_iteration(
-        snapshot, rng, max_iterations, tolerance,
-        [&rng](std::vector<double>& x) {
-          for (double& value : x) value = rng.normal();
-        },
-        &state.values);
-  } else {
-    // Re-project the previous eigenvector onto the surviving node set:
-    // survivors (matched by generation-qualified NodeId) keep their stored
-    // component, newcomers draw fresh — in index order, so the draw
-    // sequence is a deterministic function of the churn history.
-    std::uint32_t max_slot = 0;
-    for (const NodeId id : state.nodes) max_slot = std::max(max_slot, id.slot);
-    std::vector<std::uint32_t> slot_to_prev(
-        static_cast<std::size_t>(max_slot) + 1, NodeId::kInvalidSlot);
-    for (std::uint32_t p = 0;
-         p < static_cast<std::uint32_t>(state.nodes.size()); ++p) {
-      slot_to_prev[state.nodes[p].slot] = p;
-    }
-    result = run_power_iteration(
-        snapshot, rng, max_iterations, tolerance,
-        [&](std::vector<double>& x) {
-          for (std::uint32_t v = 0; v < n; ++v) {
-            const NodeId id = snapshot.node_id(v);
-            const std::uint32_t p =
-                id.slot <= max_slot ? slot_to_prev[id.slot]
-                                    : NodeId::kInvalidSlot;
-            if (p != NodeId::kInvalidSlot && state.nodes[p] == id) {
-              x[v] = state.values[p];
-            } else {
-              x[v] = rng.normal();
-            }
-          }
-        },
-        &state.values);
-  }
-
-  if (result.iterations == 0 && result.converged) {
-    // Degree-0 early-out: no eigenvector was produced. Keep any previous
-    // state — its survivors stay reusable for the next connected snapshot.
-    return result;
-  }
-  state.nodes.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) state.nodes[v] = snapshot.node_id(v);
-  state.valid = true;
   return result;
 }
 

@@ -43,33 +43,4 @@ SpectralResult spectral_gap(const Snapshot& snapshot, Rng& rng,
                             std::uint32_t max_iterations = 500,
                             double tolerance = 1e-9);
 
-/// Carried eigenvector for warm-started probes: the previous snapshot's
-/// final iterate, keyed by generation-qualified NodeId so survivors can be
-/// matched across churn. Default-constructed = no history (cold).
-struct SpectralWarmState {
-  std::vector<NodeId> nodes;
-  std::vector<double> values;
-  bool valid = false;
-
-  void reset() {
-    nodes.clear();
-    values.clear();
-    valid = false;
-  }
-};
-
-/// spectral_gap seeded from `state`: survivors of the previous probe keep
-/// their eigenvector component (re-projected onto the current node set),
-/// newcomers draw from `rng` in index order. With an invalid state this is
-/// draw-for-draw identical to spectral_gap. On a slowly-churning graph the
-/// seed is already near the lambda_2 eigenspace, cutting iterations per
-/// probe by an order of magnitude. The result remains a pure function of
-/// (seed, sequence of snapshots probed) — deterministic, but after the
-/// first probe of a trial it is a different (faster-converging) estimator
-/// than the cold path, which tests pin with fixed iteration budgets.
-SpectralResult spectral_gap_warm(const Snapshot& snapshot, Rng& rng,
-                                 SpectralWarmState& state,
-                                 std::uint32_t max_iterations = 500,
-                                 double tolerance = 1e-9);
-
 }  // namespace churnet

@@ -1,7 +1,6 @@
 #include "graph/snapshot.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/assertx.hpp"
 #include "telemetry/telemetry.hpp"
@@ -33,7 +32,6 @@ Snapshot Snapshot::capture(const DynamicGraph& graph, double now) {
   const auto n = static_cast<std::uint32_t>(snap.node_ids_.size());
   snap.birth_seqs_.resize(n);
   snap.ages_.resize(n);
-  snap.index_.reserve(n * 2);
   // Dense slot -> snapshot index map: alive nodes have distinct slots, so
   // this replaces hash lookups on the hot path.
   std::vector<std::uint32_t> slot_index(graph.slot_upper_bound(), 0);
@@ -41,7 +39,6 @@ Snapshot Snapshot::capture(const DynamicGraph& graph, double now) {
     const NodeId id = snap.node_ids_[i];
     snap.birth_seqs_[i] = graph.birth_seq(id);
     snap.ages_[i] = now - graph.birth_time(id);
-    snap.index_.emplace(id, i);
     slot_index[id.slot] = i;
   }
 
@@ -86,80 +83,6 @@ Snapshot Snapshot::capture(const DynamicGraph& graph, double now) {
   return snap;
 }
 
-void Snapshot::update(const DynamicGraph& graph,
-                      std::span<const GraphDelta> deltas, double now,
-                      Snapshot& snap, SnapshotScratch& scratch) {
-  const telemetry::PhaseTimer span(telemetry::Phase::kSnapshot);
-  snap.time_ = now;
-
-  // Compact the node list in place: survivors keep their relative order,
-  // which is ascending birth sequence — exactly capture's sort order.
-  std::size_t kept = 0;
-  for (const NodeId id : snap.node_ids_) {
-    if (graph.is_alive(id)) snap.node_ids_[kept++] = id;
-  }
-  snap.node_ids_.resize(kept);
-
-  // Append the window's newborns that are still alive. Feed order is birth
-  // order, so their seqs ascend and all exceed every survivor's.
-  for (const GraphDelta& delta : deltas) {
-    if (delta.kind != GraphDelta::Kind::kBirth) continue;
-    if (graph.is_alive(delta.node)) snap.node_ids_.push_back(delta.node);
-  }
-
-  const auto n = static_cast<std::uint32_t>(snap.node_ids_.size());
-  CHURNET_ASSERT(n == graph.alive_count());
-  snap.birth_seqs_.resize(n);
-  snap.ages_.resize(n);
-  snap.index_.clear();
-  snap.index_.reserve(n * 2);
-  scratch.slot_index.assign(graph.slot_upper_bound(), 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const NodeId id = snap.node_ids_[i];
-    snap.birth_seqs_[i] = graph.birth_seq(id);
-    snap.ages_[i] = now - graph.birth_time(id);
-    snap.index_.emplace(id, i);
-    scratch.slot_index[id.slot] = i;
-  }
-
-  // The CSR passes are capture's, verbatim, over pooled scratch buffers.
-  scratch.degrees.assign(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const NodeId id = snap.node_ids_[i];
-    const std::uint32_t slots = graph.out_slot_count(id);
-    for (std::uint32_t k = 0; k < slots; ++k) {
-      const NodeId target = graph.out_target(id, k);
-      if (!target.valid()) continue;
-      ++scratch.degrees[i];
-      ++scratch.degrees[scratch.slot_index[target.slot]];
-    }
-  }
-
-  snap.offsets_.resize(n + 1);
-  snap.offsets_[0] = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    snap.offsets_[i + 1] = snap.offsets_[i] + scratch.degrees[i];
-  }
-  snap.adjacency_.resize(snap.offsets_[n]);
-
-  scratch.cursor.assign(snap.offsets_.begin(), snap.offsets_.end() - 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const NodeId id = snap.node_ids_[i];
-    const std::uint32_t slots = graph.out_slot_count(id);
-    for (std::uint32_t k = 0; k < slots; ++k) {
-      const NodeId target = graph.out_target(id, k);
-      if (!target.valid()) continue;
-      const std::uint32_t j = scratch.slot_index[target.slot];
-      snap.adjacency_[scratch.cursor[i]++] = j;
-      snap.adjacency_[scratch.cursor[j]++] = i;
-    }
-  }
-  telemetry::count(telemetry::Counter::kSnapshots);
-  telemetry::count(telemetry::Counter::kSnapshotBytes,
-                   snapshot_bytes(snap.node_ids_.size(),
-                                  snap.adjacency_.size()));
-}
-
 Snapshot Snapshot::from_edges(
     std::uint32_t n,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> edges) {
@@ -168,11 +91,9 @@ Snapshot Snapshot::from_edges(
   snap.node_ids_.resize(n);
   snap.birth_seqs_.resize(n);
   snap.ages_.assign(n, 0.0);
-  snap.index_.reserve(n * 2);
   for (std::uint32_t i = 0; i < n; ++i) {
     snap.node_ids_[i] = NodeId{i, 0};
     snap.birth_seqs_[i] = i;
-    snap.index_.emplace(snap.node_ids_[i], i);
   }
   std::vector<std::uint32_t> degrees(n, 0);
   for (const auto& [a, b] : edges) {
@@ -193,12 +114,6 @@ Snapshot Snapshot::from_edges(
     snap.adjacency_[cursor[b]++] = a;
   }
   return snap;
-}
-
-std::optional<std::uint32_t> Snapshot::index_of(NodeId id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 }  // namespace churnet

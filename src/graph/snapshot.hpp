@@ -7,47 +7,21 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/assertx.hpp"
-#include "graph/change_feed.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/node_id.hpp"
 
 namespace churnet {
-
-/// Caller-owned scratch for Snapshot::update — pooled work buffers reused
-/// across updates so a steady-state observation loop stops allocating once
-/// they have grown to the population's working size.
-struct SnapshotScratch {
-  std::vector<std::uint32_t> slot_index;
-  std::vector<std::uint32_t> degrees;
-  std::vector<std::uint64_t> cursor;
-};
 
 class Snapshot {
  public:
   /// Captures the current alive subgraph of `graph` at time `now`
   /// (used to report node ages).
   static Snapshot capture(const DynamicGraph& graph, double now);
-
-  /// Applies a window of graph deltas to `snap` in place, bringing it to
-  /// the state capture(graph, now) would build — equal on every observable
-  /// (node order, ids, birth seqs, ages, CSR adjacency), bit-exact
-  /// including the double-valued ages. `deltas` must cover every mutation
-  /// since `snap` was last captured/updated against `graph`; only kBirth
-  /// entries are consumed (deaths are detected via liveness, and the CSR is
-  /// rebuilt from the graph), so passing the whole feed is fine. Skips the
-  /// O(n log n) birth-order sort capture pays: survivors keep their
-  /// ascending-birth-seq order under compaction and newborns append in feed
-  /// order, which is already seq order.
-  static void update(const DynamicGraph& graph,
-                     std::span<const GraphDelta> deltas, double now,
-                     Snapshot& snap, SnapshotScratch& scratch);
 
   /// Builds a static snapshot from an explicit undirected edge list over
   /// nodes 0..n-1 (used by baselines and tests). NodeIds are synthetic
@@ -78,9 +52,6 @@ class Snapshot {
   /// Dense index -> stable NodeId in the originating graph.
   NodeId node_id(std::uint32_t index) const { return node_ids_.at(index); }
 
-  /// Stable NodeId -> dense index, if the node is in this snapshot.
-  std::optional<std::uint32_t> index_of(NodeId id) const;
-
   /// Global birth sequence number of node `index` (monotone with age:
   /// smaller == older). Indices are sorted by this, ascending.
   std::uint64_t birth_seq(std::uint32_t index) const {
@@ -100,7 +71,6 @@ class Snapshot {
   std::vector<double> ages_;
   std::vector<std::uint64_t> offsets_;     // size node_count()+1
   std::vector<std::uint32_t> adjacency_;   // concatenated neighbor lists
-  std::unordered_map<NodeId, std::uint32_t> index_;
 };
 
 }  // namespace churnet

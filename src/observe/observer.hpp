@@ -44,12 +44,13 @@
 //   per churn round:  on_round(...); on_deltas(graph, round_deltas, now)
 //   per observation:  observe(graph, now)       -- the measurement point
 //
-// observe() builds/updates the set's one shared dense Snapshot only when at
-// least one attached observer still needs the dense form
+// observe() captures the set's one shared dense Snapshot only when at
+// least one attached observer needs the dense form
 // (needs_dense_snapshot()); delta-fed observers answer from running state
 // in on_observe. The from-scratch path uses the same observe() entry with
-// begin_trial, where it captures a fresh snapshot — so drivers are written
-// once and the two modes differ only in which begin_* they call.
+// begin_trial — so drivers are written once and the two modes differ only
+// in which begin_* they call. Every driver observes once per trial, and
+// each observe() measures a fresh capture.
 #pragma once
 
 #include <cstdint>
@@ -127,7 +128,7 @@ class MetricObserver {
   /// True while this observer needs the dense Snapshot to measure. An
   /// observer running on delta-fed counters returns false after
   /// on_trial_start, letting ObserverSet::observe skip the snapshot
-  /// build/update entirely when no attached observer needs it. Defaults to
+  /// capture entirely when no attached observer needs it. Defaults to
   /// wants_snapshot().
   virtual bool needs_dense_snapshot() const { return wants_snapshot(); }
 
@@ -208,9 +209,6 @@ class ObserverSet {
     for (std::size_t i = 0; i < observers_.size(); ++i) {
       observers_[i]->begin_trial(derive_seed(trial_seed, i, 0));
     }
-    incremental_ = false;
-    snapshot_valid_ = false;
-    pending_births_.clear();
   }
 
   /// Incremental-mode trial start: begin_trial plus the per-observer
@@ -222,7 +220,6 @@ class ObserverSet {
     for (const auto& observer : observers_) {
       observer->on_trial_start(graph, now);
     }
-    incremental_ = true;
   }
 
   void on_round(const DynamicGraph& graph, double now) {
@@ -232,28 +229,22 @@ class ObserverSet {
     for (const auto& observer : observers_) observer->on_snapshot(snapshot);
   }
 
-  /// Forwards one round's deltas to every observer and banks the births the
-  /// set's own snapshot update will need at the next observe().
+  /// Forwards one round's deltas to every observer.
   void on_deltas(const DynamicGraph& graph,
                  std::span<const GraphDelta> deltas, double now) {
     const telemetry::PhaseTimer span(telemetry::Phase::kDeltaFold);
     telemetry::count(telemetry::Counter::kDeltas, deltas.size());
-    for (const GraphDelta& delta : deltas) {
-      if (delta.kind == GraphDelta::Kind::kBirth) {
-        pending_births_.push_back(delta);
-      }
-    }
     for (const auto& observer : observers_) {
       observer->on_deltas(graph, deltas, now);
     }
   }
 
-  /// The measurement point: builds (or, in incremental mode, updates in
-  /// place) the set's one shared dense snapshot iff some observer still
-  /// needs the dense form, runs on_snapshot for the snapshot observers and
-  /// on_observe for everyone. Returns the shared snapshot, or nullptr when
-  /// no dense form was needed — callers wanting snapshot-derived engine
-  /// metrics can reuse it instead of capturing their own.
+  /// The measurement point: captures the set's one shared dense snapshot
+  /// iff some observer needs the dense form, runs on_snapshot for the
+  /// snapshot observers and on_observe for everyone. Returns the shared
+  /// snapshot, or nullptr when no dense form was needed — callers wanting
+  /// snapshot-derived engine metrics can reuse it instead of capturing
+  /// their own.
   const Snapshot* observe(const DynamicGraph& graph, double now) {
     const telemetry::PhaseTimer span(telemetry::Phase::kObserve);
     telemetry::count(telemetry::Counter::kObservations);
@@ -262,17 +253,11 @@ class ObserverSet {
       dense = dense || observer->needs_dense_snapshot();
     }
     if (dense) {
-      if (incremental_ && snapshot_valid_) {
-        Snapshot::update(graph, pending_births_, now, snapshot_, scratch_);
-      } else {
-        snapshot_ = Snapshot::capture(graph, now);
-      }
-      snapshot_valid_ = true;
+      snapshot_ = Snapshot::capture(graph, now);
       for (const auto& observer : observers_) {
         if (observer->wants_snapshot()) observer->on_snapshot(snapshot_);
       }
     }
-    pending_births_.clear();
     for (const auto& observer : observers_) observer->on_observe(graph, now);
     return dense ? &snapshot_ : nullptr;
   }
@@ -287,13 +272,7 @@ class ObserverSet {
 
  private:
   std::vector<std::unique_ptr<MetricObserver>> observers_;
-  // The set's shared dense snapshot, reused across observations (updated in
-  // place from banked birth deltas in incremental mode).
-  Snapshot snapshot_;
-  SnapshotScratch scratch_;
-  std::vector<GraphDelta> pending_births_;
-  bool snapshot_valid_ = false;
-  bool incremental_ = false;
+  Snapshot snapshot_;  // the last observe()'s shared dense snapshot
 };
 
 }  // namespace churnet

@@ -124,7 +124,7 @@ std::string ObserverSpec::canonical() const {
         out += "ages";
         break;
       case Kind::kCoverage:
-        out += "coverage(" + fmt_fixed(call.a, 2) + ")";
+        out += "coverage(" + fmt_spec_arg(call.a) + ")";
         break;
       case Kind::kDemography:
         out += "demography(" + fmt_int(static_cast<std::int64_t>(call.a)) +

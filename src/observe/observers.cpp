@@ -1,10 +1,10 @@
 #include "observe/observers.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/assertx.hpp"
+#include "common/specgram.hpp"
 #include "common/table.hpp"
 #include "graph/algorithms.hpp"
 
@@ -41,125 +41,11 @@ void ExpansionObserver::begin_trial(std::uint64_t seed) {
   rng_ = Rng(seed);
   last_ = ProbeResult{};
   observed_ = false;
-  live_ = false;
-  sets_.clear();
-  slot_masks_.clear();
-}
-
-void ExpansionObserver::on_trial_start(const DynamicGraph& graph,
-                                       double now) {
-  (void)graph;
-  (void)now;
-  live_ = true;
-}
-
-void ExpansionObserver::sample_persistent_sets(const Snapshot& snapshot) {
-  const std::uint32_t n = snapshot.node_count();
-  if (n < 2) return;
-  const std::uint32_t min_size = std::max(options_.min_size, 1u);
-  const std::uint32_t max_size = std::max(
-      min_size,
-      std::min(options_.max_size == 0 ? n / 2 : options_.max_size, n / 2));
-  const std::uint32_t count =
-      std::min(std::max(options_.size_steps, 1u), kMaxPersistentSets);
-
-  sets_.assign(count, {});
-  slot_masks_.clear();
-  const double log_ratio =
-      std::log(static_cast<double>(max_size) /
-               static_cast<double>(min_size));
-  for (std::uint32_t k = 0; k < count; ++k) {
-    // The probe's geometric size grid between min and max.
-    const double t = count == 1 ? 0.0
-                                : static_cast<double>(k) /
-                                      static_cast<double>(count - 1);
-    const auto size = static_cast<std::uint32_t>(std::llround(
-        static_cast<double>(min_size) * std::exp(log_ratio * t)));
-    const std::uint32_t target =
-        std::clamp(size, min_size, max_size);
-    std::vector<NodeId>& set = sets_[k];
-    set.reserve(target);
-    const std::uint32_t bit = 1u << k;
-    while (set.size() < target) {
-      const std::uint32_t v = static_cast<std::uint32_t>(rng_.below(n));
-      const NodeId id = snapshot.node_id(v);
-      if (id.slot >= slot_masks_.size()) {
-        slot_masks_.resize(id.slot + 1, 0);
-      }
-      if ((slot_masks_[id.slot] & bit) != 0) continue;  // already a member
-      slot_masks_[id.slot] |= bit;
-      set.push_back(id);
-    }
-  }
-}
-
-void ExpansionObserver::on_deltas(const DynamicGraph& graph,
-                                  std::span<const GraphDelta> deltas,
-                                  double now) {
-  (void)now;
-  if (sets_.empty()) return;  // no persistent sets before first observation
-  for (const GraphDelta& delta : deltas) {
-    if (delta.kind != GraphDelta::Kind::kDeath) continue;
-    const std::uint32_t slot = delta.node.slot;
-    if (slot >= slot_masks_.size()) continue;
-    std::uint32_t mask = slot_masks_[slot];
-    if (mask == 0) continue;
-    slot_masks_[slot] = 0;
-    for (std::uint32_t k = 0; mask != 0; ++k, mask >>= 1) {
-      if ((mask & 1u) == 0) continue;
-      std::vector<NodeId>& set = sets_[k];
-      const auto member = std::find_if(
-          set.begin(), set.end(),
-          [slot](NodeId id) { return id.slot == slot; });
-      CHURNET_ASSERT(member != set.end());
-      // Repair-on-death: redraw the lost member uniformly from the current
-      // population, rejecting nodes already in this set.
-      const std::uint32_t bit = 1u << k;
-      bool repaired = false;
-      for (int attempt = 0; attempt < 64 && graph.alive_count() > 0;
-           ++attempt) {
-        const NodeId pick = graph.random_alive(rng_);
-        if (pick.slot >= slot_masks_.size()) {
-          slot_masks_.resize(pick.slot + 1, 0);
-        }
-        if ((slot_masks_[pick.slot] & bit) != 0) continue;
-        slot_masks_[pick.slot] |= bit;
-        *member = pick;
-        repaired = true;
-        break;
-      }
-      if (!repaired) {
-        // Population too small to keep the set at size: drop the member.
-        *member = set.back();
-        set.pop_back();
-      }
-    }
-  }
 }
 
 void ExpansionObserver::on_snapshot(const Snapshot& snapshot) {
-  if (!live_ || !observed_) {
-    // From-scratch probe — also the first observation of an incremental
-    // trial, which is therefore bit-identical to the from-scratch path.
-    last_ = probe_expansion(snapshot, rng_, options_);
-    observed_ = true;
-    if (live_) sample_persistent_sets(snapshot);
-    return;
-  }
-  // Subsequent incremental observations: re-measure the maintained sets.
-  ProbeResult result;
-  for (const std::vector<NodeId>& set : sets_) {
-    if (set.empty()) continue;
-    set_indices_.clear();
-    for (const NodeId id : set) {
-      const auto index = snapshot.index_of(id);
-      CHURNET_ASSERT(index.has_value());
-      set_indices_.push_back(*index);
-    }
-    result.observe(expansion_ratio(snapshot, set_indices_),
-                   static_cast<std::uint32_t>(set.size()), "persistent");
-  }
-  last_ = result;
+  last_ = probe_expansion(snapshot, rng_, options_);
+  observed_ = true;
 }
 
 void ExpansionObserver::append_values(std::vector<double>& out) const {
@@ -187,30 +73,10 @@ void SpectralObserver::begin_trial(std::uint64_t seed) {
   rng_ = Rng(seed);
   last_ = SpectralResult{};
   observed_ = false;
-  live_ = false;
-  warm_.reset();
-}
-
-void SpectralObserver::on_trial_start(const DynamicGraph& graph, double now) {
-  (void)graph;
-  (void)now;
-  live_ = true;
 }
 
 void SpectralObserver::on_snapshot(const Snapshot& snapshot) {
-  // Warm-started in incremental mode: the first probe of a trial is
-  // draw-for-draw the cold path (warm_ starts invalid, full budget), later
-  // probes seed power iteration from the previous snapshot's eigenvector
-  // under the reduced continuation budget (see the class comment).
-  if (!live_) {
-    last_ = spectral_gap(snapshot, rng_, max_iterations_, tolerance_);
-  } else {
-    const std::uint32_t budget =
-        warm_.valid ? std::max(kWarmContinuationFloor,
-                               max_iterations_ / kWarmBudgetDivisor)
-                    : max_iterations_;
-    last_ = spectral_gap_warm(snapshot, rng_, warm_, budget, tolerance_);
-  }
+  last_ = spectral_gap(snapshot, rng_, max_iterations_, tolerance_);
   observed_ = true;
 }
 
@@ -632,7 +498,7 @@ void AgeHistogramObserver::append_values(std::vector<double>& out) const {
 // ---- CoverageObserver ------------------------------------------------------
 
 std::string CoverageObserver::name() const {
-  return "coverage(" + fmt_fixed(target_, 2) + ")";
+  return "coverage(" + fmt_spec_arg(target_) + ")";
 }
 
 void CoverageObserver::append_metric_names(

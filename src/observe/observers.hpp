@@ -23,76 +23,38 @@ namespace churnet {
 /// (expansion/expansion.hpp). Metrics: expansion_min_ratio,
 /// expansion_argmin_size, expansion_sets_probed.
 ///
-/// Incremental mode: the first observation of a trial runs the full probe
-/// (bit-identical to the from-scratch path); it also samples a family of
-/// persistent candidate sets, which later observations re-measure instead
-/// of resampling, with members lost to churn repaired from the observer's
-/// own RNG (repair-on-death). Deaths arrive through on_deltas; each
-/// repaired set stays a uniform-ish set of the same size, and every ratio
-/// reported is an exact expansion_ratio of the current snapshot.
+/// Both modes run the same probe on a freshly captured snapshot, drawing
+/// from the observer's own stream.
 class ExpansionObserver final : public MetricObserver {
  public:
-  /// Persistent candidate sets maintained across rounds (one per probed
-  /// size step, at most this many).
-  static constexpr std::uint32_t kMaxPersistentSets = 32;
-
   explicit ExpansionObserver(ProbeOptions options = {})
       : options_(options) {}
-
 
   /// The full probe result of the last on_snapshot (argmin family, ...).
   const ProbeResult& last() const { return last_; }
 
-  /// The persistent sets (incremental mode, after the first observation) —
-  /// exposed so the equivalence suite can recount their boundaries with
-  /// the from-scratch oracle.
-  const std::vector<std::vector<NodeId>>& persistent_sets() const {
-    return sets_;
-  }
-
   std::string name() const override;
   void append_metric_names(std::vector<std::string>& out) const override;
   void begin_trial(std::uint64_t seed) override;
-  void on_trial_start(const DynamicGraph& graph, double now) override;
-  void on_deltas(const DynamicGraph& graph,
-                 std::span<const GraphDelta> deltas, double now) override;
   void on_snapshot(const Snapshot& snapshot) override;
   bool wants_snapshot() const override { return true; }
   void append_values(std::vector<double>& out) const override;
 
  private:
-  void sample_persistent_sets(const Snapshot& snapshot);
-
   ProbeOptions options_;
   ProbeResult last_;
   bool observed_ = false;
-  bool live_ = false;
-  std::vector<std::vector<NodeId>> sets_;   // persistent candidate sets
-  std::vector<std::uint32_t> slot_masks_;   // slot -> set-membership bitmask
-  std::vector<std::uint32_t> set_indices_;  // scratch for ratio calls
 };
 
 /// Spectral gap of the lazy random walk via deflated power iteration
 /// (expansion/spectral.hpp). Metrics: spectral_gap, spectral_lambda2,
 /// spectral_converged.
 ///
-/// Incremental mode: the first probe of a trial is draw-for-draw the cold
-/// path; later probes warm-start from the previous snapshot's eigenvector
-/// AND run under a reduced iteration budget (max_iterations /
-/// kWarmBudgetDivisor, floored at kWarmContinuationFloor). The clustered
-/// bulk spectrum of these graphs means a tight tolerance rarely triggers
-/// before the budget, so the budget IS the estimator: a warm continuation
-/// accumulates power-iteration work across the trial's windows instead of
-/// restarting the full budget from a random vector each time. Deterministic
-/// (pure function of seed + snapshot sequence), pinned by the fixed-budget
-/// convention of decision 15.
+/// Both modes run the same probe on a freshly captured snapshot, drawing
+/// its start vector from the observer's own stream.
 class SpectralObserver final : public MetricObserver {
  public:
   static constexpr std::uint32_t kDefaultIterations = 500;
-  /// Warm continuation probes run max_iterations_ / this.
-  static constexpr std::uint32_t kWarmBudgetDivisor = 16;
-  /// ... but never fewer iterations than this.
-  static constexpr std::uint32_t kWarmContinuationFloor = 32;
 
   explicit SpectralObserver(std::uint32_t max_iterations = kDefaultIterations,
                             double tolerance = 1e-9)
@@ -103,7 +65,6 @@ class SpectralObserver final : public MetricObserver {
   std::string name() const override;
   void append_metric_names(std::vector<std::string>& out) const override;
   void begin_trial(std::uint64_t seed) override;
-  void on_trial_start(const DynamicGraph& graph, double now) override;
   void on_snapshot(const Snapshot& snapshot) override;
   bool wants_snapshot() const override { return true; }
   void append_values(std::vector<double>& out) const override;
@@ -113,8 +74,6 @@ class SpectralObserver final : public MetricObserver {
   double tolerance_;
   SpectralResult last_;
   bool observed_ = false;
-  bool live_ = false;            // incremental mode: warm-start the probe
-  SpectralWarmState warm_;       // previous snapshot's eigenvector
 };
 
 /// Isolated-node census (expansion/isolated.hpp). Metrics: isolated_count,

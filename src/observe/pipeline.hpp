@@ -29,7 +29,7 @@
 // 15): a ChangeFeed is attached to the network for the window, the trial
 // starts with begin_incremental_trial, and every round's deltas are
 // forwarded through on_deltas before the next step. Values remain a pure
-// function of (seed, trial inputs); the first observation of a trial is
+// function of (seed, trial inputs), and the pass's one observation is
 // bit-identical to the from-scratch pass (tests/test_incremental_observe
 // pins this).
 #pragma once

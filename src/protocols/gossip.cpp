@@ -4,6 +4,7 @@
 
 #include "common/epoch.hpp"
 #include "common/intra.hpp"
+#include "common/specgram.hpp"
 #include "common/table.hpp"
 
 namespace churnet {
@@ -252,7 +253,7 @@ LossyProtocol::LossyProtocol(std::unique_ptr<DisseminationProtocol> inner,
 }
 
 std::string LossyProtocol::name() const {
-  return inner_->name() + "+lossy(" + fmt_fixed(q_, 2) + ")";
+  return inner_->name() + "+lossy(" + fmt_spec_arg(q_) + ")";
 }
 
 void LossyProtocol::begin_run(std::uint64_t seed, std::uint32_t slot_bound) {

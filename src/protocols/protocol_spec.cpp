@@ -63,7 +63,7 @@ std::string ProtocolSpec::canonical() const {
       text = "ttl(" + fmt_int(static_cast<std::int64_t>(ttl)) + ")";
       break;
   }
-  if (lossy()) text += "+lossy(" + fmt_fixed(loss_q, 2) + ")";
+  if (lossy()) text += "+lossy(" + fmt_spec_arg(loss_q) + ")";
   if (sources > 1) {
     text += "+sources(" + fmt_int(static_cast<std::int64_t>(sources)) + ")";
   }

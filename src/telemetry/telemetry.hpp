@@ -54,7 +54,7 @@ enum class Phase : std::uint8_t {
   kDissemination,  // one flood / protocol run
   kDeltaFold,      // incremental observers folding a delta window
   kObserve,        // ObserverSet::observe measurement point
-  kSnapshot,       // dense snapshot capture / in-place update
+  kSnapshot,       // dense snapshot capture
 };
 inline constexpr std::size_t kPhaseCount = 6;
 

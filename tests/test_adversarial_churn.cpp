@@ -981,13 +981,23 @@ TEST(AdversarialChurnSpec, ParsesDocumentedFormsAndDefaults) {
 TEST(AdversarialChurnSpec, CanonicalRoundTrips) {
   for (const char* text :
        {"maxdeg(0.5)", "mindeg(1)", "cutset(0.25)", "eclipse(0.75)",
-        "massfail(0.1,1)", "flashcrowd(0.25,2)"}) {
+        "massfail(0.1,1)", "flashcrowd(0.25,2)", "massfail(0.501,1)"}) {
     const ChurnSpec spec = *ChurnSpec::parse(text);
     const std::optional<ChurnSpec> reparsed =
         ChurnSpec::parse(spec.canonical());
     ASSERT_TRUE(reparsed.has_value()) << spec.canonical();
     EXPECT_EQ(*reparsed, spec) << spec.canonical();
   }
+  // Two decimals would label massfail(0.501,1) like massfail(0.5,1).
+  EXPECT_EQ(ChurnSpec::parse("massfail(0.501,1)")->canonical(),
+            "massfail(0.501,1.00)");
+  EXPECT_NE(ChurnSpec::parse("massfail(0.501,1)")->canonical(),
+            ChurnSpec::parse("massfail(0.5,1)")->canonical());
+  // A burst process names the period it was given, not period/mu*mu
+  // (0.7 / 0.005 * 0.005 is 0.7000000000000001).
+  const ChurnSpec massfail = *ChurnSpec::parse("massfail(0.1,0.7)");
+  EXPECT_EQ(make_churn_process(massfail, 1.0, 0.005, 7)->name(),
+            massfail.canonical());
 }
 
 TEST(AdversarialChurnSpec, RejectsMalformedSpecsWithClearErrors) {
@@ -1024,6 +1034,17 @@ TEST(AdversarialChurnSpec, RejectsMalformedSpecsWithClearErrors) {
               std::string::npos)
         << text;
   }
+  // Burst periods far below a lifetime would stall the sampler at its
+  // burst boundaries (flashcrowd(1e-300,2e-300) is stationary); the bound
+  // is 0.01 lifetimes, and exactly 0.01 parses.
+  EXPECT_NE(error_of("massfail(0.5,1e-300)")
+                .find("massfail period must be at least 0.01 lifetimes"),
+            std::string::npos);
+  EXPECT_NE(error_of("flashcrowd(1e-300,2e-300)")
+                .find("flashcrowd period must be at least 0.01 lifetimes"),
+            std::string::npos);
+  EXPECT_TRUE(ChurnSpec::parse("massfail(0.5,0.01)").has_value());
+  EXPECT_TRUE(ChurnSpec::parse("flashcrowd(0.001,0.01)").has_value());
   // Unknown names list the full catalog.
   const std::string unknown = error_of("sybil(0.5)");
   EXPECT_NE(unknown.find("unknown churn regime"), std::string::npos);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "churn/churn_spec.hpp"
@@ -59,13 +60,24 @@ TEST(ChurnSpec, CaseWhitespaceAndDefaults) {
 TEST(ChurnSpec, CanonicalRoundTrips) {
   for (const char* text :
        {"stream", "poisson", "pareto(2.5)", "weibull(0.7)", "bursty(4,0.5)",
-        "drift(2)"}) {
+        "drift(2)", "bursty(4,0.125)", "pareto(2.501)"}) {
     const ChurnSpec spec = *ChurnSpec::parse(text);
     const std::optional<ChurnSpec> reparsed =
         ChurnSpec::parse(spec.canonical());
     ASSERT_TRUE(reparsed.has_value()) << spec.canonical();
     EXPECT_EQ(*reparsed, spec) << spec.canonical();
   }
+  // Arguments that two decimals would round print in full, so distinct
+  // specs never share a name.
+  for (const auto& [text, neighbor] :
+       {std::pair{"bursty(4,0.125)", "bursty(4,0.12)"},
+        std::pair{"pareto(2.501)", "pareto(2.5)"}}) {
+    EXPECT_NE(ChurnSpec::parse(text)->canonical(),
+              ChurnSpec::parse(neighbor)->canonical())
+        << text;
+  }
+  EXPECT_EQ(ChurnSpec::parse("bursty(4,0.125)")->canonical(),
+            "bursty(4.00,0.125)");
 }
 
 TEST(ChurnSpec, RejectsMalformedSpecsWithClearErrors) {
@@ -103,6 +115,14 @@ TEST(ChurnSpec, RejectsMalformedSpecsWithClearErrors) {
   // Gamma(1 + 1/k) overflows for tiny shapes, so the mean-normalized
   // Weibull scale would be 0.
   EXPECT_NE(error_of("weibull(1e-300)").find("overflows"), std::string::npos);
+  // A phase far below a lifetime would stall the sampler at its phase
+  // boundaries; the bound is 0.01 lifetimes, and exactly 0.01 parses.
+  EXPECT_NE(error_of("bursty(4,1e-300)")
+                .find("bursty phase length must be at least 0.01 lifetimes"),
+            std::string::npos);
+  EXPECT_NE(error_of("bursty(4,0.0099)").find("at least 0.01"),
+            std::string::npos);
+  EXPECT_TRUE(ChurnSpec::parse("bursty(4,0.01)").has_value());
 }
 
 // ---- heavy-tailed lifetimes ------------------------------------------------

@@ -55,6 +55,15 @@ TEST(ObserverSpec, ParsesCompositesAndDefaults) {
   const auto spaced = ObserverSpec::parse("  Spectral + ISOLATED ", &error);
   ASSERT_TRUE(spaced.has_value()) << error;
   EXPECT_EQ(spaced->canonical(), "spectral+isolated");
+
+  // A target two decimals would round prints in full, and the observer's
+  // name is the canonical spelling.
+  const auto fine = ObserverSpec::parse("coverage(0.999)", &error);
+  ASSERT_TRUE(fine.has_value()) << error;
+  EXPECT_EQ(fine->canonical(), "coverage(0.999)");
+  EXPECT_EQ(ObserverSpec::parse(fine->canonical()), fine);
+  EXPECT_EQ(make_observer_set(*fine).at(0).name(), fine->canonical());
+  EXPECT_NE(fine->canonical(), ObserverSpec::parse("coverage(1)")->canonical());
 }
 
 TEST(ObserverSpec, EmptyTextIsTheEmptySet) {

@@ -74,6 +74,13 @@ TEST(ProtocolSpec, CanonicalFormsRoundTrip) {
   // (modulo the driver-level sources modifier).
   EXPECT_EQ(make_protocol(parse_ok("push(3)+lossy(0.9)"))->name(),
             "push(3)+lossy(0.90)");
+  // A delivery probability two decimals would round prints in full:
+  // lossy(0.999) is neither lossless nor lossy(0.9991).
+  const ProtocolSpec lossy = parse_ok("flood+lossy(0.999)");
+  EXPECT_EQ(lossy.canonical(), "flood+lossy(0.999)");
+  EXPECT_EQ(parse_ok(lossy.canonical()), lossy);
+  EXPECT_EQ(make_protocol(lossy)->name(), lossy.canonical());
+  EXPECT_NE(lossy.canonical(), parse_ok("flood+lossy(0.9991)").canonical());
 }
 
 TEST(ProtocolSpec, RejectsUnknownNamesListingTheCatalog) {

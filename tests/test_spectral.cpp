@@ -150,10 +150,9 @@ TEST(Spectral, DeterministicForSeed) {
 }
 
 // ---------------------------------------------------------------------------
-// The one-row power iteration, embedded as a reference: run_power_iteration
-// as it was before the product summed rows in groups, specialized to the
-// cold start (random seed vector, no final iterate kept). The grouped
-// kernel must match it bit for bit and leave the RNG in the same state.
+// The one-row power iteration, embedded as a reference: spectral_gap as it
+// was before the product summed rows in groups. The grouped kernel must
+// match it bit for bit and leave the RNG in the same state.
 // ---------------------------------------------------------------------------
 
 SpectralResult reference_spectral_gap(const Snapshot& snapshot, Rng& rng,

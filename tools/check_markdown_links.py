@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Markdown link checker for the docs CI job.
+"""Markdown link checker; the docs_links ctest runs it on README.md,
+DESIGN.md and docs/.
 
 Walks the given markdown files/directories and verifies every inline link
 `[text](target)`:

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Extracts fenced ```cpp blocks from a markdown file into numbered .cpp
-files so the docs CI job can compile them against the library — documented
-example code that stops compiling fails the build instead of rotting.
+files so the docs_snippets ctest (tools/doc_snippets.cmake) can compile them
+against the library — documented example code that stops compiling fails
+tier-1 instead of rotting.
 
 Usage: extract_doc_snippets.py <doc.md> <out-dir>
 
