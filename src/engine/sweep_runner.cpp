@@ -62,6 +62,10 @@ struct IntegerKey {
 
 constexpr double kU32Max = std::numeric_limits<std::uint32_t>::max();
 
+// A sweep's result matrix (one sample row per job) is held in memory, so
+// the job count is bounded well below what that matrix could allocate.
+constexpr std::uint64_t kMaxJobs = std::uint64_t{1} << 24;
+
 // The range of every integer key. Doubles hold integers exactly up to 2^53;
 // larger seeds belong in the CLI flag, not a JSON config.
 constexpr IntegerKey kIntegerKeys[] = {
@@ -294,6 +298,24 @@ std::optional<std::string> SweepSpec::validate() const {
   if (d_values.empty()) return "sweep needs at least one d";
   if (metrics.empty()) return "sweep needs at least one metric";
   if (replications == 0) return "replications must be >= 1";
+  // Out-slot pool positions are 32-bit, and a cell reserves n*d of them.
+  for (const std::uint32_t n : n_values) {
+    for (const std::uint32_t d : d_values) {
+      const std::uint64_t slots = std::uint64_t{n} * d;
+      if (slots > NodeId::kInvalidSlot) {
+        return "n*d must fit the 32-bit out-slot pool: n=" +
+               std::to_string(n) + ", d=" + std::to_string(d) + " needs " +
+               std::to_string(slots) + " out-slots, at most " +
+               std::to_string(NodeId::kInvalidSlot);
+      }
+    }
+  }
+  if (replications > kMaxJobs / std::max<std::size_t>(cell_count(), 1)) {
+    return "too many jobs: " + std::to_string(cell_count()) + " cell(s) x " +
+           std::to_string(replications) +
+           " replications; the result matrix holds at most " +
+           std::to_string(kMaxJobs) + " jobs";
+  }
   for (const std::string& protocol : protocols) {
     std::string error;
     if (!ProtocolSpec::parse(protocol, &error).has_value()) return error;

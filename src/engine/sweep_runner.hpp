@@ -136,8 +136,9 @@ struct SweepSpec {
                                                  std::string* error = nullptr);
 
   /// Structural validation (non-empty grid, known metrics, replications
-  /// >= 1); scenario names are resolved later by SweepPlan. Returns an
-  /// error reason, or nullopt when valid.
+  /// >= 1, n*d within the 32-bit out-slot pool, at most 2^24 jobs);
+  /// scenario names are resolved later by SweepPlan. Returns an error
+  /// reason, or nullopt when valid.
   std::optional<std::string> validate() const;
 
   /// The range rule of an integer key ("n", "d", "replications", "seed",

@@ -298,6 +298,15 @@ class DynamicGraph {
       __builtin_prefetch(&in_pool_[core.in_base + core.in_count], 1);
     }
   }
+  /// Pulls the first entries of a node's out-run and in-list toward the
+  /// cache (for samplers that read them a block later; the slot record
+  /// should already be cached, see prefetch_node).
+  void prefetch_edge_runs(NodeId node) const {
+    if (node.slot >= core_.size()) return;
+    const SlotCore& core = core_[node.slot];
+    if (core.out_count > 0) __builtin_prefetch(&out_pool_[core.out_base]);
+    if (core.in_count > 0) __builtin_prefetch(&in_pool_[core.in_base]);
+  }
 
   /// Dense list of currently alive nodes (stable until the next mutation).
   std::vector<NodeId> alive_nodes() const;
@@ -380,6 +389,22 @@ class DynamicGraph {
     for (std::uint32_t i = 0; i < core.in_count; ++i) {
       out.push_back(in_pool_[core.in_base + i].peer);
     }
+  }
+
+  /// Entry k of append_neighbor_slots' order without building the list:
+  /// the k-th live out-target in out-slot order, else in-source
+  /// k - live_out in in-list order. Requires an alive slot and
+  /// k < its degree. Gossip samplers resolve each uniform draw with it.
+  std::uint32_t neighbor_slot_at(std::uint32_t slot, std::uint32_t k) const {
+    const SlotCore& core = core_[slot];
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      const std::uint32_t peer = out_pool_[core.out_base + i].peer;
+      if (peer == NodeId::kInvalidSlot) continue;
+      if (k == 0) return peer;
+      --k;
+    }
+    CHURNET_EXPECTS(k < core.in_count);
+    return in_pool_[core.in_base + k].peer;
   }
 
   /// Whether the slot currently hosts an alive node (generation-blind

@@ -145,6 +145,13 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
 
   const Candidates candidates = protocol.candidates();
   const bool slot_set = candidates == Candidates::kSlotSet;
+  if (!slot_set) {
+    // The inform-order list holds about one entry per alive node, plus the
+    // informed nodes that die during the run (a streaming round loses
+    // one): sized once with 1/64 headroom instead of doubling.
+    const std::uint64_t alive = net.graph().alive_count();
+    scratch.informed.reserve(alive + alive / 64);
+  }
   const double delivery_q =
       std::clamp(protocol.delivery_probability(), 0.0, 1.0);
   CHURNET_EXPECTS(!slot_set || delivery_q >= 1.0);

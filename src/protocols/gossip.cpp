@@ -95,6 +95,66 @@ void propose_boundary(StepView& view, const Forwards& forwards,
   }
 }
 
+/// Callers per block of the gossip sampler below.
+constexpr std::size_t kGossipBlock = 64;
+
+/// The contact sampler of PUSH, PULL and PUSH-PULL. For every caller in
+/// `callers`, in order, that `calls` accepts and that has a neighbor, draws
+/// `fanout` contacts uniformly with replacement: one rng.below(degree) per
+/// contact, resolved by DynamicGraph::neighbor_slot_at, so contact k is
+/// entry k of append_neighbors' order. `contact(caller, node)` receives
+/// every draw in draw order.
+///
+/// Callers go in blocks so that their cache misses overlap: slot records
+/// are prefetched two blocks ahead and edge runs one block ahead (a run's
+/// address is in its record), and a whole block is drawn, prefetching each
+/// contact's record, before its first contact is handed over. `contact`
+/// may only send and count: a send reads no draw of this stream (loss
+/// coins come from the lossy wrapper's own stream) and changes neither
+/// liveness nor the informed set, so draws, sends and candidate indices
+/// come in the order of drawing and sending one caller at a time.
+///
+/// The step's pair list is sized once for its bound, fanout x alive.
+template <typename Calls, typename Contact>
+void sample_contacts(
+    StepView& view, const std::vector<NodeId>& callers, std::uint32_t fanout,
+    Rng& rng, std::vector<std::pair<std::uint32_t, std::uint32_t>>& picks,
+    const Calls& calls, const Contact& contact) {
+  const DynamicGraph& graph = view.graph();
+  view.reserve_sends(std::uint64_t{fanout} * graph.alive_count());
+  const std::size_t count = callers.size();
+  for (std::size_t i = 0; i < std::min(count, 2 * kGossipBlock); ++i) {
+    graph.prefetch_node(callers[i]);
+  }
+  for (std::size_t begin = 0; begin < count; begin += kGossipBlock) {
+    const std::size_t end = std::min(count, begin + kGossipBlock);
+    const std::size_t next_end = std::min(count, end + kGossipBlock);
+    for (std::size_t i = next_end; i < std::min(count, next_end + kGossipBlock);
+         ++i) {
+      graph.prefetch_node(callers[i]);
+    }
+    for (std::size_t i = end; i < next_end; ++i) {
+      graph.prefetch_edge_runs(callers[i]);
+    }
+    picks.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId caller = callers[i];
+      if (!calls(caller)) continue;
+      const std::uint32_t degree = graph.degree(caller);
+      if (degree == 0) continue;
+      for (std::uint32_t k = 0; k < fanout; ++k) {
+        const std::uint32_t slot = graph.neighbor_slot_at(
+            caller.slot, static_cast<std::uint32_t>(rng.below(degree)));
+        graph.prefetch_node(NodeId{slot, 0});  // a hint reads the slot only
+        picks.emplace_back(static_cast<std::uint32_t>(i - begin), slot);
+      }
+    }
+    for (const auto& [position, slot] : picks) {
+      contact(callers[begin + position], graph.alive_id_at(slot));
+    }
+  }
+}
+
 }  // namespace
 
 // ---- FloodProtocol ---------------------------------------------------------
@@ -159,88 +219,62 @@ std::uint32_t TtlFloodProtocol::hop_of(NodeId node) const {
              : 0;
 }
 
-// ---- PushProtocol ----------------------------------------------------------
+// ---- Gossip ----------------------------------------------------------------
 
 std::string PushProtocol::name() const {
   return "push(" + fmt_int(static_cast<std::int64_t>(fanout_)) + ")";
 }
 
 void PushProtocol::propose(StepView& view) {
-  const DynamicGraph& graph = view.graph();
-  std::vector<NodeId>& neighbors = view.neighbor_buffer();
-  for (const NodeId u : view.informed()) {
-    // The inform-order list keeps dead and stale-slot entries; liveness
-    // filters them (a recycled slot's new occupant has its own entry).
-    if (!graph.is_alive(u)) continue;
-    neighbors.clear();
-    graph.append_neighbors(u, neighbors);
-    if (neighbors.empty()) continue;
-    for (std::uint32_t k = 0; k < fanout_; ++k) {
-      const NodeId v = neighbors[static_cast<std::size_t>(
-          rng_.below(neighbors.size()))];
-      view.send(u, v);  // oblivious: duplicates are the protocol's waste
-    }
-  }
+  // The inform-order list keeps dead and stale-slot entries; liveness
+  // filters them (a recycled slot's new occupant has its own entry).
+  sample_contacts(
+      view, view.informed(), fanout_, rng_, picks_,
+      [&view](NodeId u) { return view.graph().is_alive(u); },
+      [&view](NodeId u, NodeId v) {
+        view.send(u, v);  // oblivious: duplicates are the protocol's waste
+      });
 }
-
-// ---- PullProtocol ----------------------------------------------------------
 
 std::string PullProtocol::name() const {
   return "pull(" + fmt_int(static_cast<std::int64_t>(fanout_)) + ")";
 }
 
 void PullProtocol::propose(StepView& view) {
-  const DynamicGraph& graph = view.graph();
-  std::vector<NodeId>& neighbors = view.neighbor_buffer();
   std::vector<NodeId>& alive = view.alive_buffer();
   alive.clear();
-  graph.append_alive_nodes(alive);
-  for (const NodeId v : alive) {
-    if (view.is_informed(v)) continue;
-    neighbors.clear();
-    graph.append_neighbors(v, neighbors);
-    if (neighbors.empty()) continue;
-    for (std::uint32_t k = 0; k < fanout_; ++k) {
-      const NodeId u = neighbors[static_cast<std::size_t>(
-          rng_.below(neighbors.size()))];
-      if (view.is_informed(u)) {
-        view.send(u, v);  // the informed neighbor answers the pull
-      } else {
-        view.count_overhead();  // probe answered empty
-      }
-    }
-  }
+  view.graph().append_alive_nodes(alive);
+  sample_contacts(
+      view, alive, fanout_, rng_, picks_,
+      [&view](NodeId v) { return !view.is_informed(v); },
+      [&view](NodeId v, NodeId u) {
+        if (view.is_informed(u)) {
+          view.send(u, v);  // the informed neighbor answers the pull
+        } else {
+          view.count_overhead();  // probe answered empty
+        }
+      });
 }
-
-// ---- PushPullProtocol ------------------------------------------------------
 
 std::string PushPullProtocol::name() const {
   return "push-pull(" + fmt_int(static_cast<std::int64_t>(fanout_)) + ")";
 }
 
 void PushPullProtocol::propose(StepView& view) {
-  const DynamicGraph& graph = view.graph();
-  std::vector<NodeId>& neighbors = view.neighbor_buffer();
   std::vector<NodeId>& alive = view.alive_buffer();
   alive.clear();
-  graph.append_alive_nodes(alive);
-  for (const NodeId v : alive) {
-    neighbors.clear();
-    graph.append_neighbors(v, neighbors);
-    if (neighbors.empty()) continue;
-    const bool caller_informed = view.is_informed(v);
-    for (std::uint32_t k = 0; k < fanout_; ++k) {
-      const NodeId u = neighbors[static_cast<std::size_t>(
-          rng_.below(neighbors.size()))];
-      if (caller_informed) {
-        view.send(v, u);  // push
-      } else if (view.is_informed(u)) {
-        view.send(u, v);  // pull answered
-      } else {
-        view.count_overhead();  // neither side has the rumor
-      }
-    }
-  }
+  view.graph().append_alive_nodes(alive);
+  sample_contacts(
+      view, alive, fanout_, rng_, picks_, [](NodeId) { return true; },
+      [&view](NodeId v, NodeId u) {
+        if (view.is_informed(v)) {
+          view.send(v, u);  // push
+        } else if (view.is_informed(u)) {
+          view.send(u, v);  // pull answered
+        } else {
+          view.count_overhead();  // neither side has the rumor
+        }
+      });
 }
 
 // ---- LossyProtocol ---------------------------------------------------------

@@ -20,7 +20,10 @@
 // TTL flooding draw none of their own. Gossip sampling iterates
 // deterministically ordered node lists (the run's inform order for PUSH,
 // the graph's alive order for PULL/PUSH-PULL), keeping every run
-// reproducible from (network seed, protocol seed).
+// reproducible from (network seed, protocol seed). A gossip contact is
+// drawn by index (one rng.below(degree) per contact, contact k being entry
+// k of DynamicGraph::append_neighbors' order), never from a built
+// neighbor list.
 #pragma once
 
 #include <cstdint>
@@ -82,49 +85,52 @@ class TtlFloodProtocol : public DisseminationProtocol {
   std::vector<std::uint32_t> pending_hops_;
 };
 
+/// The three gossip protocols' shared state: the fanout and the pick
+/// buffer of their block sampler (gossip.cpp), kept across blocks, steps
+/// and runs so that it stops allocating once it has grown.
+class GossipProtocol : public DisseminationProtocol {
+ public:
+  std::uint32_t fanout() const { return fanout_; }
+
+ protected:
+  explicit GossipProtocol(std::uint32_t fanout) : fanout_(fanout) {}
+
+  std::uint32_t fanout_;
+  /// One block's draws: (caller's position in the block, contact's slot).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> picks_;
+};
+
 /// PUSH gossip with fanout k: each step, every informed node samples k
 /// neighbors uniformly with replacement and sends to each (oblivious to
 /// the receiver's state — duplicates are the protocol's waste).
-class PushProtocol : public DisseminationProtocol {
+class PushProtocol : public GossipProtocol {
  public:
-  explicit PushProtocol(std::uint32_t fanout) : fanout_(fanout) {}
+  explicit PushProtocol(std::uint32_t fanout) : GossipProtocol(fanout) {}
 
   std::string name() const override;
   void propose(StepView& view) override;
-  std::uint32_t fanout() const { return fanout_; }
-
- private:
-  std::uint32_t fanout_;
 };
 
 /// PULL gossip with fanout k: each step, every uninformed alive node
 /// probes k uniform random neighbors; an informed neighbor answers with
 /// the rumor, an uninformed one costs an overhead probe.
-class PullProtocol : public DisseminationProtocol {
+class PullProtocol : public GossipProtocol {
  public:
-  explicit PullProtocol(std::uint32_t fanout) : fanout_(fanout) {}
+  explicit PullProtocol(std::uint32_t fanout) : GossipProtocol(fanout) {}
 
   std::string name() const override;
   void propose(StepView& view) override;
-  std::uint32_t fanout() const { return fanout_; }
-
- private:
-  std::uint32_t fanout_;
 };
 
 /// PUSH-PULL with fanout k: every alive node contacts k uniform random
 /// neighbors; informed callers push the rumor, informed callees answer the
 /// pull, and uninformed-uninformed contacts cost overhead probes.
-class PushPullProtocol : public DisseminationProtocol {
+class PushPullProtocol : public GossipProtocol {
  public:
-  explicit PushPullProtocol(std::uint32_t fanout) : fanout_(fanout) {}
+  explicit PushPullProtocol(std::uint32_t fanout) : GossipProtocol(fanout) {}
 
   std::string name() const override;
   void propose(StepView& view) override;
-  std::uint32_t fanout() const { return fanout_; }
-
- private:
-  std::uint32_t fanout_;
 };
 
 /// Lossy-link wrapper: every transmission of the inner protocol is

@@ -197,6 +197,14 @@ class StepView {
     return true;
   }
 
+  /// Sizes the step's candidate list for `sends` send() calls, for a
+  /// protocol that knows its per-step bound (gossip: fanout x alive): the
+  /// list is then allocated once instead of doubling, and keeps its
+  /// capacity across steps and runs.
+  void reserve_sends(std::uint64_t sends) {
+    scratch_.flood.cand_pairs.reserve(sends);
+  }
+
   /// Counts a rumor-free probe (PULL request to an uninformed neighbor).
   void count_overhead(std::uint64_t probes = 1) {
     stats_.overhead_messages += probes;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "models/poisson_network.hpp"
 #include "models/streaming_network.hpp"
 
 namespace churnet {
@@ -320,6 +321,39 @@ TEST(DynamicGraph, RegenerationChurnKeepsTheGenesisArena) {
   net.run_rounds(3ull * config.n);
   EXPECT_EQ(net.graph().arena_bytes(), arena);
   EXPECT_TRUE(net.graph().check_consistency());
+}
+
+// neighbor_slot_at(slot, k) is entry k of append_neighbor_slots' order for
+// every alive node and every k < degree. SDG and PDG drop orphaned
+// requests instead of regenerating them, so after their churn out-runs
+// have dangling slots between live ones, and some nodes have degree 0.
+TEST(DynamicGraph, NeighborSlotAtMatchesAppendNeighbors) {
+  StreamingConfig sdg;
+  sdg.n = 2000;
+  sdg.d = 2;
+  sdg.seed = 41;
+  StreamingNetwork streaming(sdg);
+  streaming.warm_up();
+  PoissonNetwork poisson(PoissonConfig::with_n(2000, 2, EdgePolicy::kNone, 42));
+  poisson.warm_up();
+  for (const DynamicGraph* graph : {&streaming.graph(), &poisson.graph()}) {
+    std::uint64_t dangling = 0;
+    std::uint64_t isolated = 0;
+    std::vector<std::uint32_t> neighbors;
+    for (const NodeId node : graph->alive_nodes()) {
+      neighbors.clear();
+      graph->append_neighbor_slots(node.slot, neighbors);
+      ASSERT_EQ(graph->degree(node), neighbors.size());
+      dangling += graph->out_slot_count(node) - graph->out_degree(node);
+      isolated += neighbors.empty();
+      for (std::uint32_t k = 0; k < neighbors.size(); ++k) {
+        ASSERT_EQ(graph->neighbor_slot_at(node.slot, k), neighbors[k])
+            << "slot " << node.slot << " entry " << k;
+      }
+    }
+    EXPECT_GT(dangling, 0u);
+    EXPECT_GT(isolated, 0u);
+  }
 }
 
 // Property test: random add/remove/wire churn keeps the structure

@@ -9,13 +9,23 @@
 // semantics) and on the churn-free baselines (BFS semantics), at every
 // intra_threads value.
 //
+// The gossip samplers get the same treatment against reference copies
+// kept below: PUSH, PULL and PUSH-PULL as they were when every caller's
+// neighbor list was built with append_neighbors and each contact was sent
+// as soon as it was drawn.
+//
 // The comparison is exact equality, never tolerance: the two runs use two
 // networks built from the same seed, which evolve identically because
 // neither path consumes network randomness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "churnet/churnet.hpp"
 
@@ -224,6 +234,233 @@ TEST(ProtocolEquivalence, UnboundedTtlIsBitIdenticalToFlood) {
         << name;
   }
 }
+
+// ---- gossip samplers against the neighbor-list reference -------------------
+
+// The gossip samplers before contacts were drawn by index: each caller's
+// neighbor list is built with append_neighbors, a contact is a uniform
+// index into it, and every contact is sent as soon as it is drawn.
+class ReferencePush final : public DisseminationProtocol {
+ public:
+  explicit ReferencePush(std::uint32_t fanout) : fanout_(fanout) {}
+  std::string name() const override { return "reference-push"; }
+  void propose(StepView& view) override {
+    const DynamicGraph& graph = view.graph();
+    std::vector<NodeId>& neighbors = view.neighbor_buffer();
+    for (const NodeId u : view.informed()) {
+      if (!graph.is_alive(u)) continue;
+      neighbors.clear();
+      graph.append_neighbors(u, neighbors);
+      if (neighbors.empty()) continue;
+      for (std::uint32_t k = 0; k < fanout_; ++k) {
+        const NodeId v = neighbors[static_cast<std::size_t>(
+            rng_.below(neighbors.size()))];
+        view.send(u, v);
+      }
+    }
+  }
+
+ private:
+  std::uint32_t fanout_;
+};
+
+class ReferencePull final : public DisseminationProtocol {
+ public:
+  explicit ReferencePull(std::uint32_t fanout) : fanout_(fanout) {}
+  std::string name() const override { return "reference-pull"; }
+  void propose(StepView& view) override {
+    const DynamicGraph& graph = view.graph();
+    std::vector<NodeId>& neighbors = view.neighbor_buffer();
+    std::vector<NodeId>& alive = view.alive_buffer();
+    alive.clear();
+    graph.append_alive_nodes(alive);
+    for (const NodeId v : alive) {
+      if (view.is_informed(v)) continue;
+      neighbors.clear();
+      graph.append_neighbors(v, neighbors);
+      if (neighbors.empty()) continue;
+      for (std::uint32_t k = 0; k < fanout_; ++k) {
+        const NodeId u = neighbors[static_cast<std::size_t>(
+            rng_.below(neighbors.size()))];
+        if (view.is_informed(u)) {
+          view.send(u, v);
+        } else {
+          view.count_overhead();
+        }
+      }
+    }
+  }
+
+ private:
+  std::uint32_t fanout_;
+};
+
+class ReferencePushPull final : public DisseminationProtocol {
+ public:
+  explicit ReferencePushPull(std::uint32_t fanout) : fanout_(fanout) {}
+  std::string name() const override { return "reference-push-pull"; }
+  void propose(StepView& view) override {
+    const DynamicGraph& graph = view.graph();
+    std::vector<NodeId>& neighbors = view.neighbor_buffer();
+    std::vector<NodeId>& alive = view.alive_buffer();
+    alive.clear();
+    graph.append_alive_nodes(alive);
+    for (const NodeId v : alive) {
+      neighbors.clear();
+      graph.append_neighbors(v, neighbors);
+      if (neighbors.empty()) continue;
+      const bool caller_informed = view.is_informed(v);
+      for (std::uint32_t k = 0; k < fanout_; ++k) {
+        const NodeId u = neighbors[static_cast<std::size_t>(
+            rng_.below(neighbors.size()))];
+        if (caller_informed) {
+          view.send(v, u);
+        } else if (view.is_informed(u)) {
+          view.send(u, v);
+        } else {
+          view.count_overhead();
+        }
+      }
+    }
+  }
+
+ private:
+  std::uint32_t fanout_;
+};
+
+/// The reference twin of a gossip spec: the same kind, fanout and loss
+/// wrapper around a reference sampler.
+std::unique_ptr<DisseminationProtocol> make_reference(
+    const ProtocolSpec& spec) {
+  std::unique_ptr<DisseminationProtocol> base;
+  switch (spec.kind) {
+    case ProtocolSpec::Kind::kPush:
+      base = std::make_unique<ReferencePush>(spec.fanout);
+      break;
+    case ProtocolSpec::Kind::kPull:
+      base = std::make_unique<ReferencePull>(spec.fanout);
+      break;
+    case ProtocolSpec::Kind::kPushPull:
+      base = std::make_unique<ReferencePushPull>(spec.fanout);
+      break;
+    default:
+      ADD_FAILURE() << "not a gossip spec: " << spec.canonical();
+      return nullptr;
+  }
+  if (!spec.lossy()) return base;
+  return std::make_unique<LossyProtocol>(std::move(base), spec.loss_q);
+}
+
+/// The next draws of a copy of `rng`: equal for equal stream states.
+std::vector<std::uint64_t> next_draws(const Rng& rng) {
+  Rng copy = rng;
+  std::vector<std::uint64_t> draws;
+  for (int i = 0; i < 4; ++i) draws.push_back(copy.next_u64());
+  return draws;
+}
+
+/// The RNG streams a protocol drew from: its own, plus the inner
+/// protocol's behind a loss wrapper.
+std::vector<std::uint64_t> protocol_streams(DisseminationProtocol& protocol) {
+  std::vector<std::uint64_t> draws = next_draws(protocol.rng());
+  if (const auto* lossy = dynamic_cast<const LossyProtocol*>(&protocol)) {
+    // inner() is a const view of an object the wrapper owns mutably;
+    // rng() only hands out the stream, which next_draws copies.
+    auto& inner = const_cast<DisseminationProtocol&>(lossy->inner());
+    for (const std::uint64_t draw : next_draws(inner.rng())) {
+      draws.push_back(draw);
+    }
+  }
+  return draws;
+}
+
+using GossipParam = std::tuple<std::string, std::string>;
+
+class GossipSamplerEquivalence
+    : public ::testing::TestWithParam<GossipParam> {};
+
+TEST_P(GossipSamplerEquivalence, IndexDrawsMatchNeighborListsBitForBit) {
+  const auto& [scenario_name, protocol_text] = GetParam();
+  const Scenario scenario = ScenarioRegistry::paper().resolve(scenario_name);
+  ScenarioParams params;
+  params.n = 2000;
+  params.d = 4;
+  params.seed = 2025;
+  const std::optional<ProtocolSpec> spec = ProtocolSpec::parse(protocol_text);
+  ASSERT_TRUE(spec.has_value()) << protocol_text;
+  ProtocolOptions options = protocol_options(*spec, 99);
+  options.flood.max_steps = 400;
+
+  AnyNetwork net = scenario.make_warmed(params);
+  const std::unique_ptr<DisseminationProtocol> protocol = make_protocol(*spec);
+  ProtocolScratch scratch;
+  const ProtocolResult result = net.disseminate(*protocol, options, scratch);
+
+  AnyNetwork ref_net = scenario.make_warmed(params);
+  const std::unique_ptr<DisseminationProtocol> reference =
+      make_reference(*spec);
+  ASSERT_NE(reference, nullptr);
+  ProtocolScratch ref_scratch;
+  const ProtocolResult ref =
+      ref_net.disseminate(*reference, options, ref_scratch);
+
+  // Every FloodTrace field.
+  ASSERT_EQ(result.trace.informed_per_step, ref.trace.informed_per_step);
+  ASSERT_EQ(result.trace.alive_per_step, ref.trace.alive_per_step);
+  EXPECT_EQ(result.trace.steps, ref.trace.steps);
+  EXPECT_EQ(result.trace.completed, ref.trace.completed);
+  EXPECT_EQ(result.trace.completion_step, ref.trace.completion_step);
+  EXPECT_EQ(result.trace.died_out, ref.trace.died_out);
+  EXPECT_EQ(result.trace.die_out_step, ref.trace.die_out_step);
+  EXPECT_EQ(result.trace.peak_informed, ref.trace.peak_informed);
+  EXPECT_EQ(result.trace.final_fraction, ref.trace.final_fraction);
+
+  // Every ProtocolStats field.
+  EXPECT_EQ(result.stats.messages_sent, ref.stats.messages_sent);
+  EXPECT_EQ(result.stats.overhead_messages, ref.stats.overhead_messages);
+  EXPECT_EQ(result.stats.lost_messages, ref.stats.lost_messages);
+  EXPECT_EQ(result.stats.useful_deliveries, ref.stats.useful_deliveries);
+  EXPECT_EQ(result.stats.duplicate_deliveries,
+            ref.stats.duplicate_deliveries);
+  EXPECT_EQ(result.stats.rounds, ref.stats.rounds);
+  EXPECT_EQ(result.stats.completed, ref.stats.completed);
+  EXPECT_EQ(result.stats.final_coverage, ref.stats.final_coverage);
+
+  // The terminal informed set, slot for slot, and the inform order.
+  const std::uint32_t bound = std::max(net.graph().slot_upper_bound(),
+                                       ref_net.graph().slot_upper_bound());
+  for (std::uint32_t slot_index = 0; slot_index < bound; ++slot_index) {
+    ASSERT_EQ(scratch.flood.is_informed_slot(slot_index),
+              ref_scratch.flood.is_informed_slot(slot_index))
+        << "slot " << slot_index;
+  }
+  EXPECT_EQ(scratch.flood.informed_count(), ref_scratch.flood.informed_count());
+  EXPECT_EQ(scratch.informed, ref_scratch.informed);
+
+  // The protocol streams stopped at the same state: no draw moved.
+  EXPECT_EQ(protocol_streams(*protocol), protocol_streams(*reference));
+
+  // The runs did gossip: some message was sent and some node informed.
+  EXPECT_GT(result.stats.messages_sent, 0u);
+  EXPECT_GT(result.stats.useful_deliveries, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, GossipSamplerEquivalence,
+    ::testing::Combine(
+        ::testing::Values<std::string>("SDG", "SDGR", "PDG", "PDGR",
+                                       "erdos-renyi"),
+        ::testing::Values<std::string>("push(1)", "push(3)", "pull(2)",
+                                       "push-pull(2)",
+                                       "push(2)+lossy(0.8)+sources(4)")),
+    [](const ::testing::TestParamInfo<GossipParam>& info) {
+      std::string name =
+          std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace churnet

@@ -112,6 +112,39 @@ TEST(SweepSpec, RejectsBadConfigsWithReasons) {
             std::string::npos);
 }
 
+TEST(SweepSpec, BoundsTheOutSlotPoolAndTheJobCount) {
+  // Checked by validate() alone: nothing here builds a network or a job.
+  SweepSpec spec;
+  spec.scenarios = {"SDGR", "PDGR"};
+  spec.n_values = {1u << 16};
+  spec.d_values = {4, 65535};
+  spec.replications = 1;
+  EXPECT_FALSE(spec.validate().has_value());  // n*d = 2^32 - 2^16
+  spec.d_values = {4, 65536};                 // n*d = 2^32
+  const std::optional<std::string> pool = spec.validate();
+  ASSERT_TRUE(pool.has_value());
+  EXPECT_NE(pool->find("n*d must fit the 32-bit out-slot pool: n=65536, "
+                       "d=65536 needs 4294967296 out-slots, at most "
+                       "4294967295"),
+            std::string::npos)
+      << *pool;
+
+  spec.d_values = {4};  // two cells
+  spec.replications = std::uint64_t{1} << 23;
+  EXPECT_FALSE(spec.validate().has_value());  // 2^24 jobs
+  spec.replications += 1;
+  const std::optional<std::string> jobs = spec.validate();
+  ASSERT_TRUE(jobs.has_value());
+  EXPECT_NE(jobs->find("too many jobs: 2 cell(s) x 8388609 replications; "
+                       "the result matrix holds at most 16777216 jobs"),
+            std::string::npos)
+      << *jobs;
+  // The JSON reader's largest replication count cannot overflow the
+  // product with the cell count.
+  spec.replications = 1'000'000'000'000'000ull;
+  EXPECT_TRUE(spec.validate().has_value());
+}
+
 TEST(SweepSpec, KnownMetricsCoverTheCatalog) {
   const std::vector<std::string> known = SweepSpec::known_metrics();
   EXPECT_GE(known.size(), 9u);

@@ -9,6 +9,7 @@
                  --args "<args>" --expect <16 hex digits>
     check_pin.py bench --suite <bench_perf_suite> --golden <golden.json>
                  --out <BENCH_core.json>
+    check_pin.py perf-gate --golden <golden.json> --out <dir>
 
 campaign: runs churnet_sweep --config campaignbench/workloads/<workload>.json
 at the workload's thread count and compares the CSV's FNV-1a with its pin.
@@ -28,9 +29,16 @@ bench: runs bench_perf_suite --quick --out <out>, then diff_bench_golden.py
 <golden> <out>. The deterministic fields must match exactly; perf rates are
 compared warn-only, since ctest runs tests side by side.
 
+perf-gate: checks that diff_bench_golden.py --perf-fail 0.9 can fail, on
+doctored copies of <golden> written to <dir> and no suite run: the copy
+unchanged must pass, and a copy with one "*_per_sec" rate scaled by 0.01,
+or with one deterministic field changed, must fail.
+
 Exit 0 when the pin holds, 1 otherwise.
 """
 import argparse
+import copy
+import json
 import shlex
 import subprocess
 import sys
@@ -125,6 +133,49 @@ def check_bench(args):
                            args.golden, args.out], check=False).returncode
 
 
+def first_object_under(node, wanted):
+    """The first non-empty object under a key named `wanted`, depth first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == wanted and isinstance(value, dict) and value:
+                return value
+            found = first_object_under(value, wanted)
+            if found is not None:
+                return found
+    return None
+
+
+def check_perf_gate(args):
+    golden = json.loads(Path(args.golden).read_text())
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    slowed = copy.deepcopy(golden)
+    perf = first_object_under(slowed, "perf")
+    rate = next(k for k in perf if k.endswith("_per_sec"))
+    perf[rate] *= 0.01
+    drifted = copy.deepcopy(golden)
+    fields = first_object_under(drifted, "deterministic")
+    field = next(iter(fields))
+    fields[field] = f"{fields[field]}-drifted"
+
+    cases = [("unchanged", golden, 0),
+             (f"perf {rate} x 0.01", slowed, 1),
+             (f"deterministic {field} changed", drifted, 1)]
+    failed = 0
+    for index, (what, doc, want) in enumerate(cases):
+        path = out / f"perf_gate_{index}.json"
+        path.write_text(json.dumps(doc))
+        got = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "diff_bench_golden.py"),
+             "--perf-fail", "0.9", args.golden, str(path)],
+            capture_output=True, check=False).returncode
+        verdict = "ok" if got == want else "WRONG"
+        print(f"perf-gate: {what}: exit {got}, want {want} ({verdict})")
+        failed += got != want
+    return 1 if failed else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     kinds = parser.add_subparsers(dest="kind", required=True)
@@ -149,9 +200,13 @@ def main():
     bench.add_argument("--suite", required=True)
     bench.add_argument("--golden", required=True)
     bench.add_argument("--out", required=True)
+    perf_gate = kinds.add_parser("perf-gate")
+    perf_gate.add_argument("--golden", required=True)
+    perf_gate.add_argument("--out", required=True)
     args = parser.parse_args()
     checks = {"campaign": check_campaign, "same": check_same,
-              "fnv": check_fnv, "bench": check_bench}
+              "fnv": check_fnv, "bench": check_bench,
+              "perf-gate": check_perf_gate}
     try:
         return checks[args.kind](args)
     except subprocess.CalledProcessError as error:
