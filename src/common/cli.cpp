@@ -1,11 +1,38 @@
 #include "common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/assertx.hpp"
 
 namespace churnet {
+namespace {
+
+/// True when all of `text` is one base-10 int64 (strtoll, with nothing
+/// skipped or left over and no saturation).
+bool whole_int64(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  std::strtoll(text.c_str(), &end, 10);
+  return *end == '\0' && errno != ERANGE;
+}
+
+/// True when all of `text` is one strtod number.
+bool whole_double(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  std::strtod(text.c_str(), &end);
+  return *end == '\0';
+}
+
+}  // namespace
 
 Cli::Cli(std::string program_doc) : program_doc_(std::move(program_doc)) {}
 
@@ -71,6 +98,18 @@ bool Cli::parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
+    if (it->second.kind == Kind::kInt && !whole_int64(value)) {
+      std::fprintf(stderr,
+                   "option '--%s' needs a whole base-10 integer in int64 "
+                   "range, got '%s'\n",
+                   arg.c_str(), value.c_str());
+      std::exit(2);
+    }
+    if (it->second.kind == Kind::kDouble && !whole_double(value)) {
+      std::fprintf(stderr, "option '--%s' needs a number, got '%s'\n",
+                   arg.c_str(), value.c_str());
+      std::exit(2);
+    }
     it->second.value = value;
   }
   return true;
@@ -78,6 +117,20 @@ bool Cli::parse(int argc, const char* const* argv) {
 
 std::int64_t Cli::get_int(const std::string& name) const {
   return std::strtoll(find(name, Kind::kInt).value.c_str(), nullptr, 10);
+}
+
+std::int64_t Cli::get_int_in(const std::string& name, std::int64_t lo,
+                            std::int64_t hi) const {
+  const std::int64_t value = get_int(name);
+  if (value < lo || value > hi) {
+    std::fprintf(stderr, "option '--%s' must be an integer in [%lld, %lld], "
+                 "got '%s'\n",
+                 name.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi),
+                 find(name, Kind::kInt).value.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 double Cli::get_double(const std::string& name) const {

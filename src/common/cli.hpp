@@ -1,8 +1,10 @@
 // Minimal command-line parsing for bench and example binaries.
 //
 // Supported syntax: --key value, --key=value and boolean --flag.
-// Unknown arguments abort with a message listing the known options, so typos
-// in experiment sweeps fail loudly instead of silently running defaults.
+// Unknown arguments exit 2 with a message listing the known options, and a
+// number that does not parse whole exits 2 naming the option and its text,
+// so typos in experiment sweeps fail loudly instead of silently running
+// defaults.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +34,16 @@ class Cli {
   void add_flag(const std::string& name, const std::string& doc);
 
   /// Parses argv. On --help prints usage and returns false (caller should
-  /// exit 0). On malformed/unknown arguments prints usage and aborts.
+  /// exit 0). On malformed/unknown arguments prints the reason and exits 2;
+  /// malformed includes an integer option whose value is not a whole
+  /// base-10 int64 and a double option whose value does not parse whole.
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
+  /// get_int checked against [lo, hi]: a value outside prints the option,
+  /// its text and the range, and exits 2.
+  std::int64_t get_int_in(const std::string& name, std::int64_t lo,
+                          std::int64_t hi) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;

@@ -18,6 +18,9 @@ using JobBody = std::function<std::vector<double>(std::uint64_t job)>;
 using JobComplete =
     std::function<void(std::uint64_t job, std::vector<double>&& row)>;
 
+/// The largest --threads value churnet_sweep and churnet_repro accept.
+inline constexpr unsigned kMaxPoolThreads = 1024;
+
 /// The width run_jobs uses for `count` jobs: min(threads, count), where
 /// threads 0 means one per hardware thread; always >= 1.
 unsigned pool_width(unsigned threads, std::uint64_t count);

@@ -588,7 +588,6 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   const std::uint64_t replication = job_replication(job);
   const Cell& cell = cells_[cell_index];
   const bool has_observers = has_observers_;
-  const bool incremental = spec_.incremental_observers && has_observers;
   const std::uint32_t intra_threads = spec_.intra_threads;
 
   // Telemetry slice for this job: thread-local snapshot-diff around
@@ -614,10 +613,10 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   // advances the network BEFORE any metric is measured — the window
   // is part of the cell's definition, identical at every thread
   // count — so observe_window runs before `alive` is read. The set's
-  // one shared snapshot (built only when some observer needs the
-  // dense form) doubles as the engine metrics' snapshot; a local
-  // capture covers the no-observer / delta-fed-only cases. Capture
-  // itself is RNG-free, so sharing it changes no measured value.
+  // one shared snapshot (built only when some observer wants one)
+  // doubles as the engine metrics' snapshot; a local capture covers
+  // the sets without a snapshot observer. Capture itself is RNG-free,
+  // so sharing it changes no measured value.
   thread_local ObserverSet observers;
   thread_local std::string observers_key;
   const Snapshot* snap = nullptr;
@@ -626,8 +625,7 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
       observers = make_observer_set(observer_spec_);
       observers_key = observer_key_;
     }
-    snap = observe_window(net, observers, derive_seed(params.seed, 2, 0),
-                          incremental);
+    snap = observe_window(net, observers, derive_seed(params.seed, 2, 0));
   }
 
   const double alive =

@@ -101,13 +101,10 @@ struct SweepSpec {
   /// (observe/observer_spec.hpp grammar); its metric columns are appended
   /// after `metrics`. Empty = no observers.
   std::string observers;
-  /// Run the observer set delta-fed (DESIGN.md §6, decision 15): a
-  /// ChangeFeed is attached for the observation window and the censuses
-  /// measure from running state instead of a snapshot. Purely a
-  /// wall-clock knob — every sweep cell observes once per replication,
-  /// and that observation is bit-identical to the from-scratch one, so
-  /// the CSV/JSON output is byte-identical either way (the
-  /// sweep_same_incremental_observers pin ctest compares them).
+  /// Accepted and echoed in the spec provenance, with no effect (DESIGN.md
+  /// §1): campaignbench's resilience.json sets it, and unknown keys are
+  /// rejected. The sweep_same_incremental_observers pin ctest checks that
+  /// it changes no CSV byte.
   bool incremental_observers = false;
   std::uint64_t replications = 8;
   std::uint64_t base_seed = 12345;

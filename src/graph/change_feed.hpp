@@ -1,4 +1,6 @@
-// Graph change feed: the delta stream behind incremental observation.
+// Graph change feed: the delta stream the dissemination driver
+// (protocols/dissemination.hpp) reads to learn each churn step's deaths and
+// new edges; tests/test_change_feed.cpp replays it as the contract's oracle.
 //
 // A ChangeFeed is a caller-owned scratch ring, the recording sibling of
 // RemovalScratch: a DynamicGraph with a feed attached appends one GraphDelta

@@ -18,16 +18,21 @@ std::uint64_t snapshot_bytes(std::size_t nodes, std::size_t adjacency) {
 
 }  // namespace
 
+void append_alive_oldest_first(const DynamicGraph& graph,
+                               std::vector<NodeId>& out) {
+  const std::size_t first = out.size();
+  graph.append_alive_nodes(out);
+  std::sort(out.begin() + first, out.end(),
+            [&](NodeId a, NodeId b) {
+              return graph.birth_seq(a) < graph.birth_seq(b);
+            });
+}
+
 Snapshot Snapshot::capture(const DynamicGraph& graph, double now) {
   const telemetry::PhaseTimer span(telemetry::Phase::kSnapshot);
   Snapshot snap;
   snap.time_ = now;
-  graph.append_alive_nodes(snap.node_ids_);
-  // Oldest first: ascending birth sequence.
-  std::sort(snap.node_ids_.begin(), snap.node_ids_.end(),
-            [&](NodeId a, NodeId b) {
-              return graph.birth_seq(a) < graph.birth_seq(b);
-            });
+  append_alive_oldest_first(graph, snap.node_ids_);
 
   const auto n = static_cast<std::uint32_t>(snap.node_ids_.size());
   snap.birth_seqs_.resize(n);

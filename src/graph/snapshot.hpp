@@ -17,6 +17,12 @@
 
 namespace churnet {
 
+/// Appends the alive nodes of `graph` to `out` oldest first (ascending
+/// birth sequence): the snapshot's index order, and the order in which the
+/// age census sums ages, so both see one walk.
+void append_alive_oldest_first(const DynamicGraph& graph,
+                               std::vector<NodeId>& out);
+
 class Snapshot {
  public:
   /// Captures the current alive subgraph of `graph` at time `now`

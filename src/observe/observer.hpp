@@ -3,14 +3,16 @@
 // measurement loops of the bench binaries the same way ChurnProcess
 // generalized churn and DisseminationProtocol generalized rumor spreading.
 //
-// A MetricObserver declares named metric columns and fills them from three
+// A MetricObserver declares named metric columns and fills them from four
 // driver hooks:
 //
 //   * on_round(graph, now)       -- once per churn step of the observation
 //     window (trajectory metrics: demography, rates);
 //   * on_snapshot(snapshot)      -- once per captured snapshot, shared by
-//     every attached observer (structure metrics: expansion, spectral gap,
-//     isolated nodes, degree/age histograms);
+//     every attached snapshot observer (structure metrics: expansion,
+//     spectral gap);
+//   * on_observe(graph, now)     -- once at the measurement point, on the
+//     live graph (censuses: isolated nodes, degree and age summaries);
 //   * on_dissemination(trace, stats) -- once per flood/protocol run
 //     (coverage curves, message complexity derivatives).
 //
@@ -36,21 +38,11 @@
 //     NaN marks a metric whose input was never observed this trial (e.g. a
 //     coverage column when no dissemination ran).
 //
-// Incremental observation (DESIGN.md §6, decision 15): a driver that
-// attaches a ChangeFeed to its network can run observers delta-fed instead
-// of from-scratch. The incremental lifecycle is
-//
-//   begin_incremental_trial(seed, graph, now)   -- reset + full baseline scan
-//   per churn round:  on_round(...); on_deltas(graph, round_deltas, now)
-//   per observation:  observe(graph, now)       -- the measurement point
-//
-// observe() captures the set's one shared dense Snapshot only when at
-// least one attached observer needs the dense form
-// (needs_dense_snapshot()); delta-fed observers answer from running state
-// in on_observe. The from-scratch path uses the same observe() entry with
-// begin_trial — so drivers are written once and the two modes differ only
-// in which begin_* they call. Every driver observes once per trial, and
-// each observe() measures a fresh capture.
+// The observation lifecycle (DESIGN.md §6): begin_trial, the window's
+// on_round calls, then one ObserverSet::observe(graph, now). observe()
+// captures the set's one shared dense Snapshot only when some attached
+// observer wants_snapshot(), offers it via on_snapshot, and then calls
+// on_observe on every observer. Every driver observes once per trial.
 #pragma once
 
 #include <cstdint>
@@ -96,41 +88,13 @@ class MetricObserver {
   /// Per-snapshot hook: called once with the trial's shared snapshot.
   virtual void on_snapshot(const Snapshot& snapshot) { (void)snapshot; }
 
-  // ---- incremental lifecycle (all optional; defaults = from-scratch) ----
-
-  /// Incremental-trial baseline: called once after begin_trial, before any
-  /// deltas, with the warmed network. Delta-fed observers seed their
-  /// running state with one full scan here; from-scratch observers ignore
-  /// it (and then behave identically in both modes).
-  virtual void on_trial_start(const DynamicGraph& graph, double now) {
-    (void)graph;
-    (void)now;
-  }
-
-  /// Delta hook: the graph mutations since the previous on_deltas call (or
-  /// since on_trial_start), in mutation order (graph/change_feed.hpp for
-  /// the contract). `graph` is the post-mutation state.
-  virtual void on_deltas(const DynamicGraph& graph,
-                         std::span<const GraphDelta> deltas, double now) {
-    (void)graph;
-    (void)deltas;
-    (void)now;
-  }
-
-  /// Measurement point for delta-fed observers: called by
-  /// ObserverSet::observe after on_snapshot (if a dense snapshot was
-  /// built). Running-state observers publish their values here.
+  /// Measurement point on the live graph: called once per observation by
+  /// ObserverSet::observe, after on_snapshot (if a snapshot was captured).
+  /// The censuses measure here, without a snapshot.
   virtual void on_observe(const DynamicGraph& graph, double now) {
     (void)graph;
     (void)now;
   }
-
-  /// True while this observer needs the dense Snapshot to measure. An
-  /// observer running on delta-fed counters returns false after
-  /// on_trial_start, letting ObserverSet::observe skip the snapshot
-  /// capture entirely when no attached observer needs it. Defaults to
-  /// wants_snapshot().
-  virtual bool needs_dense_snapshot() const { return wants_snapshot(); }
 
   /// Dissemination hook: the trial's flood/protocol run. `stats` is
   /// nullptr for a plain flood run (no message accounting).
@@ -211,15 +175,14 @@ class ObserverSet {
     }
   }
 
-  /// Incremental-mode trial start: begin_trial plus the per-observer
-  /// baseline scan of the warmed network. After this, feed every round's
-  /// deltas through on_deltas and measure with observe().
+  /// The same as begin_trial: there is one observation path, so a trial
+  /// needs no baseline scan. Kept because campaignbench/campaign_bench.cpp
+  /// calls it.
   void begin_incremental_trial(std::uint64_t trial_seed,
                                const DynamicGraph& graph, double now) {
+    (void)graph;
+    (void)now;
     begin_trial(trial_seed);
-    for (const auto& observer : observers_) {
-      observer->on_trial_start(graph, now);
-    }
   }
 
   void on_round(const DynamicGraph& graph, double now) {
@@ -229,29 +192,25 @@ class ObserverSet {
     for (const auto& observer : observers_) observer->on_snapshot(snapshot);
   }
 
-  /// Forwards one round's deltas to every observer.
+  /// Does nothing: no observer reads graph deltas, the censuses scan the
+  /// live graph in on_observe. Kept because campaignbench/campaign_bench.cpp
+  /// calls it.
   void on_deltas(const DynamicGraph& graph,
                  std::span<const GraphDelta> deltas, double now) {
-    const telemetry::PhaseTimer span(telemetry::Phase::kDeltaFold);
-    telemetry::count(telemetry::Counter::kDeltas, deltas.size());
-    for (const auto& observer : observers_) {
-      observer->on_deltas(graph, deltas, now);
-    }
+    (void)graph;
+    (void)deltas;
+    (void)now;
   }
 
   /// The measurement point: captures the set's one shared dense snapshot
-  /// iff some observer needs the dense form, runs on_snapshot for the
-  /// snapshot observers and on_observe for everyone. Returns the shared
-  /// snapshot, or nullptr when no dense form was needed — callers wanting
-  /// snapshot-derived engine metrics can reuse it instead of capturing
-  /// their own.
+  /// iff some observer wants_snapshot(), runs on_snapshot for the snapshot
+  /// observers and on_observe for everyone. Returns the shared snapshot,
+  /// or nullptr when none was captured — callers wanting snapshot-derived
+  /// engine metrics can reuse it instead of capturing their own.
   const Snapshot* observe(const DynamicGraph& graph, double now) {
     const telemetry::PhaseTimer span(telemetry::Phase::kObserve);
     telemetry::count(telemetry::Counter::kObservations);
-    bool dense = false;
-    for (const auto& observer : observers_) {
-      dense = dense || observer->needs_dense_snapshot();
-    }
+    const bool dense = wants_snapshot();
     if (dense) {
       snapshot_ = Snapshot::capture(graph, now);
       for (const auto& observer : observers_) {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/assertx.hpp"
 #include "common/specgram.hpp"
 #include "common/table.hpp"
-#include "graph/algorithms.hpp"
 
 namespace churnet {
 namespace {
@@ -96,87 +94,30 @@ void IsolatedObserver::append_metric_names(
 
 void IsolatedObserver::begin_trial(std::uint64_t seed) {
   rng_ = Rng(seed);
-  last_ = IsolatedCensus{};
+  census_ = IsolatedCensus{};
   observed_ = false;
-  live_ = false;
-  isolated_ = 0;
-  alive_ = 0;
-}
-
-void IsolatedObserver::on_trial_start(const DynamicGraph& graph, double now) {
-  (void)now;
-  live_ = true;
-  slot_degrees_.assign(graph.slot_upper_bound(), 0);
-  isolated_ = 0;
-  scan_scratch_.clear();
-  graph.append_alive_nodes(scan_scratch_);
-  for (const NodeId id : scan_scratch_) {
-    const std::uint32_t degree = graph.degree(id);
-    slot_degrees_[id.slot] = degree;
-    if (degree == 0) ++isolated_;
-  }
-  alive_ = graph.alive_count();
-}
-
-void IsolatedObserver::on_deltas(const DynamicGraph& graph,
-                                 std::span<const GraphDelta> deltas,
-                                 double now) {
-  (void)graph;
-  (void)now;
-  if (!live_) return;
-  auto ensure = [this](std::uint32_t slot) {
-    if (slot >= slot_degrees_.size()) slot_degrees_.resize(slot + 1, 0);
-  };
-  for (const GraphDelta& delta : deltas) {
-    switch (delta.kind) {
-      case GraphDelta::Kind::kBirth:
-        ensure(delta.node.slot);
-        slot_degrees_[delta.node.slot] = 0;
-        ++alive_;
-        ++isolated_;
-        break;
-      case GraphDelta::Kind::kDeath:
-        // The victim's edge clears precede its death (feed contract), so
-        // its tracked degree is already zero.
-        CHURNET_ASSERT(slot_degrees_[delta.node.slot] == 0);
-        --alive_;
-        --isolated_;
-        break;
-      case GraphDelta::Kind::kEdgeSet:
-        ensure(delta.node.slot);
-        ensure(delta.target.slot);
-        if (slot_degrees_[delta.node.slot]++ == 0) --isolated_;
-        if (slot_degrees_[delta.target.slot]++ == 0) --isolated_;
-        break;
-      case GraphDelta::Kind::kEdgeClear:
-        if (--slot_degrees_[delta.node.slot] == 0) ++isolated_;
-        if (--slot_degrees_[delta.target.slot] == 0) ++isolated_;
-        break;
-    }
-  }
-}
-
-void IsolatedObserver::on_snapshot(const Snapshot& snapshot) {
-  if (live_) return;  // delta-fed: measured in on_observe, snapshot unused
-  last_ = isolated_census(snapshot);
-  observed_ = true;
 }
 
 void IsolatedObserver::on_observe(const DynamicGraph& graph, double now) {
-  (void)graph;
   (void)now;
-  if (!live_) return;
-  last_.isolated_nodes = isolated_;
-  last_.total_nodes = alive_;
-  last_.fraction = alive_ == 0 ? 0.0
-                               : static_cast<double>(isolated_) /
-                                     static_cast<double>(alive_);
+  nodes_.clear();
+  graph.append_alive_nodes(nodes_);
+  census_ = IsolatedCensus{};
+  census_.total_nodes = nodes_.size();
+  for (const NodeId id : nodes_) {
+    if (graph.degree(id) == 0) ++census_.isolated_nodes;
+  }
+  census_.fraction = census_.total_nodes == 0
+                         ? 0.0
+                         : static_cast<double>(census_.isolated_nodes) /
+                               static_cast<double>(census_.total_nodes);
   observed_ = true;
 }
 
 void IsolatedObserver::append_values(std::vector<double>& out) const {
-  out.push_back(observed_ ? static_cast<double>(last_.isolated_nodes) : kNan);
-  out.push_back(observed_ ? last_.fraction : kNan);
+  out.push_back(observed_ ? static_cast<double>(census_.isolated_nodes)
+                          : kNan);
+  out.push_back(observed_ ? census_.fraction : kNan);
 }
 
 // ---- DegreeHistogramObserver -----------------------------------------------
@@ -196,88 +137,18 @@ void DegreeHistogramObserver::begin_trial(std::uint64_t seed) {
   degrees_.clear();
   summary_ = Summary{};
   observed_ = false;
-  live_ = false;
-  degree_sum_ = 0;
-  alive_ = 0;
 }
 
-void DegreeHistogramObserver::on_trial_start(const DynamicGraph& graph,
-                                             double now) {
+void DegreeHistogramObserver::on_observe(const DynamicGraph& graph,
+                                         double now) {
   (void)now;
-  live_ = true;
-  slot_degrees_.assign(graph.slot_upper_bound(), 0);
-  hist_.assign(1, 0);
-  degree_sum_ = 0;
-  scan_scratch_.clear();
-  graph.append_alive_nodes(scan_scratch_);
-  for (const NodeId id : scan_scratch_) {
-    const std::uint32_t degree = graph.degree(id);
-    slot_degrees_[id.slot] = degree;
-    if (degree >= hist_.size()) hist_.resize(degree + 1, 0);
-    ++hist_[degree];
-    degree_sum_ += degree;
-  }
-  alive_ = graph.alive_count();
-}
-
-void DegreeHistogramObserver::on_deltas(const DynamicGraph& graph,
-                                        std::span<const GraphDelta> deltas,
-                                        double now) {
-  (void)graph;
-  (void)now;
-  if (!live_) return;
-  auto ensure_slot = [this](std::uint32_t slot) {
-    if (slot >= slot_degrees_.size()) slot_degrees_.resize(slot + 1, 0);
-  };
-  auto add_edge_end = [this](std::uint32_t slot) {
-    std::uint32_t& degree = slot_degrees_[slot];
-    --hist_[degree];
-    ++degree;
-    if (degree >= hist_.size()) hist_.resize(degree + 1, 0);
-    ++hist_[degree];
-    ++degree_sum_;
-  };
-  auto drop_edge_end = [this](std::uint32_t slot) {
-    std::uint32_t& degree = slot_degrees_[slot];
-    --hist_[degree];
-    --degree;
-    ++hist_[degree];
-    --degree_sum_;
-  };
-  for (const GraphDelta& delta : deltas) {
-    switch (delta.kind) {
-      case GraphDelta::Kind::kBirth:
-        ensure_slot(delta.node.slot);
-        slot_degrees_[delta.node.slot] = 0;
-        ++hist_[0];
-        ++alive_;
-        break;
-      case GraphDelta::Kind::kDeath:
-        CHURNET_ASSERT(slot_degrees_[delta.node.slot] == 0);
-        --hist_[0];
-        --alive_;
-        break;
-      case GraphDelta::Kind::kEdgeSet:
-        ensure_slot(delta.node.slot);
-        ensure_slot(delta.target.slot);
-        add_edge_end(delta.node.slot);
-        add_edge_end(delta.target.slot);
-        break;
-      case GraphDelta::Kind::kEdgeClear:
-        drop_edge_end(delta.node.slot);
-        drop_edge_end(delta.target.slot);
-        break;
-    }
-  }
-}
-
-void DegreeHistogramObserver::on_snapshot(const Snapshot& snapshot) {
-  if (live_) return;  // delta-fed: measured in on_observe off the histogram
+  nodes_.clear();
+  graph.append_alive_nodes(nodes_);
   degrees_.clear();
-  degrees_.reserve(snapshot.node_count());
-  double sum = 0.0;
-  for (std::uint32_t v = 0; v < snapshot.node_count(); ++v) {
-    const std::uint32_t degree = snapshot.degree(v);
+  degrees_.reserve(nodes_.size());
+  std::uint64_t sum = 0;
+  for (const NodeId id : nodes_) {
+    const std::uint32_t degree = graph.degree(id);
     degrees_.push_back(degree);
     sum += degree;
   }
@@ -287,54 +158,13 @@ void DegreeHistogramObserver::on_snapshot(const Snapshot& snapshot) {
     summary_ = Summary{};
     return;
   }
-  summary_.mean = sum / static_cast<double>(degrees_.size());
+  summary_.mean =
+      static_cast<double>(sum) / static_cast<double>(degrees_.size());
   summary_.min = static_cast<double>(degrees_.front());
   summary_.max = static_cast<double>(degrees_.back());
   summary_.p50 = quantile(degrees_, 0.50);
   summary_.p90 = quantile(degrees_, 0.90);
   summary_.p99 = quantile(degrees_, 0.99);
-}
-
-void DegreeHistogramObserver::on_observe(const DynamicGraph& graph,
-                                         double now) {
-  (void)graph;
-  (void)now;
-  if (!live_) return;
-  const std::uint64_t n = alive_;
-  observed_ = n > 0;
-  if (!observed_) {
-    summary_ = Summary{};
-    return;
-  }
-  // Nearest-rank quantile of the sorted degree multiset, read off the
-  // cumulative histogram — the element at sorted position `index` is the
-  // smallest degree whose cumulative count exceeds it.
-  auto hist_quantile = [this, n](double p) {
-    const auto index = std::min(
-        static_cast<std::uint64_t>(
-            p * static_cast<double>(n - 1) + 0.5),
-        n - 1);
-    std::uint64_t cumulative = 0;
-    for (std::size_t g = 0; g < hist_.size(); ++g) {
-      cumulative += hist_[g];
-      if (cumulative > index) return static_cast<double>(g);
-    }
-    CHURNET_ASSERT(false && "histogram count < population");
-    return 0.0;
-  };
-  // The integer degree sum is exact in double far past any reachable edge
-  // count, so this mean equals the from-scratch accumulation bit for bit.
-  summary_.mean = static_cast<double>(degree_sum_) / static_cast<double>(n);
-  summary_.min = hist_quantile(0.0);
-  summary_.max = [this] {
-    for (std::size_t g = hist_.size(); g-- > 0;) {
-      if (hist_[g] != 0) return static_cast<double>(g);
-    }
-    return 0.0;
-  }();
-  summary_.p50 = hist_quantile(0.50);
-  summary_.p90 = hist_quantile(0.90);
-  summary_.p99 = hist_quantile(0.99);
 }
 
 void DegreeHistogramObserver::append_values(std::vector<double>& out) const {
@@ -365,75 +195,16 @@ void AgeHistogramObserver::begin_trial(std::uint64_t seed) {
   ages_.clear();
   summary_ = Summary{};
   observed_ = false;
-  live_ = false;
-  log_.clear();
-  live_count_ = 0;
 }
 
-void AgeHistogramObserver::on_trial_start(const DynamicGraph& graph,
-                                          double now) {
-  (void)now;
-  live_ = true;
-  log_.clear();
-  slot_to_log_.assign(graph.slot_upper_bound(), 0);
-  std::vector<NodeId> nodes;
-  graph.append_alive_nodes(nodes);
-  // Seed the log in birth order (ascending birth sequence) — the snapshot
-  // index order, which appends then preserve.
-  std::sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
-    return graph.birth_seq(a) < graph.birth_seq(b);
-  });
-  log_.reserve(nodes.size());
-  for (const NodeId id : nodes) {
-    slot_to_log_[id.slot] = log_.size();
-    log_.push_back(LogEntry{graph.birth_time(id), id.slot, 1});
-  }
-  live_count_ = log_.size();
-}
-
-void AgeHistogramObserver::compact_log() {
-  std::size_t kept = 0;
-  for (const LogEntry& entry : log_) {
-    if (entry.alive == 0) continue;
-    slot_to_log_[entry.slot] = kept;
-    log_[kept++] = entry;
-  }
-  log_.resize(kept);
-}
-
-void AgeHistogramObserver::on_deltas(const DynamicGraph& graph,
-                                     std::span<const GraphDelta> deltas,
-                                     double now) {
-  (void)graph;
-  (void)now;
-  if (!live_) return;
-  for (const GraphDelta& delta : deltas) {
-    if (delta.kind == GraphDelta::Kind::kBirth) {
-      if (delta.node.slot >= slot_to_log_.size()) {
-        slot_to_log_.resize(delta.node.slot + 1, 0);
-      }
-      slot_to_log_[delta.node.slot] = log_.size();
-      log_.push_back(LogEntry{delta.time, delta.node.slot, 1});
-      ++live_count_;
-    } else if (delta.kind == GraphDelta::Kind::kDeath) {
-      LogEntry& entry = log_[slot_to_log_[delta.node.slot]];
-      CHURNET_ASSERT(entry.slot == delta.node.slot && entry.alive != 0);
-      entry.alive = 0;
-      --live_count_;
-    }
-  }
-  // Keep the tombstone overhead bounded: compact once dead entries
-  // outnumber live ones (amortized O(1) per delta).
-  if (log_.size() > 2 * live_count_ + 64) compact_log();
-}
-
-void AgeHistogramObserver::on_snapshot(const Snapshot& snapshot) {
-  if (live_) return;  // delta-fed: measured in on_observe off the log
+void AgeHistogramObserver::on_observe(const DynamicGraph& graph, double now) {
+  nodes_.clear();
+  append_alive_oldest_first(graph, nodes_);
   ages_.clear();
-  ages_.reserve(snapshot.node_count());
+  ages_.reserve(nodes_.size());
   double sum = 0.0;
-  for (std::uint32_t v = 0; v < snapshot.node_count(); ++v) {
-    const double age = snapshot.age(v);
+  for (const NodeId id : nodes_) {
+    const double age = now - graph.birth_time(id);
     ages_.push_back(age);
     sum += age;
   }
@@ -447,41 +218,6 @@ void AgeHistogramObserver::on_snapshot(const Snapshot& snapshot) {
   summary_.p50 = quantile(ages_, 0.50);
   summary_.p90 = quantile(ages_, 0.90);
   summary_.max = ages_.back();
-}
-
-void AgeHistogramObserver::on_observe(const DynamicGraph& graph, double now) {
-  (void)graph;
-  if (!live_) return;
-  observed_ = live_count_ > 0;
-  if (!observed_) {
-    summary_ = Summary{};
-    return;
-  }
-  // Walk the live log oldest-first: exactly the snapshot index order, so
-  // the float sum matches the from-scratch accumulation bit for bit; and
-  // ages along the walk are non-increasing (birth times ascend), so the
-  // ascending-sorted multiset is this walk reversed.
-  ages_.clear();
-  ages_.reserve(live_count_);
-  double sum = 0.0;
-  for (const LogEntry& entry : log_) {
-    if (entry.alive == 0) continue;
-    const double age = now - entry.birth_time;
-    ages_.push_back(age);
-    sum += age;
-  }
-  const std::size_t n = ages_.size();
-  CHURNET_ASSERT(n == live_count_);
-  auto sorted_at = [this, n](double p) {
-    const auto index = std::min(
-        static_cast<std::size_t>(p * static_cast<double>(n - 1) + 0.5),
-        n - 1);
-    return ages_[n - 1 - index];  // descending walk, ascending quantile
-  };
-  summary_.mean = sum / static_cast<double>(n);
-  summary_.p50 = sorted_at(0.50);
-  summary_.p90 = sorted_at(0.90);
-  summary_.max = ages_.front();
 }
 
 void AgeHistogramObserver::append_values(std::vector<double>& out) const {

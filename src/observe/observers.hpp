@@ -22,9 +22,6 @@ namespace churnet {
 /// Vertex-expansion probe over random/adversarial candidate set families
 /// (expansion/expansion.hpp). Metrics: expansion_min_ratio,
 /// expansion_argmin_size, expansion_sets_probed.
-///
-/// Both modes run the same probe on a freshly captured snapshot, drawing
-/// from the observer's own stream.
 class ExpansionObserver final : public MetricObserver {
  public:
   explicit ExpansionObserver(ProbeOptions options = {})
@@ -49,9 +46,6 @@ class ExpansionObserver final : public MetricObserver {
 /// Spectral gap of the lazy random walk via deflated power iteration
 /// (expansion/spectral.hpp). Metrics: spectral_gap, spectral_lambda2,
 /// spectral_converged.
-///
-/// Both modes run the same probe on a freshly captured snapshot, drawing
-/// its start vector from the observer's own stream.
 class SpectralObserver final : public MetricObserver {
  public:
   static constexpr std::uint32_t kDefaultIterations = 500;
@@ -76,60 +70,35 @@ class SpectralObserver final : public MetricObserver {
   bool observed_ = false;
 };
 
-/// Isolated-node census (expansion/isolated.hpp). Metrics: isolated_count,
-/// isolated_fraction.
-///
-/// Incremental mode: a running degree-0 counter updated from edge deltas —
-/// no snapshot needed at all (needs_dense_snapshot() turns false), and the
-/// published census is exactly isolated_census of the same instant.
+/// Isolated-node census: the degree-0 count and fraction of the alive
+/// nodes, read off the live graph at the measurement point. Equal to
+/// isolated_census (expansion/isolated.hpp) of a snapshot of the same
+/// instant. Metrics: isolated_count, isolated_fraction.
 class IsolatedObserver final : public MetricObserver {
  public:
-  const IsolatedCensus& last() const { return last_; }
-
   std::string name() const override { return "isolated"; }
   void append_metric_names(std::vector<std::string>& out) const override;
   void begin_trial(std::uint64_t seed) override;
-  void on_trial_start(const DynamicGraph& graph, double now) override;
-  void on_deltas(const DynamicGraph& graph,
-                 std::span<const GraphDelta> deltas, double now) override;
-  void on_snapshot(const Snapshot& snapshot) override;
   void on_observe(const DynamicGraph& graph, double now) override;
-  bool wants_snapshot() const override { return true; }
-  bool needs_dense_snapshot() const override { return !live_; }
   void append_values(std::vector<double>& out) const override;
 
  private:
-  IsolatedCensus last_;
+  IsolatedCensus census_;
   bool observed_ = false;
-  bool live_ = false;
-  std::vector<std::uint32_t> slot_degrees_;  // undirected degree per slot
-  std::uint64_t isolated_ = 0;
-  std::uint64_t alive_ = 0;
-  std::vector<NodeId> scan_scratch_;
+  std::vector<NodeId> nodes_;  // alive-node scratch, reused
 };
 
-/// Degree distribution summary. Metrics: degree_mean, degree_min,
-/// degree_max, degree_p50, degree_p90, degree_p99 (nearest-rank quantiles
-/// over the snapshot's degree multiset).
-///
-/// Incremental mode: a counting histogram over per-slot degrees updated
-/// from edge deltas; observation reads mean/min/max/quantiles off the
-/// histogram with no snapshot and no sort, exactly equal to the
-/// from-scratch summary (integer degree sums are exact in double well past
-/// any reachable edge count, and a cumulative histogram walk is the
-/// nearest-rank quantile of the sorted multiset).
+/// Degree distribution summary over the alive nodes' undirected degrees
+/// on the live graph. Metrics: degree_mean, degree_min, degree_max,
+/// degree_p50, degree_p90, degree_p99 (nearest-rank quantiles over the
+/// degree multiset). The mean divides the integer degree sum, which is
+/// exact in double, so neither it nor the quantiles depend on scan order.
 class DegreeHistogramObserver final : public MetricObserver {
  public:
   std::string name() const override { return "degrees"; }
   void append_metric_names(std::vector<std::string>& out) const override;
   void begin_trial(std::uint64_t seed) override;
-  void on_trial_start(const DynamicGraph& graph, double now) override;
-  void on_deltas(const DynamicGraph& graph,
-                 std::span<const GraphDelta> deltas, double now) override;
-  void on_snapshot(const Snapshot& snapshot) override;
   void on_observe(const DynamicGraph& graph, double now) override;
-  bool wants_snapshot() const override { return true; }
-  bool needs_dense_snapshot() const override { return !live_; }
   void append_values(std::vector<double>& out) const override;
 
  private:
@@ -142,38 +111,22 @@ class DegreeHistogramObserver final : public MetricObserver {
     double p99 = 0.0;
   };
 
-  std::vector<std::uint32_t> degrees_;  // from-scratch scratch, reused
+  std::vector<NodeId> nodes_;           // alive-node scratch, reused
+  std::vector<std::uint32_t> degrees_;  // sorted degrees, reused
   Summary summary_;
   bool observed_ = false;
-  bool live_ = false;
-  std::vector<std::uint32_t> slot_degrees_;
-  std::vector<std::uint64_t> hist_;  // hist_[g] = #alive nodes of degree g
-  std::uint64_t degree_sum_ = 0;
-  std::uint64_t alive_ = 0;
-  std::vector<NodeId> scan_scratch_;
 };
 
 /// Node-age distribution summary (ages in model time units at the
-/// snapshot instant). Metrics: age_mean, age_p50, age_p90, age_max.
-///
-/// Incremental mode: an append-only birth log (ascending birth sequence,
-/// i.e. snapshot index order) with death tombstones and periodic
-/// compaction. Observation walks the live log oldest-first — the exact
-/// order the from-scratch path sums ages in, so the floating-point mean is
-/// bit-identical — and ages along the walk are non-increasing, so sorted
-/// quantile positions map to walk positions directly.
+/// measurement instant). Metrics: age_mean, age_p50, age_p90, age_max.
+/// Ages are summed oldest first (append_alive_oldest_first, the snapshot's
+/// index order), which pins the floating-point mean.
 class AgeHistogramObserver final : public MetricObserver {
  public:
   std::string name() const override { return "ages"; }
   void append_metric_names(std::vector<std::string>& out) const override;
   void begin_trial(std::uint64_t seed) override;
-  void on_trial_start(const DynamicGraph& graph, double now) override;
-  void on_deltas(const DynamicGraph& graph,
-                 std::span<const GraphDelta> deltas, double now) override;
-  void on_snapshot(const Snapshot& snapshot) override;
   void on_observe(const DynamicGraph& graph, double now) override;
-  bool wants_snapshot() const override { return true; }
-  bool needs_dense_snapshot() const override { return !live_; }
   void append_values(std::vector<double>& out) const override;
 
  private:
@@ -183,21 +136,11 @@ class AgeHistogramObserver final : public MetricObserver {
     double p90 = 0.0;
     double max = 0.0;
   };
-  struct LogEntry {
-    double birth_time = 0.0;
-    std::uint32_t slot = 0;
-    std::uint32_t alive = 0;
-  };
 
-  void compact_log();
-
-  std::vector<double> ages_;  // reused across trials / observations
+  std::vector<NodeId> nodes_;  // alive nodes oldest first, reused
+  std::vector<double> ages_;   // sorted ages, reused
   Summary summary_;
   bool observed_ = false;
-  bool live_ = false;
-  std::vector<LogEntry> log_;            // birth order == snapshot order
-  std::vector<std::size_t> slot_to_log_;
-  std::size_t live_count_ = 0;
 };
 
 /// Flooding / protocol coverage curve derivatives. Metrics: coverage_step

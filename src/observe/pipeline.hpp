@@ -13,25 +13,17 @@
 //      observation_rounds() churn steps, calling on_round after each
 //      (skipped entirely when no observer wants rounds);
 //   3. ObserverSet::observe      -- the set builds its one shared dense
-//      snapshot iff some observer needs it, offers it via on_snapshot, and
-//      lets delta-fed observers publish via on_observe; the same shared
-//      snapshot serves the dissemination-start census in observe_protocol
-//      instead of a second capture;
+//      snapshot iff some observer wants it, offers it via on_snapshot, and
+//      lets the censuses measure the live graph via on_observe; the same
+//      shared snapshot serves the dissemination-start census in
+//      observe_protocol instead of a second capture;
 //   4. optionally one dissemination run (flood or any protocol), offered
 //      via on_dissemination;
 //   5. append_values             -- one value per declared metric column.
 //
-// The window intentionally runs *before* the snapshot: observers measure
-// the network after the window they asked for, and a set without round
-// observers measures the warmed network unchanged.
-//
-// With incremental = true the pass runs delta-fed (DESIGN.md §6, decision
-// 15): a ChangeFeed is attached to the network for the window, the trial
-// starts with begin_incremental_trial, and every round's deltas are
-// forwarded through on_deltas before the next step. Values remain a pure
-// function of (seed, trial inputs), and the pass's one observation is
-// bit-identical to the from-scratch pass (tests/test_incremental_observe
-// pins this).
+// The window intentionally runs *before* the measurement: observers
+// measure the network after the window they asked for, and a set without
+// round observers measures the warmed network unchanged.
 #pragma once
 
 #include <cstdint>
@@ -43,29 +35,26 @@
 namespace churnet {
 
 /// Steps 1-3 of the pass on a warmed network: the reset, the observation
-/// window (under one churn span; incremental mode attaches a per-thread
-/// ChangeFeed for the window only) and ObserverSet::observe. Returns the
-/// set's shared snapshot, or nullptr when no observer needs the dense
-/// form. Values are then collected with ObserverSet::append_values.
+/// window (under one churn span) and ObserverSet::observe. Returns the
+/// set's shared snapshot, or nullptr when no observer wants one. Values
+/// are then collected with ObserverSet::append_values.
 const Snapshot* observe_window(AnyNetwork& net, ObserverSet& observers,
-                               std::uint64_t seed, bool incremental);
+                               std::uint64_t seed);
 
-/// Runs one observation pass (window + shared snapshot) on a warmed
-/// network and returns the set's metric values. Dissemination observers in
-/// the set report NaN (nothing spread); use observe_protocol to observe a
+/// Runs one observation pass (window + measurement) on a warmed network
+/// and returns the set's metric values. Dissemination observers in the set
+/// report NaN (nothing spread); use observe_protocol to observe a
 /// dissemination run.
 std::vector<double> observe_network(AnyNetwork& net, ObserverSet& observers,
-                                    std::uint64_t seed,
-                                    bool incremental = false);
+                                    std::uint64_t seed);
 
 /// As above, plus one dissemination run (FloodProtocol for the paper's
-/// process) between the snapshot and value collection; the trace and the
-/// run's message accounting are offered to dissemination observers.
+/// process) between the measurement and value collection; the trace and
+/// the run's message accounting are offered to dissemination observers.
 std::vector<double> observe_protocol(AnyNetwork& net, ObserverSet& observers,
                                      std::uint64_t seed,
                                      DisseminationProtocol& protocol,
                                      const ProtocolOptions& options,
-                                     ProtocolScratch& scratch,
-                                     bool incremental = false);
+                                     ProtocolScratch& scratch);
 
 }  // namespace churnet

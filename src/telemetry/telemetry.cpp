@@ -7,7 +7,6 @@ const char* phase_name(Phase phase) {
     case Phase::kGenesis: return "genesis";
     case Phase::kChurn: return "churn";
     case Phase::kDissemination: return "dissemination";
-    case Phase::kDeltaFold: return "delta_fold";
     case Phase::kObserve: return "observe";
     case Phase::kSnapshot: return "snapshot";
   }
@@ -17,7 +16,6 @@ const char* phase_name(Phase phase) {
 const char* counter_name(Counter counter) {
   switch (counter) {
     case Counter::kChurnEvents: return "churn_events";
-    case Counter::kDeltas: return "deltas";
     case Counter::kMessages: return "messages";
     case Counter::kSnapshotBytes: return "snapshot_bytes";
     case Counter::kSnapshots: return "snapshots";

@@ -3,9 +3,9 @@
 //
 // The observer pipeline measures the *graph*; this layer measures the
 // *system* — where a multi-hour sweep spends its wall clock (genesis
-// wiring, churn stepping, dissemination, delta folding, snapshot builds,
-// observation) and how much work it pushed through (churn events, deltas,
-// messages, snapshot bytes). Accumulation is thread-local (one fixed-size
+// wiring, churn stepping, dissemination, snapshot builds, observation) and
+// how much work it pushed through (churn events, messages, snapshot
+// bytes). Accumulation is thread-local (one fixed-size
 // `Totals` per thread, no locks, no allocation); drivers fold per-trial
 // slices out of the thread-local stream with a `TrialRecorder` and hand
 // them to the TraceSink (telemetry/trace_sink.hpp) for NDJSON streaming.
@@ -31,10 +31,9 @@
 //
 //   genesis        — model construction + warm-up (make_warmed)
 //   churn          — observation-window churn loops (outside dissemination)
-//     delta_fold   — ObserverSet::on_deltas (child of churn in sweeps)
 //   dissemination  — one flood/protocol run, churn-during-flood included
 //   observe        — ObserverSet::observe (measurement point)
-//     snapshot     — dense Snapshot capture/update (child of observe)
+//     snapshot     — dense Snapshot capture (child of observe)
 //
 // Same-phase re-entry is depth-guarded: only the outermost span of a phase
 // records time, so a run_growth_phase span inside a make_warmed span never
@@ -52,26 +51,24 @@ enum class Phase : std::uint8_t {
   kGenesis = 0,    // model construction + warm-up
   kChurn,          // observation-window churn stepping
   kDissemination,  // one flood / protocol run
-  kDeltaFold,      // incremental observers folding a delta window
   kObserve,        // ObserverSet::observe measurement point
   kSnapshot,       // dense snapshot capture
 };
-inline constexpr std::size_t kPhaseCount = 6;
+inline constexpr std::size_t kPhaseCount = 5;
 
 enum class Counter : std::uint8_t {
   kChurnEvents = 0,  // node births + deaths (DynamicGraph mutations)
-  kDeltas,           // GraphDeltas folded by ObserverSet::on_deltas
   kMessages,         // dissemination messages (transmissions + probes)
   kSnapshotBytes,    // bytes materialized into dense snapshots
-  kSnapshots,        // dense snapshot builds/updates
+  kSnapshots,        // dense snapshot captures
   kObservations,     // ObserverSet::observe calls
   kTrials,           // trials folded by a TrialRecorder
 };
-inline constexpr std::size_t kCounterCount = 7;
+inline constexpr std::size_t kCounterCount = 6;
 
 /// Stable lower_snake names for sinks and reports ("genesis", "churn", ...).
 const char* phase_name(Phase phase);
-/// Stable lower_snake names ("churn_events", "deltas", ...).
+/// Stable lower_snake names ("churn_events", "messages", ...).
 const char* counter_name(Counter counter);
 
 /// One accumulation bucket: per-phase span nanoseconds + call counts plus

@@ -300,9 +300,10 @@ TEST(GraphAllocation, StreamingChurnWithChangeFeedIsAllocationFree) {
   StreamingNetwork net(config);
   net.warm_up();
 
-  // The incremental-observation driver shape: feed attached after warm-up,
-  // cleared at the top of every round. The conditioning window lets the
-  // feed's vector reach its per-round high-water capacity.
+  // The dissemination driver's shape (protocols/dissemination.hpp): feed
+  // attached after warm-up, drained and cleared every round. The
+  // conditioning window lets the feed's vector reach its per-round
+  // high-water capacity.
   ChangeFeed feed;
   net.attach_change_feed(&feed);
   for (std::uint64_t round = 0; round < 2ull * config.n; ++round) {

@@ -1,11 +1,12 @@
 // Tests for the observation layer (src/observe/): observer-spec
 // parse/error cases, golden metric values on tiny pinned-seed graphs
-// cross-checked against the pre-refactor bench measurement loops (direct
-// probe_expansion / spectral_gap / isolated_census calls with the same
-// seeds), pipeline wiring, and sweep-with-observers determinism across
-// thread counts.
+// cross-checked against direct probe_expansion / spectral_gap calls with
+// the same seeds, the live-graph censuses against snapshot scans of the
+// same instant, pipeline wiring, and sweep-with-observers determinism
+// across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -15,7 +16,6 @@
 #include "expansion/expansion.hpp"
 #include "expansion/isolated.hpp"
 #include "expansion/spectral.hpp"
-#include "graph/algorithms.hpp"
 #include "models/streaming_network.hpp"
 #include "observe/observer_spec.hpp"
 #include "observe/observers.hpp"
@@ -225,45 +225,91 @@ TEST(Observers, SpectralMatchesDirectCallUnderSameSeed) {
   EXPECT_EQ(SpectralObserver().name(), "spectral");
 }
 
-TEST(Observers, IsolatedAndDegreesMatchDirectScans) {
-  // d = 1 without regeneration: isolated nodes exist (Lemma 3.5 regime).
-  const Snapshot snap = tiny_snapshot(120, 1, EdgePolicy::kNone, 2024);
+// ---- the censuses against snapshot scans ------------------------------------
+
+/// Nearest-rank quantile over a sorted, non-empty vector.
+template <typename T>
+double nearest_rank(const std::vector<T>& sorted, double p) {
+  const std::size_t n = sorted.size();
+  const auto index =
+      static_cast<std::size_t>(p * static_cast<double>(n - 1) + 0.5);
+  return static_cast<double>(sorted[std::min(index, n - 1)]);
+}
+
+/// The isolated, degrees and ages columns, computed from a snapshot: the
+/// isolated_census, the sorted snapshot degrees (sum / n mean and
+/// nearest-rank quantiles) and the snapshot ages summed in index order.
+std::vector<double> census_columns(const Snapshot& snap) {
   const IsolatedCensus census = isolated_census(snap);
-  const DegreeStats degrees = degree_stats(snap);
-  ASSERT_GT(census.isolated_nodes, 0u);
+  std::vector<double> want = {static_cast<double>(census.isolated_nodes),
+                              census.fraction};
+  const std::uint32_t n = snap.node_count();
+  std::vector<std::uint32_t> degrees;
+  std::vector<double> ages;
+  std::uint64_t degree_sum = 0;
+  double age_sum = 0.0;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    degrees.push_back(snap.degree(v));
+    degree_sum += snap.degree(v);
+    ages.push_back(snap.age(v));
+    age_sum += snap.age(v);
+  }
+  std::sort(degrees.begin(), degrees.end());
+  std::sort(ages.begin(), ages.end());
+  const auto count = static_cast<double>(n);
+  want.insert(want.end(),
+              {static_cast<double>(degree_sum) / count,
+               static_cast<double>(degrees.front()),
+               static_cast<double>(degrees.back()),
+               nearest_rank(degrees, 0.50), nearest_rank(degrees, 0.90),
+               nearest_rank(degrees, 0.99)});
+  want.insert(want.end(), {age_sum / count, nearest_rank(ages, 0.50),
+                           nearest_rank(ages, 0.90), ages.back()});
+  return want;
+}
 
-  IsolatedObserver isolated;
-  isolated.begin_trial(0);
-  isolated.on_snapshot(snap);
-  std::vector<double> values;
-  isolated.append_values(values);
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], static_cast<double>(census.isolated_nodes));
-  EXPECT_EQ(values[1], census.fraction);
-
-  DegreeHistogramObserver histogram;
-  histogram.begin_trial(0);
-  histogram.on_snapshot(snap);
-  values.clear();
-  histogram.append_values(values);
-  ASSERT_EQ(values.size(), 6u);
-  EXPECT_NEAR(values[0], degrees.mean, 1e-12);       // degree_mean
-  EXPECT_EQ(values[1], static_cast<double>(degrees.min));
-  EXPECT_EQ(values[2], static_cast<double>(degrees.max));
-  EXPECT_LE(values[3], values[4]);                   // p50 <= p90
-  EXPECT_LE(values[4], values[5]);                   // p90 <= p99
-  EXPECT_LE(values[5], values[2]);                   // p99 <= max
-
-  AgeHistogramObserver ages;
-  ages.begin_trial(0);
-  ages.on_snapshot(snap);
-  values.clear();
-  ages.append_values(values);
-  ASSERT_EQ(values.size(), 4u);
-  // Streaming ages after n rounds span (0, n]; the median of a FIFO
-  // population of n nodes is ~n/2.
-  EXPECT_GT(values[0], 0.0);
-  EXPECT_LE(values[1], values[3]);  // p50 <= max
+TEST(Observers, CensusesMatchSnapshotScansAtEveryInstant) {
+  struct Case {
+    const char* scenario;
+    std::uint32_t d;
+  };
+  // Every paper model and both static baselines, plus d = 1 without
+  // regeneration, where isolated nodes occur (Lemmas 3.5 / 4.10).
+  const Case cases[] = {{"SDG", 4},  {"SDGR", 4},        {"PDG", 4},
+                        {"PDGR", 4}, {"static-dout", 4}, {"erdos-renyi", 4},
+                        {"SDG", 1},  {"PDG", 1}};
+  const auto spec = ObserverSpec::parse("isolated+degrees+ages");
+  ASSERT_TRUE(spec.has_value());
+  for (const Case& c : cases) {
+    ScenarioParams params;
+    params.n = 300;
+    params.d = c.d;
+    params.seed = 424242;
+    AnyNetwork net =
+        ScenarioRegistry::extended().resolve(c.scenario).make_warmed(params);
+    ObserverSet set = make_observer_set(*spec);
+    std::uint64_t isolated_seen = 0;
+    for (int instant = 0; instant < 4; ++instant) {
+      for (int round = 0; round < 5; ++round) net.step();
+      const std::string context = std::string(c.scenario) + " d=" +
+                                  std::to_string(c.d) + " instant " +
+                                  std::to_string(instant);
+      set.begin_trial(1234);
+      // The censuses read the live graph: no snapshot is captured.
+      EXPECT_EQ(set.observe(net.graph(), net.now()), nullptr) << context;
+      std::vector<double> got;
+      set.append_values(got);
+      const std::vector<double> want =
+          census_columns(Snapshot::capture(net.graph(), net.now()));
+      ASSERT_EQ(got.size(), want.size()) << context;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        // Exact, doubles included.
+        EXPECT_EQ(got[i], want[i]) << context << " column " << i;
+      }
+      isolated_seen += static_cast<std::uint64_t>(want[0]);
+    }
+    if (c.d == 1) EXPECT_GT(isolated_seen, 0u) << c.scenario;
+  }
 }
 
 TEST(Observers, UnobservedMetricsAreNaN) {

@@ -1,7 +1,9 @@
 // Tests for common/table.hpp and common/cli.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -110,6 +112,58 @@ TEST_F(CliTest, NegativeNumbersParse) {
   const char* argv[] = {"prog", "--n", "-5"};
   EXPECT_TRUE(cli.parse(3, argv));
   EXPECT_EQ(cli.get_int("n"), -5);
+}
+
+TEST_F(CliTest, Int64ExtremesParse) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--n", "9223372036854775807"};
+  EXPECT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.get_int("n"), INT64_MAX);
+  const char* low[] = {"prog", "--n=-9223372036854775808"};
+  EXPECT_TRUE(cli.parse(2, low));
+  EXPECT_EQ(cli.get_int("n"), INT64_MIN);
+}
+
+TEST_F(CliTest, MalformedIntegersExitTwoNamingOptionAndText) {
+  // Text, trailing junk, past INT64_MAX, empty, leading blank, a fraction.
+  for (const char* text : {"abc", "12x", "9223372036854775808", "", " 7",
+                           "1e6", "4.0"}) {
+    Cli cli = make_cli();
+    const std::string arg = std::string("--n=") + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(2),
+                "option '--n' needs a whole base-10 integer in int64 range, "
+                "got '" + std::string(text) + "'")
+        << text;
+  }
+}
+
+TEST_F(CliTest, MalformedDoublesExitTwoNamingOptionAndText) {
+  for (const char* text : {"abc", "1.5x", "", "0.5 "}) {
+    Cli cli = make_cli();
+    const std::string arg = std::string("--rate=") + text;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(2),
+                "option '--rate' needs a number, got '" + std::string(text) +
+                    "'")
+        << text;
+  }
+}
+
+TEST_F(CliTest, CheckedIntegerAccessorEnforcesItsRange) {
+  Cli cli = make_cli();
+  const char* edge[] = {"prog", "--n", "1024"};
+  ASSERT_TRUE(cli.parse(3, edge));
+  EXPECT_EQ(cli.get_int_in("n", 0, 1024), 1024);
+  for (const char* text : {"5000000000", "-1", "1025"}) {
+    Cli bad = make_cli();
+    const char* argv[] = {"prog", "--n", text};
+    ASSERT_TRUE(bad.parse(3, argv));
+    EXPECT_EXIT(bad.get_int_in("n", 0, 1024), ::testing::ExitedWithCode(2),
+                "option '--n' must be an integer in \\[0, 1024\\], got '" +
+                    std::string(text) + "'")
+        << text;
+  }
 }
 
 }  // namespace

@@ -18,9 +18,7 @@
 #include <string>
 
 #include "common/json.hpp"
-#include "engine/scenario.hpp"
 #include "engine/sweep_service.hpp"
-#include "observe/pipeline.hpp"
 #include "telemetry/trace_sink.hpp"
 
 // ---- counting global allocator ---------------------------------------------
@@ -91,11 +89,9 @@ TEST_F(TelemetryTest, PhaseAndCounterNamesAreStable) {
   EXPECT_STREQ(tel::phase_name(tel::Phase::kGenesis), "genesis");
   EXPECT_STREQ(tel::phase_name(tel::Phase::kChurn), "churn");
   EXPECT_STREQ(tel::phase_name(tel::Phase::kDissemination), "dissemination");
-  EXPECT_STREQ(tel::phase_name(tel::Phase::kDeltaFold), "delta_fold");
   EXPECT_STREQ(tel::phase_name(tel::Phase::kObserve), "observe");
   EXPECT_STREQ(tel::phase_name(tel::Phase::kSnapshot), "snapshot");
   EXPECT_STREQ(tel::counter_name(tel::Counter::kChurnEvents), "churn_events");
-  EXPECT_STREQ(tel::counter_name(tel::Counter::kDeltas), "deltas");
   EXPECT_STREQ(tel::counter_name(tel::Counter::kMessages), "messages");
   EXPECT_STREQ(tel::counter_name(tel::Counter::kSnapshotBytes),
                "snapshot_bytes");
@@ -186,13 +182,14 @@ TEST_F(TelemetryTest, SpanToggledMidFlightStaysBalanced) {
 
 TEST_F(TelemetryTest, CountersAccumulateRegardlessOfEnabled) {
   tel::count(tel::Counter::kChurnEvents);
-  tel::count(tel::Counter::kDeltas, 5);
+  tel::count(tel::Counter::kMessages, 5);
   const tel::Totals totals = tel::thread_totals();
   EXPECT_EQ(totals.counters[static_cast<std::size_t>(
                 tel::Counter::kChurnEvents)],
             1u);
-  EXPECT_EQ(totals.counters[static_cast<std::size_t>(tel::Counter::kDeltas)],
-            5u);
+  EXPECT_EQ(
+      totals.counters[static_cast<std::size_t>(tel::Counter::kMessages)],
+      5u);
 }
 
 TEST_F(TelemetryTest, TrialRecorderSlicesThreadTotals) {
@@ -210,60 +207,6 @@ TEST_F(TelemetryTest, TrialRecorderSlicesThreadTotals) {
       slice.counters[static_cast<std::size_t>(tel::Counter::kTrials)], 1u);
   EXPECT_EQ(
       slice.phase_calls[static_cast<std::size_t>(tel::Phase::kObserve)], 1u);
-}
-
-// ---- what the deltas counter counts ------------------------------------------
-
-/// Adds up the deltas ObserverSet::on_deltas hands it over an 8-round
-/// observation window.
-class DeltaTally final : public MetricObserver {
- public:
-  explicit DeltaTally(std::uint64_t* folded) : folded_(folded) {}
-  std::string name() const override { return "delta_tally"; }
-  void append_metric_names(std::vector<std::string>& out) const override {
-    out.push_back("delta_tally");
-  }
-  void begin_trial(std::uint64_t) override {}
-  void on_deltas(const DynamicGraph&, std::span<const GraphDelta> deltas,
-                 double) override {
-    *folded_ += deltas.size();
-  }
-  std::uint32_t observation_rounds() const override { return 8; }
-  void append_values(std::vector<double>& out) const override {
-    out.push_back(static_cast<double>(*folded_));
-  }
-
- private:
-  std::uint64_t* folded_;
-};
-
-TEST_F(TelemetryTest, DeltasCountsObserverFoldsAndNotTheDriverFeed) {
-  const auto deltas = [] {
-    return tel::thread_totals()
-        .counters[static_cast<std::size_t>(tel::Counter::kDeltas)];
-  };
-  ScenarioParams params;
-  params.n = 200;
-  params.d = 4;
-  params.seed = 5;
-  AnyNetwork net = ScenarioRegistry::paper().at("PDGR").make_warmed(params);
-
-  // The dissemination driver drains its own feed; none of that counts.
-  EXPECT_GT(net.flood().steps, 0u);
-  EXPECT_EQ(deltas(), 0u);
-
-  // An incremental window counts exactly what its observers folded, and
-  // the flood after it adds nothing.
-  std::uint64_t folded = 0;
-  std::vector<std::unique_ptr<MetricObserver>> tally;
-  tally.push_back(std::make_unique<DeltaTally>(&folded));
-  ObserverSet observers(std::move(tally));
-  FloodProtocol flood;
-  ProtocolScratch scratch;
-  observe_protocol(net, observers, 7, flood, {}, scratch,
-                   /*incremental=*/true);
-  EXPECT_GT(folded, 0u);
-  EXPECT_EQ(deltas(), folded);
 }
 
 // ---- zero steady-state allocation -------------------------------------------
@@ -284,7 +227,7 @@ TEST_F(TelemetryTest, SpansCountersAndRecordersNeverAllocate) {
     const tel::TrialRecorder recorder;
     {
       const tel::PhaseTimer churn(tel::Phase::kChurn);
-      const tel::PhaseTimer fold(tel::Phase::kDeltaFold);
+      const tel::PhaseTimer snapshot(tel::Phase::kSnapshot);
       tel::count(tel::Counter::kChurnEvents);
       tel::count(tel::Counter::kSnapshotBytes, 4096);
     }

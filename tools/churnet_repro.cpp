@@ -145,7 +145,7 @@ SweepSpec base_spec(std::vector<std::string> scenarios,
                     std::vector<std::uint32_t> n,
                     std::vector<std::uint32_t> d,
                     std::vector<std::string> metrics, std::string observers,
-                    std::uint64_t reps, bool incremental = false) {
+                    std::uint64_t reps) {
   SweepSpec spec;
   spec.scenarios = std::move(scenarios);
   spec.n_values = std::move(n);
@@ -153,11 +153,6 @@ SweepSpec base_spec(std::vector<std::string> scenarios,
   spec.metrics = std::move(metrics);
   spec.observers = std::move(observers);
   spec.replications = reps;
-  // Observer-heavy targets run their observers delta-fed; sweep trials
-  // observe exactly once, where the incremental path is bit-identical to
-  // the from-scratch one, so the CSVs (and the quick goldens) are
-  // unchanged — it is purely a runtime improvement.
-  spec.incremental_observers = incremental;
   return spec;
 }
 
@@ -253,10 +248,9 @@ std::vector<ReproTarget> make_targets() {
       "~3 s full scale on 4 threads",
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
                 {20000}, {1, 2, 3, 4, 6, 8}, {"alive"},
-                "isolated+degrees", 5, /*incremental=*/true),
+                "isolated+degrees", 5),
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {400}, {1, 2}, {"alive"}, "isolated+degrees", 2,
-                /*incremental=*/true),
+                {400}, {1, 2}, {"alive"}, "isolated+degrees", 2),
       {{"L3.5", "SDG isolated frac >= e^{-2d}/6, d <= 4",
         {{"SDG"}, 0, 4}, isolated_at_least(lemma_3_5_isolated_fraction)},
        {"L4.10", "PDG isolated frac >= e^{-2d}/18, d <= 4",
@@ -285,10 +279,9 @@ std::vector<ReproTarget> make_targets() {
       "models across d — where 0.1-expansion actually kicks in",
       "~11 s full scale on 4 threads",
       base_spec({"SDGR", "PDGR"}, {20000}, {3, 6, 10, 14, 21, 35},
-                {"alive"}, "expansion(8)+spectral", 3,
-                /*incremental=*/true),
+                {"alive"}, "expansion(8)+spectral", 3),
       base_spec({"SDGR", "PDGR"}, {400}, {8}, {"alive"},
-                "expansion(8)+spectral", 2, /*incremental=*/true),
+                "expansion(8)+spectral", 2),
       {{"T3.15", "SDGR is a 0.1-expander, d >= 14", {{"SDGR"}, 14},
         no_sparse_set},
        {"T4.16", "PDGR is a 0.1-expander, d >= 35", {{"PDGR"}, 35},
@@ -333,11 +326,9 @@ std::vector<ReproTarget> make_targets() {
       "the static baselines",
       "~3 s full scale on 4 threads",
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {10000}, {2, 8, 21}, {"alive"}, "spectral+isolated", 3,
-                /*incremental=*/true),
+                {10000}, {2, 8, 21}, {"alive"}, "spectral+isolated", 3),
       base_spec({"SDG", "SDGR", "PDG", "PDGR", "static-dout", "erdos-renyi"},
-                {400}, {2, 8}, {"alive"}, "spectral+isolated", 2,
-                /*incremental=*/true),
+                {400}, {2, 8}, {"alive"}, "spectral+isolated", 2),
       {{"gap", "SDGR/PDGR spectral_gap > 0.05", {{"SDGR", "PDGR"}},
         gap_above_5_percent}}});
 
@@ -500,6 +491,8 @@ int main(int argc, char** argv) {
                "observers, metrics) and exit");
   cli.add_flag("quiet", "suppress the per-target summary tables");
   if (!cli.parse(argc, argv)) return 0;
+  const auto threads =
+      static_cast<unsigned>(cli.get_int_in("threads", 0, kMaxPoolThreads));
 
   const std::vector<ReproTarget> targets = make_targets();
 
@@ -551,7 +544,6 @@ int main(int argc, char** argv) {
   const bool quick = cli.get_flag("quick");
   const bool quiet = cli.get_flag("quiet");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto threads = static_cast<unsigned>(cli.get_int("threads"));
   const std::filesystem::path checkpoint_dir(cli.get_string("checkpoint"));
   const bool resume = cli.get_flag("resume");
   if (resume && checkpoint_dir.empty()) {

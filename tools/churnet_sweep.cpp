@@ -74,8 +74,8 @@ std::vector<std::uint32_t> split_u32_list(const std::string& text,
 }
 
 /// An integer flag where 0 keeps the config's value; any other value must
-/// pass the JSON reader's rule for `key`. Cli::get_int saturates past
-/// int64, which the rule rejects as well.
+/// pass the JSON reader's rule for `key`. (Cli::parse already rejects text
+/// that is not a whole int64.)
 std::int64_t integer_flag(const Cli& cli, const char* flag, const char* key) {
   const std::int64_t value = cli.get_int(flag);
   if (value != 0) {
@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
                  "metric-observer set attached to every cell, e.g. "
                  "'expansion(8)+spectral+isolated' (see --list-observers)");
   cli.add_flag("incremental-observers",
-               "run the observer set delta-fed (wall-clock knob; output is "
-               "byte-identical to the from-scratch path)");
+               "accepted with no effect: observers have one path, and the "
+               "flag and its spec key stay so that older specs still run");
   cli.add_int("reps", 0, "replications per cell (0 = config/default)");
   cli.add_int("seed", 0, "base seed (0 = config/default)");
   cli.add_int("max-in-degree", 0, "bounded-degree cap (0 = unbounded)");
@@ -164,6 +164,8 @@ int main(int argc, char** argv) {
                "observers, metrics) and exit");
   cli.add_flag("quiet", "suppress the stdout summary table");
   if (!cli.parse(argc, argv)) return 0;
+  const auto threads =
+      static_cast<unsigned>(cli.get_int_in("threads", 0, kMaxPoolThreads));
 
   // Every listing goes through the shared spec-catalog helper
   // (engine/spec_catalog.hpp), so churnet_sweep, churnet_repro and the
@@ -277,7 +279,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const unsigned threads = static_cast<unsigned>(cli.get_int("threads"));
   if (!cli.get_flag("quiet")) {
     std::printf("sweep: %zu scenario(s) x %zu protocol(s) x %zu n x %zu d "
                 "= %zu cells, %llu replication(s) each\n",

@@ -8,7 +8,7 @@ trace_sink.hpp and docs/observability.md). Default mode prints:
   * a per-phase table (total seconds, share of measured time, span count)
     from the sweep_end aggregate (falling back to summing job events when
     no sweep_end is present, e.g. a trace cut short);
-  * the counters (churn events, deltas, messages, snapshot bytes, ...);
+  * the counters (churn events, messages, snapshot bytes, ...);
   * per-cell wall-clock hotspots (slowest cells first, --top N).
 
 --check validates each trace it is given instead: every line parses as a
