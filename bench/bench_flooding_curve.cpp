@@ -56,14 +56,14 @@ int main(int argc, char** argv) {
   add_standard_options(cli);
   if (!cli.parse(argc, argv)) return 0;
   const BenchScale scale = scale_from_cli(cli);
-  const auto n = static_cast<std::uint32_t>(
-      scaled(static_cast<std::uint64_t>(cli.get_int("n")),
-             scale.size_factor, 2000));
-  const auto d = static_cast<std::uint32_t>(cli.get_int("d"));
-  const std::uint64_t reps =
-      scaled(static_cast<std::uint64_t>(cli.get_int("reps")),
-             scale.rep_factor, 3);
-  const auto steps = static_cast<std::uint64_t>(cli.get_int("steps"));
+  const auto d =
+      static_cast<std::uint32_t>(cli.get_int_in("d", 1, kMaxBenchSize));
+  const std::uint32_t n = checked_node_count(
+      scaled(cli.get_int_in("n", 1, kMaxBenchSize), scale.size_factor, 2000),
+      d);
+  const std::uint64_t reps = scaled(
+      cli.get_int_in("reps", 1, kMaxBenchCount), scale.rep_factor, 3);
+  const std::uint64_t steps = cli.get_int_in("steps", 1, kMaxBenchCount);
   const std::uint64_t seed = seed_from_cli(cli);
 
   print_experiment_header(

@@ -103,33 +103,32 @@ int main(int argc, char** argv) {
   cli.add_int("large-n", 0,
               "network size for the flood_large_n section (0 = by scale: "
               "1M quick, 2M default, 10M full)");
-  cli.add_int("intra-threads", 1,
-              "intra-trial worker threads (genesis wiring + boundary "
-              "scans); deterministic fields are identical at every value");
   cli.add_string("out", "BENCH_core.json", "output JSON path");
   add_standard_options(cli);
   if (!cli.parse(argc, argv)) return 0;
   const BenchScale scale = scale_from_cli(cli);
-  const auto n = static_cast<std::uint32_t>(
-      scaled(static_cast<std::uint64_t>(cli.get_int("n")), scale.size_factor,
-             2000));
+  // The sections build graphs of d = 8 (churn, large-n) and up to
+  // d = 35 (flood) out-slots per node.
+  const std::uint32_t n = checked_node_count(
+      scaled(cli.get_int_in("n", 1, kMaxBenchSize), scale.size_factor, 2000),
+      8);
   const std::uint64_t steps = scaled(
-      static_cast<std::uint64_t>(cli.get_int("steps")), scale.size_factor,
-      20000);
-  const auto flood_n = static_cast<std::uint32_t>(
-      scaled(static_cast<std::uint64_t>(cli.get_int("flood-n")),
-             scale.size_factor, 500));
+      cli.get_int_in("steps", 1, kMaxBenchCount), scale.size_factor, 20000);
+  const std::uint32_t flood_n = checked_node_count(
+      scaled(cli.get_int_in("flood-n", 1, kMaxBenchSize), scale.size_factor,
+             500),
+      35);
   const std::uint64_t flood_reps = scaled(
-      static_cast<std::uint64_t>(cli.get_int("flood-reps")),
-      scale.rep_factor, 2);
+      cli.get_int_in("flood-reps", 1, kMaxBenchCount), scale.rep_factor, 2);
   const std::uint64_t seed = seed_from_cli(cli);
-  const auto large_n = static_cast<std::uint32_t>(
-      cli.get_int("large-n") > 0 ? cli.get_int("large-n")
+  const std::int64_t large_n_flag =
+      cli.get_int_in("large-n", 0, kMaxBenchSize);
+  const std::uint32_t large_n = checked_node_count(
+      large_n_flag > 0          ? static_cast<std::uint64_t>(large_n_flag)
       : scale.size_factor < 1.0 ? 1'000'000
       : scale.size_factor > 1.0 ? 10'000'000
-                                : 2'000'000);
-  const auto intra_threads =
-      static_cast<std::uint32_t>(cli.get_int("intra-threads"));
+                                : 2'000'000,
+      8);
 
   print_experiment_header(
       "perf trajectory suite",
@@ -288,17 +287,15 @@ int main(int argc, char** argv) {
   // streaming growth (bulk-wired genesis), one capped flood from the next
   // newborn, a steady-state churn segment, then the sweep's shape — an
   // uncapped flood of the warmed network. Deterministic fields
-  // pin the realization (identical at every intra-thread count); the
-  // rates are the headline single-machine numbers in README's perf table.
+  // pin the realization; the rates are the headline single-machine
+  // numbers in README's perf table.
   {
-    std::printf("\n--- large-n flood (SDG, n=%u, d=8, intra=%u) ---\n",
-                large_n, intra_threads);
+    std::printf("\n--- large-n flood (SDG, n=%u, d=8) ---\n", large_n);
     StreamingConfig config;
     config.n = large_n;
     config.d = 8;
     config.policy = EdgePolicy::kNone;  // SDG
     config.seed = derive_seed(seed, 4, 0);
-    config.intra_threads = intra_threads;
     StreamingNetwork net(config);
 
     const auto growth_start = std::chrono::steady_clock::now();
@@ -310,7 +307,6 @@ int main(int argc, char** argv) {
     FloodOptions options;
     options.max_steps = static_cast<std::uint64_t>(
         30.0 * std::log2(static_cast<double>(large_n)));
-    options.intra_threads = intra_threads;
     const auto flood_start = std::chrono::steady_clock::now();
     const FloodTrace trace = flood_dynamic(net, options, scratch);
     const double flood_elapsed = seconds_since(flood_start);
@@ -382,8 +378,8 @@ int main(int argc, char** argv) {
          << "\", \"warm_flood_steps\": " << warm.steps
          << ", \"warm_flood_completed\": " << (warm.completed ? 1 : 0)
          << ", \"warm_series_checksum\": \"" << hex(warm_series.hash)
-         << "\"},\n      \"perf\": {\"intra_threads\": " << intra_threads
-         << ", \"growth_rounds_per_sec\": " << fmt_fixed(growth_rate, 1)
+         << "\"},\n      \"perf\": {\"growth_rounds_per_sec\": "
+         << fmt_fixed(growth_rate, 1)
          << ", \"churn_rounds_per_sec\": " << fmt_fixed(churn_rate, 1)
          << ", \"growth_wall_seconds\": " << fmt_fixed(growth_elapsed, 4)
          << ", \"flood_wall_seconds\": " << fmt_fixed(flood_elapsed, 4)

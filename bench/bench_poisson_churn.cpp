@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   add_standard_options(cli);
   if (!cli.parse(argc, argv)) return 0;
   const BenchScale scale = scale_from_cli(cli);
-  const auto n = static_cast<std::uint32_t>(
-      scaled(static_cast<std::uint64_t>(cli.get_int("n")),
-             scale.size_factor, 500));
+  const std::uint32_t n = checked_node_count(
+      scaled(cli.get_int_in("n", 1, kMaxBenchSize), scale.size_factor, 500),
+      1);
   const std::uint64_t seed = seed_from_cli(cli);
 
   print_experiment_header(

@@ -25,10 +25,11 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 23, "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto reps = static_cast<std::uint64_t>(cli.get_int("reps"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::uint32_t degrees[] = {1, 2, 3, 4, 6, 8, 12};
+  const std::uint32_t n =  // n nodes of the largest d must fit
+      checked_node_count(cli.get_int_in("n", 1, kMaxBenchSize), 12);
+  const std::uint64_t reps = cli.get_int_in("reps", 1, kMaxBenchCount);
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   Table table({"d", "policy", "die-out", "coverage", "isolated",
                "completed"});

@@ -31,8 +31,10 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 31, "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto d = static_cast<std::uint32_t>(cli.get_int("d"));
+  const auto d =
+      static_cast<std::uint32_t>(cli.get_int_in("d", 1, kMaxBenchSize));
+  const std::uint32_t n =
+      checked_node_count(cli.get_int_in("n", 1, kMaxBenchSize), d);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   std::vector<Row> rows;

@@ -27,9 +27,13 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 2, "worker threads for the replications");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n"));
-  const auto d = static_cast<std::uint32_t>(cli.get_int("d"));
+  const auto d =
+      static_cast<std::uint32_t>(cli.get_int_in("d", 1, kMaxBenchSize));
+  const std::uint32_t n =
+      checked_node_count(cli.get_int_in("n", 1, kMaxBenchSize), d);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const std::uint64_t reps = cli.get_int_in("reps", 1, kMaxBenchCount);
+  const unsigned threads = threads_from_cli(cli);
 
   // 1. Runtime model selection: every (model x edge-policy) configuration
   // the paper studies is one named Scenario in the registry.
@@ -92,12 +96,9 @@ int main(int argc, char** argv) {
   spec.n_values = {n};
   spec.d_values = {d};
   spec.metrics = {"completion_step", "final_fraction"};
-  spec.replications = static_cast<std::uint64_t>(cli.get_int("reps"));
+  spec.replications = reps;
   spec.base_seed = seed;
-  const SweepResult result =
-      SweepService(spec,
-                   {.threads = static_cast<unsigned>(cli.get_int("threads"))})
-          .run();
+  const SweepResult result = SweepService(spec, {.threads = threads}).run();
   std::printf("\n%llu replications on %u thread(s) in %.2fs:\n",
               static_cast<unsigned long long>(spec.replications),
               result.threads_used(), result.wall_seconds());

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "common/assertx.hpp"
+#include "engine/job_pool.hpp"
 
 namespace churnet {
 
@@ -33,7 +37,21 @@ std::uint64_t seed_from_cli(const Cli& cli) {
 }
 
 unsigned threads_from_cli(const Cli& cli) {
-  return static_cast<unsigned>(cli.get_int("threads"));
+  return static_cast<unsigned>(cli.get_int_in("threads", 0, kMaxPoolThreads));
+}
+
+std::uint32_t checked_node_count(std::uint64_t n, std::uint64_t d) {
+  CHURNET_EXPECTS(d >= 1);
+  if (n > static_cast<std::uint64_t>(kMaxBenchSize) / d) {
+    std::fprintf(stderr,
+                 "n*d = %llu*%llu must fit the 32-bit out-slot pool (at most "
+                 "%lld)\n",
+                 static_cast<unsigned long long>(n),
+                 static_cast<unsigned long long>(d),
+                 static_cast<long long>(kMaxBenchSize));
+    std::exit(2);
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 std::uint64_t scaled(std::uint64_t base, double factor,

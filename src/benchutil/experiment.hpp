@@ -29,8 +29,20 @@ BenchScale scale_from_cli(const Cli& cli);
 /// Base seed from --seed.
 std::uint64_t seed_from_cli(const Cli& cli);
 
-/// Worker threads from --threads (0 = all hardware threads).
+/// Worker threads from --threads, in [0, kMaxPoolThreads] (0 = all cores).
 unsigned threads_from_cli(const Cli& cli);
+
+/// The largest size, degree or n*d a bench or example accepts: a graph of
+/// n nodes with d out-slots each must fit the 32-bit out-slot pool, as
+/// SweepSpec::validate requires of a sweep cell.
+inline constexpr std::int64_t kMaxBenchSize = 4'294'967'295;
+/// The largest replication, step or operation count a bench accepts.
+inline constexpr std::int64_t kMaxBenchCount = std::int64_t{1} << 53;
+
+/// `n` as a node count when n nodes of d >= 1 out-slots fit the 32-bit
+/// out-slot pool (n*d <= kMaxBenchSize); otherwise prints the bound and
+/// exits 2, as Cli::get_int_in does.
+std::uint32_t checked_node_count(std::uint64_t n, std::uint64_t d);
 
 /// Scales a default count by a factor with a floor of `minimum`.
 std::uint64_t scaled(std::uint64_t base, double factor,

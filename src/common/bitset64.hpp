@@ -15,7 +15,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -64,15 +63,6 @@ class Bitset64 {
   void reset(std::uint64_t bit) {
     if (bit >= bit_size_) return;
     words_[bit / kWordBits] &= ~(Word{1} << (bit % kWordBits));
-  }
-
-  /// Sets `bit` with a relaxed atomic OR, for concurrent marking by a
-  /// sharded scan: OR commutes, so the final set is identical for every
-  /// interleaving. Not ordered with non-atomic writes to the same word.
-  void set_atomic(std::uint64_t bit) {
-    CHURNET_ASSERT(bit < bit_size_);
-    std::atomic_ref<Word>(words_[bit / kWordBits])
-        .fetch_or(Word{1} << (bit % kWordBits), std::memory_order_relaxed);
   }
 
   /// Sets `bit`; returns true iff it was previously clear.

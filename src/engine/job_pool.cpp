@@ -4,16 +4,18 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <thread>
 #include <utility>
 
-#include "common/intra.hpp"
 #include "telemetry/trace_sink.hpp"
 
 namespace churnet {
 
 unsigned pool_width(unsigned threads, std::uint64_t count) {
-  return static_cast<unsigned>(std::clamp<std::uint64_t>(
-      count, 1, effective_intra_threads(threads)));
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<unsigned>(std::clamp<std::uint64_t>(count, 1, threads));
 }
 
 unsigned run_jobs(std::uint64_t count, unsigned threads, const JobBody& body,
@@ -26,32 +28,46 @@ unsigned run_jobs(std::uint64_t count, unsigned threads, const JobBody& body,
   std::mutex mutex;
   std::exception_ptr first_error;
   std::atomic<bool> failed{false};
-  for_each_chunk(width, count, [&](std::size_t job, unsigned) {
-    if (failed) return;  // drain: no job starts after the first error
-    if (sink != nullptr) sink->job_started();
-    std::exception_ptr error;
-    std::vector<double> row;
-    try {
-      row = body(job);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (error == nullptr) {
+  std::atomic<std::uint64_t> next{0};
+  // Each worker pulls job indices from the shared counter until they run
+  // out; which worker runs a job never reaches its row.
+  const auto work = [&] {
+    for (std::uint64_t job = next.fetch_add(1, std::memory_order_relaxed);
+         job < count; job = next.fetch_add(1, std::memory_order_relaxed)) {
+      if (failed) return;  // drain: no job starts after the first error
+      if (sink != nullptr) sink->job_started();
+      std::exception_ptr error;
+      std::vector<double> row;
       try {
-        complete(job, std::move(row));
+        row = body(job);
       } catch (...) {
         error = std::current_exception();
       }
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (error == nullptr) {
+        try {
+          complete(job, std::move(row));
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
+      if (error != nullptr && first_error == nullptr) {
+        first_error = error;
+        failed = true;
+      }
+      // Under the mutex: the heartbeat a job_finished emits is then never
+      // overtaken by an older one.
+      if (sink != nullptr) sink->job_finished();
     }
-    if (error != nullptr && first_error == nullptr) {
-      first_error = error;
-      failed = true;
-    }
-    // Under the mutex: the heartbeat a job_finished emits is then never
-    // overtaken by an older one.
-    if (sink != nullptr) sink->job_finished();
-  });
+  };
+  {
+    // Worker 0 is the caller, so width 1 starts no thread. The workers
+    // join as this scope ends, also when one of them fails to start.
+    std::vector<std::jthread> workers;
+    workers.reserve(width - 1);
+    for (unsigned w = 1; w < width; ++w) workers.emplace_back(work);
+    work();
+  }
   if (first_error != nullptr) std::rethrow_exception(first_error);
   return width;
 }

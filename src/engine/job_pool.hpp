@@ -1,10 +1,10 @@
 // The engine's one job pool (DESIGN.md, decision 8).
 //
-// run_jobs executes independent jobs on the intra-trial fork-join
-// (common/intra.hpp's for_each_chunk, the only place in src/ that starts a
-// thread) and owns the job-level rules: first-error capture, serialized
-// completion and trace-sink progress. The sweep service
-// (engine/sweep_service.hpp) runs every campaign on it.
+// run_jobs runs independent jobs on a fork-join pool that pulls job
+// indices from one atomic counter; it is the only code in src/ that starts
+// a thread, since each trial runs on one (DESIGN.md, decision 14). It owns
+// the job-level rules: first-error capture, serialized completion and
+// trace-sink progress. The sweep service runs every campaign on it.
 #pragma once
 
 #include <cstdint>

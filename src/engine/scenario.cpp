@@ -149,7 +149,6 @@ AnyNetwork Scenario::make(const ScenarioParams& params) const {
       config.policy = policy_;
       config.seed = params.seed;
       config.max_in_degree = params.max_in_degree;
-      config.intra_threads = params.intra_threads;
       config.churn = effective_churn(params);  // stream or adversarial
       return AnyNetwork(StreamingNetwork(config));
     }

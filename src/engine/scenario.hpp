@@ -46,9 +46,9 @@ struct ScenarioParams {
   /// Bounded-degree extension cap; 0 = the paper's unbounded models.
   /// Ignored by the static baselines.
   std::uint32_t max_in_degree = 0;
-  /// Intra-trial worker threads for the streaming genesis bulk wiring
-  /// (0 = one per hardware thread). Byte-identical results at every value;
-  /// purely a wall-clock knob. Ignored by the other models.
+  /// Accepted with no effect: every trial runs on one thread (DESIGN.md,
+  /// decision 14). It stays because campaignbench/campaign_bench.cpp,
+  /// which mirrors SweepPlan::run_job, still sets it.
   std::uint32_t intra_threads = 1;
   /// Optional churn-spec override ("pareto(2.5)", ...); empty keeps the
   /// scenario's own spec. Malformed or model-incompatible specs abort with

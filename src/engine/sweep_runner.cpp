@@ -556,8 +556,13 @@ SweepPlan::SweepPlan(SweepSpec spec, const ScenarioRegistry& registry)
   // The fingerprint covers everything that determines job identity: the
   // spec provenance (grid, seeds, observers, knobs), the resolved metric
   // columns and cell keys, and the job count. Fields are separated by a
-  // 0x1f byte so ("ab","c") never collides with ("a","bc").
-  std::uint64_t h = fnv1a_mix(kFnvOffset, spec_json_);
+  // 0x1f byte so ("ab","c") never collides with ("a","bc"). The two keys
+  // accepted with no effect are hashed at their defaults, so a resume may
+  // toggle them, and a spec that leaves them alone keeps its fingerprint.
+  SweepSpec identity = spec_;
+  identity.incremental_observers = SweepSpec{}.incremental_observers;
+  identity.intra_threads = SweepSpec{}.intra_threads;
+  std::uint64_t h = fnv1a_mix(kFnvOffset, sweep_spec_json(identity));
   for (const std::string& name : metric_names_) {
     h = fnv1a_mix(h, "\x1f");
     h = fnv1a_mix(h, name);
@@ -588,7 +593,6 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   const std::uint64_t replication = job_replication(job);
   const Cell& cell = cells_[cell_index];
   const bool has_observers = has_observers_;
-  const std::uint32_t intra_threads = spec_.intra_threads;
 
   // Telemetry slice for this job: thread-local snapshot-diff around
   // the body (reads the steady clock only — no RNG, no effect on any
@@ -603,7 +607,6 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   params.d = cell.d;
   params.seed = derive_seed(spec_.base_seed, cell_index, replication);
   params.max_in_degree = spec_.max_in_degree;
-  params.intra_threads = intra_threads;
   AnyNetwork net = scenarios_[cell.scenario].make_warmed(params);
 
   // Observer instances live per worker like protocol instances;
@@ -659,9 +662,8 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
       protocol = make_protocol(cell.protocol);
       protocol_key = key;
     }
-    ProtocolOptions options = protocol_options(
+    const ProtocolOptions options = protocol_options(
         cell.protocol, derive_seed(params.seed, 1, 0));
-    options.flood.intra_threads = intra_threads;
     ProtocolResult run = net.disseminate(*protocol, options, scratch);
     if (has_observers) {
       observers.on_dissemination(run.trace, &run.stats);

@@ -104,15 +104,17 @@ struct SweepSpec {
   /// Accepted and echoed in the spec provenance, with no effect (DESIGN.md
   /// §1): campaignbench's resilience.json sets it, and unknown keys are
   /// rejected. The sweep_same_incremental_observers pin ctest checks that
-  /// it changes no CSV byte.
+  /// it changes no CSV byte. It is hashed into the plan fingerprint at its
+  /// default, so a checkpoint resumes with it toggled.
   bool incremental_observers = false;
   std::uint64_t replications = 8;
   std::uint64_t base_seed = 12345;
   std::uint32_t max_in_degree = 0;
-  /// Intra-trial worker threads per job (0 = one per hardware thread):
-  /// streaming genesis bulk wiring plus the sharded flood/gossip boundary
-  /// scans. Every value produces byte-identical CSV/JSON output — this is
-  /// purely a wall-clock knob, orthogonal to the across-trial pool.
+  /// Accepted, range-checked and echoed in the spec provenance, with no
+  /// effect: every trial runs on one thread (DESIGN.md, decision 14). It
+  /// stays because campaignbench/campaign_bench.cpp reads it and unknown
+  /// keys are rejected. Like incremental_observers, it is hashed into the
+  /// plan fingerprint at its default.
   std::uint32_t intra_threads = 1;
 
   std::size_t cell_count() const {
@@ -192,10 +194,11 @@ class SweepPlan {
   /// Spec provenance as a raw JSON object fragment (the telemetry
   /// sweep_begin "spec" field and the result stream / journal headers).
   const std::string& spec_json() const { return spec_json_; }
-  /// FNV-1a over the spec provenance, metric columns and cell keys: two
-  /// plans with equal fingerprints run the same jobs with the same seeds,
-  /// so a checkpoint journal records it and refuses to resume anything
-  /// else (engine/sweep_journal.hpp).
+  /// FNV-1a over the spec provenance (the no-effect keys at their
+  /// defaults), metric columns and cell keys: two plans with equal
+  /// fingerprints run the same jobs with the same seeds, so a checkpoint
+  /// journal records it and refuses to resume anything else
+  /// (engine/sweep_journal.hpp).
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Runs one job (build, warm, observe, disseminate, measure) and returns

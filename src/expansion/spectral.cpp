@@ -23,10 +23,11 @@ constexpr std::uint32_t kRowGroup = 4;
 /// The kernel starts on a cache-line boundary so that its loops keep one
 /// placement however much code links before it: shifted by 16 bytes, they
 /// made a resilience campaign's observation phase about 15% slower on an
-/// AVX-512 Xeon (GCC 12, Release).
-[[gnu::aligned(64)]] void lazy_walk_product(const Snapshot& snapshot,
-                                            const std::vector<double>& x,
-                                            std::vector<double>& next) {
+/// AVX-512 Xeon (GCC 12, Release). It must not be inlined: its one caller
+/// would absorb it, and the alignment would then pin nothing.
+[[gnu::noinline, gnu::aligned(64)]] void lazy_walk_product(
+    const Snapshot& snapshot, const std::vector<double>& x,
+    std::vector<double>& next) {
   const std::uint32_t n = snapshot.node_count();
   const std::uint32_t grouped = n - n % kRowGroup;
   for (std::uint32_t v = 0; v < grouped; v += kRowGroup) {

@@ -31,16 +31,13 @@
 // representation"): repeated trials reuse the same allocations, clears are
 // O(words) streams with no epoch counters to wrap, and the receiver-dedup
 // commit is a fused AND-NOT over only the candidate words a step touched.
-// The slot scan works in raw slots (no generation loads) and can shard the
-// boundary across a worker pool (FloodOptions::intra_threads) with
-// byte-identical output at every thread count (common/intra.hpp).
+// The slot scan works in raw slots (no generation loads).
 //
 // flood_dynamic() — plain flooding on a typed model — is a forwarder to
 // disseminate_dynamic() with FloodProtocol, declared next to the driver.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -48,7 +45,6 @@
 
 #include "common/assertx.hpp"
 #include "common/bitset64.hpp"
-#include "common/intra.hpp"
 #include "graph/change_feed.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/node_id.hpp"
@@ -66,11 +62,9 @@ struct FloodOptions {
   bool stop_on_die_out = true;
   /// Record per-step |I_t| and |N_t| series (cheap; on by default).
   bool record_series = true;
-  /// Worker threads for the boundary scan inside one trial (0 = one per
-  /// hardware thread). The result is byte-identical at every value — the
-  /// scan partitions the frontier into fixed-size chunks and merges in
-  /// chunk order — so this is purely a wall-clock knob; >1 only pays off
-  /// once frontiers reach ~10^5 nodes.
+  /// Accepted with no effect: every trial runs on one thread (DESIGN.md,
+  /// decision 14). It stays because campaignbench/campaign_bench.cpp,
+  /// which mirrors SweepPlan::run_job, still sets it.
   std::uint32_t intra_threads = 1;
 };
 
@@ -143,8 +137,8 @@ class FloodScratch {
     deaths_.clear();
   }
 
-  /// Pre-grows the membership sets (a serial point before a parallel scan:
-  /// no worker may trigger a resize).
+  /// Pre-grows the membership sets to the graph's slot bound: the slot
+  /// path's marks and commits do not grow them.
   void ensure_slots(std::uint32_t slot_bound) { ensure(slot_bound); }
 
   // ---- informed set ----------------------------------------------------
@@ -195,22 +189,12 @@ class FloodScratch {
   }
   /// Slot path: membership-only candidate mark (in-range slot —
   /// ensure_slots ran this step); the first mark in a word flags it in the
-  /// summary. The atomic variant is for workers of a sharded scan marking
-  /// concurrently: bitwise OR commutes, and exactly one worker sees its
-  /// word go from zero, so both levels are exact for every interleaving.
+  /// summary.
   void mark_candidate_slot(std::uint32_t slot) {
     CHURNET_ASSERT(slot < candidate_.size());
     Word& word = candidate_.words()[slot / Bitset64::kWordBits];
     if (word == 0) touched_.set(slot / Bitset64::kWordBits);
     word |= Word{1} << (slot % Bitset64::kWordBits);
-  }
-  void mark_candidate_slot_atomic(std::uint32_t slot) {
-    CHURNET_ASSERT(slot < candidate_.size());
-    const Word before =
-        std::atomic_ref<Word>(candidate_.words()[slot / Bitset64::kWordBits])
-            .fetch_or(Word{1} << (slot % Bitset64::kWordBits),
-                      std::memory_order_relaxed);
-    if (before == 0) touched_.set_atomic(slot / Bitset64::kWordBits);
   }
 
   /// Slot-path commit: I_t gains (candidates AND NOT deaths), visiting only
@@ -282,11 +266,6 @@ class FloodScratch {
   // Slot-path buffers (slot-only mirrors of the above).
   std::vector<std::uint32_t> frontier_slots;
   std::vector<std::uint32_t> neighbor_slots;
-  // Sharded-scan buffers: per-chunk pair outputs (merged in chunk order)
-  // and per-worker neighbor staging.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      shard_pairs;
-  std::vector<std::vector<std::uint32_t>> shard_neighbors;
 
  private:
   void ensure(std::uint32_t slot_bound) {
@@ -369,48 +348,17 @@ inline void record_step(FloodTrace& trace, const FloodOptions& options,
   trace.alive_per_step.push_back(alive);
 }
 
-/// Frontier chunk size for the sharded boundary scan. Fixed — never a
-/// function of the thread count — so chunk boundaries, per-chunk outputs,
-/// and the chunk-order merge are identical at every intra_threads value.
-constexpr std::size_t kScanChunk = 4096;
-
 /// The slot path's propose step: scans the boundary of I_{t-1} — every
 /// uninformed neighbor of a frontier node, then every edge created in the
 /// previous interval with exactly one informed endpoint — and returns the
 /// number of boundary messages (sender, receiver pairs). Receivers become
 /// candidate bits under receiver-survival semantics, (sender, receiver)
 /// slot pairs in `cand_pairs` under pair survival. Reads the graph and the
-/// informed set only; with intra > 1 the frontier is sharded over a worker
-/// pool (candidate bits commute and per-chunk message counts add; pairs
-/// are merged in chunk order, reproducing the sequential append order
-/// exactly).
+/// informed set only.
 template <typename Semantics>
-std::uint64_t scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
-                            unsigned intra) {
+std::uint64_t scan_boundary(const DynamicGraph& graph, FloodScratch& scratch) {
   constexpr bool kPairs = Semantics::kPairCandidates;
-  const std::vector<std::uint32_t>& frontier = scratch.frontier_slots;
   if constexpr (kPairs) scratch.cand_pairs.clear();
-  // Offers every uninformed neighbor of frontier[begin, end) to `offer`;
-  // returns the number of offers.
-  const auto scan = [&](std::size_t begin, std::size_t end,
-                        std::vector<std::uint32_t>& neighbors,
-                        const auto& offer) {
-    std::uint64_t messages = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t u = frontier[i];
-      // Frontier members were alive and informed at last step's commit and
-      // nothing has advanced since; the bit doubles as a liveness check.
-      if (!scratch.is_informed_slot(u)) continue;
-      neighbors.clear();
-      graph.append_neighbor_slots(u, neighbors);
-      for (const std::uint32_t v : neighbors) {
-        if (scratch.is_informed_slot(v)) continue;
-        offer(u, v);
-        ++messages;
-      }
-    }
-    return messages;
-  };
   const auto offer = [&scratch](std::uint32_t sender, std::uint32_t receiver) {
     if constexpr (kPairs) {
       scratch.cand_pairs.emplace_back(sender, receiver);
@@ -420,46 +368,17 @@ std::uint64_t scan_boundary(const DynamicGraph& graph, FloodScratch& scratch,
   };
 
   std::uint64_t messages = 0;
-  const std::size_t chunk_count =
-      (frontier.size() + kScanChunk - 1) / kScanChunk;
-  if (intra <= 1 || chunk_count < 2) {
-    messages = scan(0, frontier.size(), scratch.neighbor_slots, offer);
-  } else {
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(intra, chunk_count));
-    if (scratch.shard_neighbors.size() < workers) {
-      scratch.shard_neighbors.resize(workers);
-    }
-    if (kPairs && scratch.shard_pairs.size() < chunk_count) {
-      scratch.shard_pairs.resize(chunk_count);
-    }
-    std::atomic<std::uint64_t> sharded_messages{0};
-    for_each_chunk(intra, chunk_count, [&](std::size_t c, unsigned worker) {
-      const std::size_t begin = c * kScanChunk;
-      const std::size_t end = std::min(frontier.size(), begin + kScanChunk);
-      std::uint64_t chunk_messages = 0;
-      if constexpr (kPairs) {
-        auto& pairs = scratch.shard_pairs[c];
-        pairs.clear();
-        chunk_messages = scan(begin, end, scratch.shard_neighbors[worker],
-                              [&pairs](std::uint32_t u, std::uint32_t v) {
-                                pairs.emplace_back(u, v);
-                              });
-      } else {
-        chunk_messages = scan(begin, end, scratch.shard_neighbors[worker],
-                              [&scratch](std::uint32_t, std::uint32_t v) {
-                                scratch.mark_candidate_slot_atomic(v);
-                              });
-      }
-      sharded_messages.fetch_add(chunk_messages, std::memory_order_relaxed);
-    });
-    messages = sharded_messages.load(std::memory_order_relaxed);
-    if constexpr (kPairs) {
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        const auto& pairs = scratch.shard_pairs[c];
-        scratch.cand_pairs.insert(scratch.cand_pairs.end(), pairs.begin(),
-                                  pairs.end());
-      }
+  std::vector<std::uint32_t>& neighbors = scratch.neighbor_slots;
+  for (const std::uint32_t u : scratch.frontier_slots) {
+    // Frontier members were alive and informed at last step's commit and
+    // nothing has advanced since; the bit doubles as a liveness check.
+    if (!scratch.is_informed_slot(u)) continue;
+    neighbors.clear();
+    graph.append_neighbor_slots(u, neighbors);
+    for (const std::uint32_t v : neighbors) {
+      if (scratch.is_informed_slot(v)) continue;
+      offer(u, v);
+      ++messages;
     }
   }
   for (const CreatedEdge& edge : scratch.created) {

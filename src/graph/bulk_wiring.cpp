@@ -22,13 +22,8 @@
 //   * out runs: a freshly grown graph allocates out runs sequentially, so
 //     slot s's run base is s·out_slots (asserted); entries are written with
 //     the same {peer, in_pos} values set_out_edge would store.
-//
-// Every pass shards over fixed-size ranges/blocks (never a function of the
-// worker count) with disjoint outputs, so results are byte-identical at
-// every intra_threads value.
 #include <algorithm>
 
-#include "common/intra.hpp"
 #include "graph/dynamic_graph.hpp"
 
 namespace churnet {
@@ -39,15 +34,10 @@ namespace {
 /// while a block's edges are applied.
 constexpr std::uint32_t kBlockBits = 15;
 
-/// Edges per scatter range; fixed so the stable scatter's bucket layout is
-/// independent of the worker count.
-constexpr std::size_t kScatterRange = std::size_t{1} << 20;
-
 }  // namespace
 
 void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
-                                     std::span<const std::uint32_t> targets,
-                                     unsigned intra_threads) {
+                                     std::span<const std::uint32_t> targets) {
   const std::size_t edges = targets.size();
   if (edges == 0) return;
   CHURNET_EXPECTS(out_slots > 0 && edges % out_slots == 0);
@@ -62,62 +52,38 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
       (static_cast<std::size_t>(slot_count) + (std::size_t{1} << kBlockBits) -
        1) >>
       kBlockBits;
-  const std::size_t range_count =
-      (edges + kScatterRange - 1) / kScatterRange;
-  const unsigned threads = intra_threads == 0 ? 1 : intra_threads;
 
-  // Pass A: per-(range, block) histogram of valid edges.
-  std::vector<std::uint64_t> offsets(range_count * block_count, 0);
-  for_each_chunk(threads, range_count, [&](std::size_t r, unsigned) {
-    std::uint64_t* row = offsets.data() + r * block_count;
-    const std::size_t begin = r * kScatterRange;
-    const std::size_t end = std::min(edges, begin + kScatterRange);
-    for (std::size_t e = begin; e < end; ++e) {
-      const std::uint32_t target = targets[e];
-      if (target == NodeId::kInvalidSlot) continue;
-      ++row[target >> kBlockBits];
-    }
-  });
-
-  // Column-major prefix sum: offsets[r][b] becomes the bucket write cursor
-  // for range r within block b; iterating ranges in order inside each block
-  // keeps the scatter stable in edge order.
+  // Pass A: per-block histogram of valid edges, prefix-summed so that
+  // block b's bucket is [block_begin[b], block_begin[b + 1]).
   std::vector<std::uint64_t> block_begin(block_count + 1, 0);
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b < block_count; ++b) {
-    block_begin[b] = total;
-    for (std::size_t r = 0; r < range_count; ++r) {
-      const std::uint64_t count = offsets[r * block_count + b];
-      offsets[r * block_count + b] = total;
-      total += count;
-    }
+  for (const std::uint32_t target : targets) {
+    if (target == NodeId::kInvalidSlot) continue;
+    ++block_begin[(target >> kBlockBits) + 1];
   }
-  block_begin[block_count] = total;
+  for (std::size_t b = 0; b < block_count; ++b) {
+    block_begin[b + 1] += block_begin[b];
+  }
+  const std::uint64_t total = block_begin[block_count];
 
-  // Pass B: stable scatter of edge ids into per-block buckets.
+  // Pass B: stable scatter of edge ids into per-block buckets, in edge
+  // order.
+  std::vector<std::uint64_t> cursor(block_begin.begin(),
+                                    block_begin.end() - 1);
   std::vector<std::uint32_t> bucket(total);
-  for_each_chunk(threads, range_count, [&](std::size_t r, unsigned) {
-    std::uint64_t* cursor = offsets.data() + r * block_count;
-    const std::size_t begin = r * kScatterRange;
-    const std::size_t end = std::min(edges, begin + kScatterRange);
-    for (std::size_t e = begin; e < end; ++e) {
-      const std::uint32_t target = targets[e];
-      if (target == NodeId::kInvalidSlot) continue;
-      bucket[cursor[target >> kBlockBits]++] = static_cast<std::uint32_t>(e);
-    }
-  });
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::uint32_t target = targets[e];
+    if (target == NodeId::kInvalidSlot) continue;
+    bucket[cursor[target >> kBlockBits]++] = static_cast<std::uint32_t>(e);
+  }
 
   // Pass C: per-block in-pool demand — the sum of each target's final
   // chunk capacity (grow_in_chunk's doubling fixed point).
-  const unsigned block_workers = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(threads, 1u), block_count));
-  std::vector<std::vector<std::uint32_t>> worker_degrees(block_workers);
+  std::vector<std::uint32_t> degree;
   std::vector<std::uint64_t> block_cap(block_count, 0);
-  auto count_block_degrees = [&](std::size_t b, unsigned worker) {
+  auto count_block_degrees = [&](std::size_t b) {
     const std::uint32_t s0 = static_cast<std::uint32_t>(b << kBlockBits);
     const std::uint32_t s1 = std::min<std::uint32_t>(
         slot_count, static_cast<std::uint32_t>((b + 1) << kBlockBits));
-    std::vector<std::uint32_t>& degree = worker_degrees[worker];
     degree.assign(s1 - s0, 0);
     for (std::uint64_t i = block_begin[b]; i < block_begin[b + 1]; ++i) {
       ++degree[targets[bucket[i]] - s0];
@@ -130,17 +96,16 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
     CHURNET_EXPECTS(in_class_of(cap) < kInClassCount);
     return cap;
   };
-  for_each_chunk(threads, block_count, [&](std::size_t b, unsigned worker) {
-    const auto [s0, s1] = count_block_degrees(b, worker);
-    const std::vector<std::uint32_t>& degree = worker_degrees[worker];
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const auto [s0, s1] = count_block_degrees(b);
     std::uint64_t cap_sum = 0;
     for (std::uint32_t s = s0; s < s1; ++s) {
       if (degree[s - s0] > 0) cap_sum += final_cap(degree[s - s0]);
     }
     block_cap[b] = cap_sum;
-  });
+  }
 
-  // Serial: carve one contiguous in-pool region per block. Headroom of one
+  // Carve one contiguous in-pool region per block. Headroom of one
   // first-sized chunk per slot keeps the post-growth churn rounds carving
   // within capacity (the steady-state zero-allocation invariant).
   const std::size_t pool_base = in_pool_.size();
@@ -158,15 +123,13 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
   }
   in_pool_.resize(pool_base + pool_need);
 
-  // Pass D: per-block apply. Blocks own disjoint slot ranges, in-pool
-  // regions and edge buckets; the out-pool entry of edge e is written only
-  // by e's target block. Inserts run in ascending e order — the sequential
-  // insertion order — so in-list contents and in_pos back-pointers match
-  // the set_out_edge path exactly.
-  for_each_chunk(threads, block_count, [&](std::size_t b, unsigned worker) {
-    const auto [s0, s1] = count_block_degrees(b, worker);
-    const std::vector<std::uint32_t>& degree = worker_degrees[worker];
-    std::uint64_t cursor = block_pool_base[b];
+  // Pass D: per-block apply. Each block's slots take the block's in-pool
+  // region in slot order. Inserts run in ascending e order — the
+  // sequential insertion order — so in-list contents and in_pos
+  // back-pointers match the set_out_edge path exactly.
+  for (std::size_t b = 0; b < block_count; ++b) {
+    const auto [s0, s1] = count_block_degrees(b);
+    std::uint64_t carve = block_pool_base[b];
     for (std::uint32_t s = s0; s < s1; ++s) {
       SlotCore& core = core_[s];
       CHURNET_ASSERT(core.alive != 0 && core.generation == 0);
@@ -176,11 +139,11 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
       CHURNET_ASSERT(core.in_count == 0 && core.in_cap == 0);
       const std::uint32_t d = degree[s - s0];
       if (d == 0) continue;
-      core.in_base = static_cast<std::uint32_t>(cursor);
+      core.in_base = static_cast<std::uint32_t>(carve);
       core.in_cap = final_cap(d);
-      cursor += core.in_cap;
+      carve += core.in_cap;
     }
-    CHURNET_ASSERT(cursor == block_pool_base[b] + block_cap[b]);
+    CHURNET_ASSERT(carve == block_pool_base[b] + block_cap[b]);
     for (std::uint64_t i = block_begin[b]; i < block_begin[b + 1]; ++i) {
       const std::uint32_t e = bucket[i];
       const std::uint32_t target = targets[e];
@@ -193,7 +156,7 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
       out_pool_[static_cast<std::size_t>(owner) * out_slots + out_index] =
           OutEdge{target, pos};
     }
-  });
+  }
 
   edge_count_ += total;
   // The passes above bypass the per-edge mutators.

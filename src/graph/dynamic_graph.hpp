@@ -428,12 +428,9 @@ class DynamicGraph {
   /// the same set_out_edge calls in ascending e order. Requires a freshly
   /// grown graph: every slot alive at generation 0 with `out_slots`
   /// dangling out-edges and an empty in-list. Radix-buckets edges by
-  /// target block so in-list inserts are cache-resident, and shards the
-  /// passes over `intra_threads` workers with thread-count-invariant
-  /// results.
+  /// target block so in-list inserts are cache-resident.
   void bulk_wire_genesis(std::uint32_t out_slots,
-                         std::span<const std::uint32_t> targets,
-                         unsigned intra_threads);
+                         std::span<const std::uint32_t> targets);
 
   /// Attaches a caller-owned change feed: every subsequent mutation records
   /// a GraphDelta (see graph/change_feed.hpp for the delta contract).

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/intra.hpp"
 #include "models/graph_view.hpp"
 #include "models/wiring.hpp"
 #include "telemetry/telemetry.hpp"
@@ -117,8 +116,7 @@ void StreamingNetwork::run_growth_phase() {
   }
 
   // Phase 2: install the recorded edge list in cache-blocked bulk.
-  graph_.bulk_wire_genesis(d, targets,
-                           effective_intra_threads(config_.intra_threads));
+  graph_.bulk_wire_genesis(d, targets);
   CHURNET_ENSURES(graph_.alive_count() == config_.n);
 }
 

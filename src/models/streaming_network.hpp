@@ -38,10 +38,6 @@ struct StreamingConfig {
   /// in-degrees, enforced by redrawing requests. 0 = unlimited (the paper's
   /// models). See WiringLimits in models/wiring.hpp.
   std::uint32_t max_in_degree = 0;
-  /// Worker threads for the bulk genesis wiring inside run_growth_phase
-  /// (0 = one per hardware thread). Purely a wall-clock knob: results are
-  /// byte-identical at every value.
-  std::uint32_t intra_threads = 1;
   /// Churn regime: kStream (the paper's schedule) or an adversarial spec
   /// (maxdeg/mindeg/cutset/eclipse), which keeps the round schedule but
   /// redirects budgeted deaths through AdversaryPolicy victim selection.
@@ -77,8 +73,7 @@ class StreamingNetwork {
   /// identical to run_rounds(n) from round 0, but in the paper's unbounded
   /// models with no change feed attached it records the n·d wiring draws
   /// serially and installs them through DynamicGraph::bulk_wire_genesis —
-  /// a cache-blocked streaming pass (optionally sharded over
-  /// config.intra_threads workers) instead of n·d random-access inserts.
+  /// a cache-blocked streaming pass instead of n·d random-access inserts.
   /// Callable only from round 0.
   void run_growth_phase();
 

@@ -12,11 +12,11 @@
 // (DisseminationProtocol::candidates()):
 //
 //   * kSlotSet (plain flooding): the driver scans the boundary itself in
-//     raw slots (detail_flood::scan_boundary, optionally sharded) and
-//     commits receivers word-wise, visiting only the candidate words the
-//     step touched. Under pair survival it keeps (sender, receiver) slot
-//     pairs instead. The frontier is slot-ordered; ProtocolScratch::informed
-//     stays empty and no protocol hook is called.
+//     raw slots (detail_flood::scan_boundary) and commits receivers
+//     word-wise, visiting only the candidate words the step touched. Under
+//     pair survival it keeps (sender, receiver) slot pairs instead. The
+//     frontier is slot-ordered; ProtocolScratch::informed stays empty and
+//     no protocol hook is called.
 //   * kFirstPerReceiver / kEvery: the protocol proposes (sender, receiver)
 //     pairs through a StepView, which keeps them as slot pairs, and the
 //     driver commits them in propose order, calling on_informed /
@@ -222,19 +222,16 @@ ProtocolResult disseminate_dynamic(Net& net, DisseminationProtocol& protocol,
   detail_flood::record_step(trace, options.flood, fs.informed_count(),
                             net.graph().alive_count());
 
-  const unsigned intra = effective_intra_threads(options.flood.intra_threads);
   for (std::uint64_t step = 1; step <= options.flood.max_steps; ++step) {
-    // Serial point: workers of a sharded scan may not trigger a resize.
     fs.ensure_slots(net.graph().slot_upper_bound());
     std::uint64_t messages = 0;
     if (slot_set) {
-      messages = detail_flood::scan_boundary<Semantics>(net.graph(), fs,
-                                                        intra);
+      messages = detail_flood::scan_boundary<Semantics>(net.graph(), fs);
       stats.messages_sent += messages;
     } else {
       fs.begin_step();  // clears last step's candidate marks + pair list
       StepView view(net.graph(), scratch, stats, dedup, delivery_q,
-                    &protocol.rng(), step, intra);
+                    &protocol.rng(), step);
       protocol.propose(view);
     }
     fs.created.clear();

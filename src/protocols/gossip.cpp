@@ -3,17 +3,11 @@
 #include <algorithm>
 
 #include "common/epoch.hpp"
-#include "common/intra.hpp"
 #include "common/specgram.hpp"
 #include "common/table.hpp"
 
 namespace churnet {
 namespace {
-
-/// Frontier chunk size for the sharded boundary scan below. Fixed — never
-/// a function of the thread count — so per-chunk outputs and the
-/// chunk-order replay are identical at every intra_threads value.
-constexpr std::size_t kProposeChunk = 4096;
 
 /// The pair-path flood boundary scan shared by FloodProtocol and
 /// TtlFloodProtocol: frontier nodes (filtered by `forwards`) offer to every
@@ -23,60 +17,18 @@ constexpr std::size_t kProposeChunk = 4096;
 /// (detail_flood::scan_boundary) — the equivalence tests pin the two
 /// bit-for-bit. `send(u, v)` performs the actual emission, so TTL can
 /// attach hop payloads to recorded candidates.
-///
-/// With view.intra_threads() > 1 and a large frontier, the frontier scan
-/// shards into fixed-size chunks: workers collect (sender, receiver)
-/// pairs read-only (liveness, forwards, membership), then send() replays
-/// them serially in chunk order — the exact sequential emission order, so
-/// stats, candidate indices and loss coins are byte-identical at every
-/// thread count. The created-edge pass stays serial (the list is short).
 template <typename Forwards, typename Send>
 void propose_boundary(StepView& view, const Forwards& forwards,
                       const Send& send) {
   const DynamicGraph& graph = view.graph();
-  const std::vector<NodeId>& frontier = view.frontier();
-  const std::size_t chunk_count =
-      (frontier.size() + kProposeChunk - 1) / kProposeChunk;
-  if (view.intra_threads() <= 1 || chunk_count < 2) {
-    std::vector<NodeId>& neighbors = view.neighbor_buffer();
-    for (const NodeId u : frontier) {
-      if (!graph.is_alive(u)) continue;  // died in a previous interval
-      if (!forwards(u)) continue;
-      neighbors.clear();
-      graph.append_neighbors(u, neighbors);
-      for (const NodeId v : neighbors) {
-        if (!view.is_informed(v)) send(u, v);
-      }
-    }
-  } else {
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(view.intra_threads(), chunk_count));
-    auto& chunks = view.shard_pair_buffers();
-    if (chunks.size() < chunk_count) chunks.resize(chunk_count);
-    auto& neighbor_bufs = view.shard_neighbor_buffers();
-    if (neighbor_bufs.size() < workers) neighbor_bufs.resize(workers);
-    for_each_chunk(
-        view.intra_threads(), chunk_count,
-        [&](std::size_t c, unsigned worker) {
-          auto& out = chunks[c];
-          out.clear();
-          std::vector<NodeId>& neighbors = neighbor_bufs[worker];
-          const std::size_t begin = c * kProposeChunk;
-          const std::size_t end =
-              std::min(frontier.size(), begin + kProposeChunk);
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId u = frontier[i];
-            if (!graph.is_alive(u)) continue;
-            if (!forwards(u)) continue;
-            neighbors.clear();
-            graph.append_neighbors(u, neighbors);
-            for (const NodeId v : neighbors) {
-              if (!view.is_informed(v)) out.emplace_back(u, v);
-            }
-          }
-        });
-    for (std::size_t c = 0; c < chunk_count; ++c) {
-      for (const auto& [u, v] : chunks[c]) send(u, v);
+  std::vector<NodeId>& neighbors = view.neighbor_buffer();
+  for (const NodeId u : view.frontier()) {
+    if (!graph.is_alive(u)) continue;  // died in a previous interval
+    if (!forwards(u)) continue;
+    neighbors.clear();
+    graph.append_neighbors(u, neighbors);
+    for (const NodeId v : neighbors) {
+      if (!view.is_informed(v)) send(u, v);
     }
   }
   for (const CreatedEdge& edge : view.created()) {

@@ -104,12 +104,6 @@ struct ProtocolScratch {
   std::vector<NodeId> informed;
   /// Reusable alive-node buffer for PULL-style full scans.
   std::vector<NodeId> alive;
-  /// Sharded-propose buffers (pair-path boundary scans with
-  /// intra_threads > 1): per-chunk (sender, receiver) outputs, merged in
-  /// chunk order so the send() sequence matches the sequential scan, and
-  /// per-worker neighbor staging.
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> shard_pairs;
-  std::vector<std::vector<NodeId>> shard_neighbors;
 };
 
 /// Outcome of one dissemination run: the flood-compatible trace plus the
@@ -126,15 +120,14 @@ class StepView {
  public:
   StepView(const DynamicGraph& graph, ProtocolScratch& scratch,
            ProtocolStats& stats, bool dedup, double delivery_q,
-           Rng* loss_rng, std::uint64_t step, unsigned intra_threads = 1)
+           Rng* loss_rng, std::uint64_t step)
       : graph_(graph),
         scratch_(scratch),
         stats_(stats),
         dedup_(dedup),
         delivery_q_(delivery_q),
         loss_rng_(loss_rng),
-        step_(step),
-        intra_threads_(intra_threads) {}
+        step_(step) {}
 
   const DynamicGraph& graph() const { return graph_; }
   /// 1-based index of the step being proposed.
@@ -157,19 +150,6 @@ class StepView {
   /// Reusable buffers (cleared by the caller before use).
   std::vector<NodeId>& neighbor_buffer() { return scratch_.flood.neighbors; }
   std::vector<NodeId>& alive_buffer() { return scratch_.alive; }
-
-  /// Intra-trial worker budget for sharded proposes (>= 1). Protocols
-  /// whose scan is read-only over the frontier may shard it into
-  /// fixed-size chunks (shard buffers below) and replay send() in chunk
-  /// order — output is then byte-identical at every thread count.
-  /// RNG-sequential protocols (PUSH/PULL) must ignore this.
-  unsigned intra_threads() const { return intra_threads_; }
-  std::vector<std::vector<std::pair<NodeId, NodeId>>>& shard_pair_buffers() {
-    return scratch_.shard_pairs;
-  }
-  std::vector<std::vector<NodeId>>& shard_neighbor_buffers() {
-    return scratch_.shard_neighbors;
-  }
 
   /// Offers one rumor transmission sender -> receiver; the receiver must be
   /// alive. Applies the lossy coin and (where the driver deduplicates)
@@ -218,7 +198,6 @@ class StepView {
   double delivery_q_;
   Rng* loss_rng_;
   std::uint64_t step_;
-  unsigned intra_threads_;
 };
 
 /// How one step's delivery candidates are represented — the protocol's

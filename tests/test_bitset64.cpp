@@ -1,11 +1,9 @@
 // Unit tests for the word-packed membership set behind FloodScratch
 // (common/bitset64.hpp): word-boundary bits, resize semantics, popcount
-// totals, ascending for_each_set order, AND-NOT subtraction, and the
-// atomic marking used by sharded boundary scans.
+// totals, ascending for_each_set order and AND-NOT subtraction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "common/bitset64.hpp"
@@ -165,26 +163,6 @@ TEST(Bitset64, TenMillionBits) {
   EXPECT_EQ(visited, expected);
   bits.clear_all();
   EXPECT_EQ(bits.count(), 0u);
-}
-
-TEST(Bitset64, AtomicSetFromManyThreads) {
-  // set_atomic is the sharded scan's marking primitive: concurrent ORs
-  // into the same words must lose no bits. Threads set interleaved
-  // residue classes over a shared range.
-  constexpr std::uint32_t kBits = 1 << 16;
-  constexpr unsigned kThreads = 4;
-  Bitset64 bits;
-  bits.resize(kBits);
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bits, t] {
-      for (std::uint32_t bit = t; bit < kBits; bit += kThreads) {
-        bits.set_atomic(bit);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(bits.count(), kBits);
 }
 
 }  // namespace

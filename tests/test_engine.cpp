@@ -2,14 +2,15 @@
 // resolution, and the job pool's width rule and error propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "churnet/churnet.hpp"
-#include "common/intra.hpp"
 
 namespace churnet {
 namespace {
@@ -228,7 +229,8 @@ TEST(JobPool, WidthIsMinOfThreadsAndJobs) {
   EXPECT_EQ(pool_width(1, 10), 1u);
   EXPECT_EQ(pool_width(4, 0), 1u);  // never narrower than one worker
   // threads 0 = one per hardware thread, still capped by the job count.
-  EXPECT_EQ(pool_width(0, 1u << 20), effective_intra_threads(0));
+  EXPECT_EQ(pool_width(0, 1u << 20),
+            std::max(1u, std::thread::hardware_concurrency()));
   EXPECT_EQ(pool_width(0, 1), 1u);
 }
 

@@ -2,9 +2,8 @@
 // FloodScratch (common/bitset64.hpp) behind flood_dynamic and the
 // dissemination driver must be bit-identical to the epoch-stamped
 // stamp-array path it replaced, on all four paper scenarios and both
-// static baselines — same event sequence (per-step informed/alive series),
-// same terminal informed set — and byte-identical at every
-// intra_threads value.
+// static baselines: same event sequence (per-step informed/alive series)
+// and same terminal informed set.
 //
 // Two independent proofs:
 //
@@ -267,10 +266,8 @@ void expect_traces_equal(const FloodTrace& bitset, const FloodTrace& legacy) {
 /// beyond the shared source-selection path) and requires equality of the
 /// full event sequence and the terminal informed set, slot for slot.
 template <typename MakeNet>
-void expect_bitset_matches_legacy(const MakeNet& make_net,
-                                  std::uint32_t intra_threads) {
-  FloodOptions options;
-  options.intra_threads = intra_threads;
+void expect_bitset_matches_legacy(const MakeNet& make_net) {
+  const FloodOptions options;
 
   auto legacy_net = make_net();
   LegacyFloodScratch legacy_scratch;
@@ -299,26 +296,19 @@ void expect_bitset_matches_legacy(const MakeNet& make_net,
             legacy_net.graph().alive_count());
 }
 
-struct OracleParam {
-  const char* name;
-  std::uint32_t intra_threads;
-};
-
 std::string oracle_param_name(
-    const ::testing::TestParamInfo<OracleParam>& info) {
-  std::string name = info.param.name;
+    const ::testing::TestParamInfo<const char*>& info) {
+  std::string name = info.param;
   for (char& c : name) {
     if (c == '-') c = '_';
   }
-  return name + "_intra" + std::to_string(info.param.intra_threads);
+  return name;
 }
 
-class BitsetFloodOracle : public ::testing::TestWithParam<OracleParam> {};
+class BitsetFloodOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BitsetFloodOracle, MatchesStampArrayPathBitForBit) {
-  const OracleParam param = GetParam();
-  const std::string name = param.name;
-  const std::uint32_t intra = param.intra_threads;
+  const std::string name = GetParam();
   if (name == "SDG" || name == "SDGR") {
     StreamingConfig config;
     config.n = 600;
@@ -331,8 +321,7 @@ TEST_P(BitsetFloodOracle, MatchesStampArrayPathBitForBit) {
           StreamingNetwork net(config);
           net.warm_up();
           return net;
-        },
-        intra);
+        });
   } else if (name == "PDG" || name == "PDGR") {
     const PoissonConfig config = PoissonConfig::with_n(
         300, 5, name == "PDG" ? EdgePolicy::kNone : EdgePolicy::kRegenerate,
@@ -342,8 +331,7 @@ TEST_P(BitsetFloodOracle, MatchesStampArrayPathBitForBit) {
           PoissonNetwork net(config);
           net.warm_up();
           return net;
-        },
-        intra);
+        });
   } else {
     StaticConfig config;
     config.n = 800;
@@ -353,21 +341,14 @@ TEST_P(BitsetFloodOracle, MatchesStampArrayPathBitForBit) {
                           : StaticConfig::Topology::kErdosRenyi;
     config.seed = 4321;
     expect_bitset_matches_legacy(
-        [&config] { return StaticNetwork(config); }, intra);
+        [&config] { return StaticNetwork(config); });
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllScenarios, BitsetFloodOracle,
-    ::testing::Values(OracleParam{"SDG", 1}, OracleParam{"SDGR", 1},
-                      OracleParam{"PDG", 1}, OracleParam{"PDGR", 1},
-                      OracleParam{"static-dout", 1},
-                      OracleParam{"erdos-renyi", 1},
-                      // The sharded scan must replay the exact sequential
-                      // order: re-run the oracle at worker counts 2 and 4.
-                      OracleParam{"SDGR", 2}, OracleParam{"SDGR", 4},
-                      OracleParam{"PDGR", 4},
-                      OracleParam{"static-dout", 4}),
+    ::testing::Values("SDG", "SDGR", "PDG", "PDGR", "static-dout",
+                      "erdos-renyi"),
     oracle_param_name);
 
 // ---------------------------------------------------------------------------
@@ -426,18 +407,15 @@ void add_terminal_informed(Fnv& fnv, const DynamicGraph& graph,
 }
 
 std::uint64_t flood_checksum(const char* scenario_name, std::uint32_t n,
-                             std::uint32_t d, std::uint64_t seed,
-                             std::uint32_t intra_threads) {
+                             std::uint32_t d, std::uint64_t seed) {
   ScenarioParams params;
   params.n = n;
   params.d = d;
   params.seed = seed;
-  params.intra_threads = intra_threads;
   AnyNetwork net =
       ScenarioRegistry::paper().at(scenario_name).make_warmed(params);
   ProtocolScratch scratch;
-  FloodOptions options;
-  options.intra_threads = intra_threads;
+  const FloodOptions options;
   const FloodTrace trace = net.flood(options, scratch);
   Fnv fnv;
   add_trace(fnv, trace);
@@ -448,19 +426,16 @@ std::uint64_t flood_checksum(const char* scenario_name, std::uint32_t n,
 std::uint64_t gossip_checksum(const char* scenario_name,
                               const char* protocol_text, std::uint32_t n,
                               std::uint32_t d, std::uint64_t net_seed,
-                              std::uint64_t proto_seed,
-                              std::uint32_t intra_threads) {
+                              std::uint64_t proto_seed) {
   ScenarioParams params;
   params.n = n;
   params.d = d;
   params.seed = net_seed;
-  params.intra_threads = intra_threads;
   AnyNetwork net =
       ScenarioRegistry::paper().at(scenario_name).make_warmed(params);
   const ProtocolSpec spec = *ProtocolSpec::parse(protocol_text);
   std::unique_ptr<DisseminationProtocol> protocol = make_protocol(spec);
-  ProtocolOptions options = protocol_options(spec, proto_seed);
-  options.flood.intra_threads = intra_threads;
+  const ProtocolOptions options = protocol_options(spec, proto_seed);
   ProtocolScratch scratch;
   const ProtocolResult result = net.disseminate(*protocol, options, scratch);
   Fnv fnv;
@@ -486,7 +461,7 @@ TEST(BitsetFloodPins, FloodMatchesStampArrayBuildOnAllScenarios) {
       {"erdos-renyi", 0xaba951962e3b43d7ULL},
   };
   for (const Pin& pin : kPins) {
-    EXPECT_EQ(flood_checksum(pin.scenario, 600, 4, 1234, 1), pin.checksum)
+    EXPECT_EQ(flood_checksum(pin.scenario, 600, 4, 1234), pin.checksum)
         << pin.scenario;
   }
 }
@@ -513,33 +488,9 @@ TEST(BitsetFloodPins, DisseminationMatchesStampArrayBuild) {
   };
   for (const Pin& pin : kPins) {
     EXPECT_EQ(gossip_checksum(pin.scenario, pin.protocol, pin.n, pin.d,
-                              pin.net_seed, pin.proto_seed, 1),
+                              pin.net_seed, pin.proto_seed),
               pin.checksum)
         << pin.scenario << " " << pin.protocol;
-  }
-}
-
-TEST(BitsetFloodPins, IntraThreadsIsByteIdentical) {
-  // intra_threads parallelizes the genesis bulk wiring and the boundary
-  // scans; the acceptance bar is byte-identity at k in {2, 4}, checked
-  // here as checksum equality against the k=1 run (which the pins above
-  // tie to the stamp-array build).
-  for (const std::uint32_t k : {2u, 4u}) {
-    EXPECT_EQ(flood_checksum("SDG", 600, 4, 1234, k),
-              flood_checksum("SDG", 600, 4, 1234, 1))
-        << "k=" << k;
-    EXPECT_EQ(flood_checksum("SDGR", 600, 4, 1234, k),
-              flood_checksum("SDGR", 600, 4, 1234, 1))
-        << "k=" << k;
-    EXPECT_EQ(flood_checksum("PDGR", 600, 4, 1234, k),
-              flood_checksum("PDGR", 600, 4, 1234, 1))
-        << "k=" << k;
-    EXPECT_EQ(gossip_checksum("SDGR", "ttl(3)", 500, 4, 99, 777, k),
-              gossip_checksum("SDGR", "ttl(3)", 500, 4, 99, 777, 1))
-        << "k=" << k;
-    EXPECT_EQ(gossip_checksum("SDGR", "flood+lossy(0.9)", 500, 4, 99, 777, k),
-              gossip_checksum("SDGR", "flood+lossy(0.9)", 500, 4, 99, 777, 1))
-        << "k=" << k;
   }
 }
 
@@ -550,50 +501,53 @@ TEST(BitsetFloodPins, IntraThreadsIsByteIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(BulkGenesisWiring, MatchesSequentialGrowthExactly) {
-  StreamingConfig config;
-  config.n = 2000;
-  config.d = 6;
-  config.policy = EdgePolicy::kRegenerate;
-  config.seed = 20240815;
+  // n = 2000 fits one radix block of 2^15 slots; n = 40000 spans two, so
+  // the per-block carve of the in-pool is checked across blocks.
+  for (const std::uint32_t n : {2000u, 40000u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    StreamingConfig config;
+    config.n = n;
+    config.d = 6;
+    config.policy = EdgePolicy::kRegenerate;
+    config.seed = 20240815;
 
-  StreamingNetwork sequential(config);
-  sequential.run_rounds(config.n);
+    StreamingNetwork sequential(config);
+    sequential.run_rounds(config.n);
 
-  StreamingConfig bulk_config = config;
-  bulk_config.intra_threads = 4;
-  StreamingNetwork bulk(bulk_config);
-  bulk.run_growth_phase();
+    StreamingNetwork bulk(config);
+    bulk.run_growth_phase();
 
-  ASSERT_TRUE(bulk.graph().check_consistency());
-  ASSERT_EQ(bulk.graph().alive_count(), sequential.graph().alive_count());
-  ASSERT_EQ(bulk.graph().slot_upper_bound(),
-            sequential.graph().slot_upper_bound());
+    ASSERT_TRUE(bulk.graph().check_consistency());
+    ASSERT_EQ(bulk.graph().alive_count(), sequential.graph().alive_count());
+    ASSERT_EQ(bulk.graph().slot_upper_bound(),
+              sequential.graph().slot_upper_bound());
 
-  // Neighbor lists in order cover both pools: out-run contents plus
-  // in-list insertion order (and with it every in_pos back-pointer).
-  std::vector<NodeId> expected;
-  std::vector<NodeId> actual;
-  for (const NodeId node : sequential.graph().alive_nodes()) {
-    ASSERT_TRUE(bulk.graph().is_alive(node));
-    expected.clear();
-    actual.clear();
-    sequential.graph().append_neighbors(node, expected);
-    bulk.graph().append_neighbors(node, actual);
-    ASSERT_EQ(actual, expected) << "slot " << node.slot;
-  }
+    // Neighbor lists in order cover both pools: out-run contents plus
+    // in-list insertion order (and with it every in_pos back-pointer).
+    std::vector<NodeId> expected;
+    std::vector<NodeId> actual;
+    for (const NodeId node : sequential.graph().alive_nodes()) {
+      ASSERT_TRUE(bulk.graph().is_alive(node));
+      expected.clear();
+      actual.clear();
+      sequential.graph().append_neighbors(node, expected);
+      bulk.graph().append_neighbors(node, actual);
+      ASSERT_EQ(actual, expected) << "slot " << node.slot;
+    }
 
-  // The replay consumed the identical RNG draw sequence, so continuing
-  // both networks must keep them in lockstep through real churn.
-  sequential.run_rounds(config.n);
-  bulk.run_rounds(config.n);
-  ASSERT_EQ(bulk.graph().alive_count(), sequential.graph().alive_count());
-  for (const NodeId node : sequential.graph().alive_nodes()) {
-    ASSERT_TRUE(bulk.graph().is_alive(node));
-    expected.clear();
-    actual.clear();
-    sequential.graph().append_neighbors(node, expected);
-    bulk.graph().append_neighbors(node, actual);
-    ASSERT_EQ(actual, expected) << "slot " << node.slot;
+    // The replay consumed the identical RNG draw sequence, so continuing
+    // both networks must keep them in lockstep through real churn.
+    sequential.run_rounds(config.n);
+    bulk.run_rounds(config.n);
+    ASSERT_EQ(bulk.graph().alive_count(), sequential.graph().alive_count());
+    for (const NodeId node : sequential.graph().alive_nodes()) {
+      ASSERT_TRUE(bulk.graph().is_alive(node));
+      expected.clear();
+      actual.clear();
+      sequential.graph().append_neighbors(node, expected);
+      bulk.graph().append_neighbors(node, actual);
+      ASSERT_EQ(actual, expected) << "slot " << node.slot;
+    }
   }
 }
 

@@ -389,97 +389,76 @@ TEST(FloodDriverDeathTest, CallerFeedAttachedAborts) {
 // with the scratch grown between steps and by a death past the bound while
 // marks are pending (a node born and killed within one interval), must
 // give the same frontier (in slot order), informed set and count — and
-// leave no candidate or summary bit behind. Atomic marks come from a
-// sharded pool, as in the scan.
+// leave no candidate or summary bit behind.
 TEST(FloodScratchCommit, SummaryCommitMatchesDenseAndNot) {
-  for (const bool atomic : {false, true}) {
-    SCOPED_TRACE(atomic ? "atomic marks" : "serial marks");
-    Rng rng(atomic ? 91 : 90);
-    std::uint32_t bound = 3 * 4096 + 77;
-    FloodScratch scratch;
-    scratch.begin_trial(bound);
-    std::vector<char> informed(bound, 0);
-    std::uint64_t informed_count = 0;
-    std::vector<std::uint32_t> marks;
-    std::vector<std::uint32_t> frontier;
-    for (int step = 0; step < 48; ++step) {
-      if (step % 8 == 3) {
-        bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
-        scratch.ensure_slots(bound);
-        informed.resize(bound, 0);
-      }
-      // Candidates: uninformed slots, drawn with repeats; dense steps and
-      // sparse steps alternate so whole summary words are both hit and
-      // skipped.
-      std::vector<char> cand(bound, 0);
-      marks.clear();
-      const std::uint64_t draws = rng.below(step % 2 == 0 ? bound : 40);
-      for (std::uint64_t i = 0; i < draws; ++i) {
-        const auto slot = static_cast<std::uint32_t>(rng.below(bound));
-        if (informed[slot] != 0) continue;
-        cand[slot] = 1;
-        marks.push_back(slot);
-      }
-      if (atomic) {
-        constexpr std::size_t kChunk = 512;
-        for_each_chunk(4, (marks.size() + kChunk - 1) / kChunk,
-                       [&](std::size_t c, unsigned) {
-                         const std::size_t end =
-                             std::min(marks.size(), (c + 1) * kChunk);
-                         for (std::size_t i = c * kChunk; i < end; ++i) {
-                           scratch.mark_candidate_slot_atomic(marks[i]);
-                         }
-                       });
-      } else {
-        for (const std::uint32_t slot : marks) {
-          scratch.mark_candidate_slot(slot);
-        }
-      }
-
-      // Deaths: any slot, candidate or informed (the driver un-informs).
-      scratch.clear_deaths();
-      if (step % 8 == 7) {
-        bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
-        informed.resize(bound, 0);
-        cand.resize(bound, 0);
-        scratch.note_death(NodeId{bound - 1, 0});
-      }
-      std::vector<char> dead(bound, 0);
-      if (step % 8 == 7) dead[bound - 1] = 1;
-      const std::uint64_t deaths = rng.below(bound / 16);
-      for (std::uint64_t i = 0; i < deaths; ++i) {
-        const auto slot = static_cast<std::uint32_t>(rng.below(bound));
-        dead[slot] = 1;
-        scratch.note_death(NodeId{slot, 0});
-        scratch.unmark_informed(NodeId{slot, 0});
-        if (informed[slot] != 0) {
-          informed[slot] = 0;
-          --informed_count;
-        }
-      }
-
-      std::vector<std::uint32_t> expected;
-      std::uint64_t distinct = 0;
-      for (std::uint32_t slot = 0; slot < bound; ++slot) {
-        if (cand[slot] == 0) continue;
-        ++distinct;
-        if (dead[slot] != 0) continue;
-        informed[slot] = 1;
-        ++informed_count;
-        expected.push_back(slot);
-      }
-
-      frontier.clear();
-      EXPECT_EQ(scratch.commit_candidates(frontier), distinct)
-          << "step " << step;
-      ASSERT_EQ(frontier, expected) << "step " << step;
-      EXPECT_EQ(scratch.informed_count(), informed_count) << "step " << step;
-      for (std::uint32_t slot = 0; slot < bound; ++slot) {
-        ASSERT_EQ(scratch.is_informed_slot(slot), informed[slot] != 0)
-            << "step " << step << " slot " << slot;
-      }
-      EXPECT_TRUE(scratch.candidates_empty()) << "step " << step;
+  Rng rng(90);
+  std::uint32_t bound = 3 * 4096 + 77;
+  FloodScratch scratch;
+  scratch.begin_trial(bound);
+  std::vector<char> informed(bound, 0);
+  std::uint64_t informed_count = 0;
+  std::vector<std::uint32_t> frontier;
+  for (int step = 0; step < 48; ++step) {
+    if (step % 8 == 3) {
+      bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
+      scratch.ensure_slots(bound);
+      informed.resize(bound, 0);
     }
+    // Candidates: uninformed slots, drawn with repeats; dense steps and
+    // sparse steps alternate so whole summary words are both hit and
+    // skipped.
+    std::vector<char> cand(bound, 0);
+    const std::uint64_t draws = rng.below(step % 2 == 0 ? bound : 40);
+    for (std::uint64_t i = 0; i < draws; ++i) {
+      const auto slot = static_cast<std::uint32_t>(rng.below(bound));
+      if (informed[slot] != 0) continue;
+      cand[slot] = 1;
+      scratch.mark_candidate_slot(slot);
+    }
+
+    // Deaths: any slot, candidate or informed (the driver un-informs).
+    scratch.clear_deaths();
+    if (step % 8 == 7) {
+      bound += 4096 + 65 + static_cast<std::uint32_t>(rng.below(64));
+      informed.resize(bound, 0);
+      cand.resize(bound, 0);
+      scratch.note_death(NodeId{bound - 1, 0});
+    }
+    std::vector<char> dead(bound, 0);
+    if (step % 8 == 7) dead[bound - 1] = 1;
+    const std::uint64_t deaths = rng.below(bound / 16);
+    for (std::uint64_t i = 0; i < deaths; ++i) {
+      const auto slot = static_cast<std::uint32_t>(rng.below(bound));
+      dead[slot] = 1;
+      scratch.note_death(NodeId{slot, 0});
+      scratch.unmark_informed(NodeId{slot, 0});
+      if (informed[slot] != 0) {
+        informed[slot] = 0;
+        --informed_count;
+      }
+    }
+
+    std::vector<std::uint32_t> expected;
+    std::uint64_t distinct = 0;
+    for (std::uint32_t slot = 0; slot < bound; ++slot) {
+      if (cand[slot] == 0) continue;
+      ++distinct;
+      if (dead[slot] != 0) continue;
+      informed[slot] = 1;
+      ++informed_count;
+      expected.push_back(slot);
+    }
+
+    frontier.clear();
+    EXPECT_EQ(scratch.commit_candidates(frontier), distinct)
+        << "step " << step;
+    ASSERT_EQ(frontier, expected) << "step " << step;
+    EXPECT_EQ(scratch.informed_count(), informed_count) << "step " << step;
+    for (std::uint32_t slot = 0; slot < bound; ++slot) {
+      ASSERT_EQ(scratch.is_informed_slot(slot), informed[slot] != 0)
+          << "step " << step << " slot " << slot;
+    }
+    EXPECT_TRUE(scratch.candidates_empty()) << "step " << step;
   }
 }
 

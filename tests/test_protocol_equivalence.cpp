@@ -6,8 +6,7 @@
 // must give the same event sequence (per-step informed and alive counts),
 // the same terminal state and informed set, and the same ProtocolStats,
 // on all four paper scenarios (streaming Def. 3.3 and discretized Def. 4.3
-// semantics) and on the churn-free baselines (BFS semantics), at every
-// intra_threads value.
+// semantics) and on the churn-free baselines (BFS semantics).
 //
 // The gossip samplers get the same treatment against reference copies
 // kept below: PUSH, PULL and PUSH-PULL as they were when every caller's
@@ -41,10 +40,9 @@ struct EquivalenceParam {
   std::uint64_t max_steps;  // 0 = no cap (FloodOptions' default)
 };
 
-using GridParam = std::tuple<EquivalenceParam, std::uint32_t>;
-
-std::string param_name(const ::testing::TestParamInfo<GridParam>& info) {
-  const auto& [param, intra] = info.param;
+std::string param_name(
+    const ::testing::TestParamInfo<EquivalenceParam>& info) {
+  const EquivalenceParam& param = info.param;
   std::string scenario = param.scenario;
   for (char& c : scenario) {
     if (c == '-') c = '_';
@@ -52,31 +50,29 @@ std::string param_name(const ::testing::TestParamInfo<GridParam>& info) {
   return scenario + "_n" + std::to_string(param.n) + "_d" +
          std::to_string(param.d) + "_s" + std::to_string(param.seed) +
          (param.sources > 1 ? "_src" + std::to_string(param.sources) : "") +
-         (param.max_steps == 0 ? "_nocap" : "") + "_intra" +
-         std::to_string(intra);
+         (param.max_steps == 0 ? "_nocap" : "");
 }
 
-class ProtocolFloodEquivalence : public ::testing::TestWithParam<GridParam> {
+class ProtocolFloodEquivalence
+    : public ::testing::TestWithParam<EquivalenceParam> {
  protected:
   ScenarioParams scenario_params() const {
-    const auto& [param, intra] = GetParam();
+    const EquivalenceParam& param = GetParam();
     ScenarioParams params;
     params.n = param.n;
     params.d = param.d;
     params.seed = param.seed;
-    params.intra_threads = intra;
     return params;
   }
 };
 
 TEST_P(ProtocolFloodEquivalence, SlotPathMatchesPairPathBitForBit) {
-  const auto& [param, intra] = GetParam();
+  const EquivalenceParam& param = GetParam();
   const Scenario scenario = ScenarioRegistry::paper().resolve(param.scenario);
   const ScenarioParams params = scenario_params();
 
   ProtocolOptions options;
   if (param.max_steps != 0) options.flood.max_steps = param.max_steps;
-  options.flood.intra_threads = intra;
   options.sources = param.sources;
   options.seed = 77;
 
@@ -154,13 +150,12 @@ TEST_P(ProtocolFloodEquivalence, SlotPathMatchesPairPathBitForBit) {
 TEST_P(ProtocolFloodEquivalence, ScratchAndProtocolReuseStaysIdentical) {
   // One (protocol, scratch) pair across replications must behave exactly
   // like fresh objects: the epoch-stamped reset is complete.
-  const auto& [param, intra] = GetParam();
+  const EquivalenceParam& param = GetParam();
   const Scenario scenario = ScenarioRegistry::paper().resolve(param.scenario);
   const ScenarioParams params = scenario_params();
 
   ProtocolOptions options;
   options.flood.max_steps = 40;
-  options.flood.intra_threads = intra;
   options.sources = param.sources;
 
   FloodProtocol reused_protocol;
@@ -186,27 +181,25 @@ TEST_P(ProtocolFloodEquivalence, ScratchAndProtocolReuseStaysIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ProtocolFloodEquivalence,
-    ::testing::Combine(
-        ::testing::Values(
-            // The four paper scenarios: streaming + discretized semantics.
-            EquivalenceParam{"SDG", 60, 2, 1, 1, 80},
-            EquivalenceParam{"SDG", 250, 4, 2, 1, 80},
-            EquivalenceParam{"SDGR", 120, 3, 3, 1, 80},
-            EquivalenceParam{"SDGR", 500, 8, 4, 1, 80},
-            EquivalenceParam{"PDG", 60, 2, 5, 1, 80},
-            EquivalenceParam{"PDG", 250, 6, 6, 1, 80},
-            EquivalenceParam{"PDGR", 120, 4, 7, 1, 80},
-            EquivalenceParam{"PDGR", 500, 8, 8, 1, 80},
-            // Churn-free BFS semantics (uniform source via the network RNG).
-            EquivalenceParam{"static-dout", 300, 4, 9, 1, 80},
-            EquivalenceParam{"erdos-renyi", 300, 6, 10, 1, 80},
-            // Extra sources drawn from the protocol RNG.
-            EquivalenceParam{"PDGR", 300, 6, 11, 3, 80},
-            // A warmed SDG run to completion: thousands of steps waiting
-            // for the isolated nodes to die, frontiers large enough to
-            // shard at intra 4.
-            EquivalenceParam{"SDG", 20000, 8, 12, 1, 0}),
-        ::testing::Values(1u, 4u)),
+    ::testing::Values(
+        // The four paper scenarios: streaming + discretized semantics.
+        EquivalenceParam{"SDG", 60, 2, 1, 1, 80},
+        EquivalenceParam{"SDG", 250, 4, 2, 1, 80},
+        EquivalenceParam{"SDGR", 120, 3, 3, 1, 80},
+        EquivalenceParam{"SDGR", 500, 8, 4, 1, 80},
+        EquivalenceParam{"PDG", 60, 2, 5, 1, 80},
+        EquivalenceParam{"PDG", 250, 6, 6, 1, 80},
+        EquivalenceParam{"PDGR", 120, 4, 7, 1, 80},
+        EquivalenceParam{"PDGR", 500, 8, 8, 1, 80},
+        // Churn-free BFS semantics (uniform source via the network RNG).
+        EquivalenceParam{"static-dout", 300, 4, 9, 1, 80},
+        EquivalenceParam{"erdos-renyi", 300, 6, 10, 1, 80},
+        // Extra sources drawn from the protocol RNG.
+        EquivalenceParam{"PDGR", 300, 6, 11, 3, 80},
+        // A warmed SDG run to completion with no step cap: thousands of
+        // steps waiting for the isolated nodes to die, frontiers of
+        // thousands of nodes, and a bulk-wired genesis of one radix block.
+        EquivalenceParam{"SDG", 20000, 8, 12, 1, 0}),
     param_name);
 
 TEST(ProtocolEquivalence, UnboundedTtlIsBitIdenticalToFlood) {

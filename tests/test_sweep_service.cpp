@@ -2,7 +2,8 @@
 // the byte-identity contract of the campaign service. Service output must
 // equal a pool-free serial fold of SweepPlan::run_job at any thread count
 // and across SIGKILL/resume cycles; journals must refuse damage anywhere
-// but the torn tail and refuse plans they were not written for.
+// but the torn tail and refuse plans they were not written for, but not a
+// plan that differs only in a key accepted with no effect.
 #include "engine/sweep_service.hpp"
 
 #include <gtest/gtest.h>
@@ -250,6 +251,32 @@ TEST(SweepService, ResumeRefusesDifferentPlanFingerprint) {
   resume.resume = true;
   EXPECT_THROW((void)SweepService(other, resume).run(),
                std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SweepService, ResumeAcceptsNoOpKnobs) {
+  // intra_threads and incremental_observers change no output byte, so the
+  // fingerprint leaves them out: a resume that toggles both picks up the
+  // journal a default spec wrote.
+  const SweepSpec spec = small_spec();
+  const std::filesystem::path dir = make_temp_dir("noop_knobs");
+
+  SweepServiceOptions options;
+  options.checkpoint_dir = dir.string();
+  const SweepResult full = SweepService(spec, options).run();
+
+  SweepSpec toggled = small_spec();
+  toggled.intra_threads = 4;
+  toggled.incremental_observers = true;
+  SweepServiceOptions resume = options;
+  resume.resume = true;
+  SweepServiceReport report;
+  const SweepResult resumed = SweepService(toggled, resume)
+                                  .run(ScenarioRegistry::extended(), &report);
+
+  EXPECT_EQ(report.jobs_resumed, 8u);
+  EXPECT_EQ(report.jobs_run, 0u);
+  EXPECT_EQ(csv_of(full), csv_of(resumed));
   std::filesystem::remove_all(dir);
 }
 

@@ -7,6 +7,8 @@
                  --args "<shared args>" --variant="<args>" --variant=...
     check_pin.py fnv <name> --sweep <churnet_sweep> --out <dir>
                  --args "<args>" --expect <16 hex digits>
+    check_pin.py resume <name> --sweep <churnet_sweep> --out <dir>
+                 --args "<args>" --kill-after K [--resume-args "<args>"]
     check_pin.py bench --suite <bench_perf_suite> --golden <golden.json>
                  --out <BENCH_core.json>
     check_pin.py perf-gate --golden <golden.json> --out <dir>
@@ -25,6 +27,12 @@ fnv: runs churnet_sweep once on --args and compares the CSV's FNV-1a with
 --expect, a value recorded from a known-good build. fnv1a comes from
 campaignbench/run.py, as for campaign.
 
+resume: runs churnet_sweep on --args three times. First uninterrupted,
+with --csv and --json. Then with --checkpoint <dir>/<name>_checkpoint (made
+afresh) and --kill-after K: the run must die by SIGKILL and leave a
+non-empty journal.ndjson. Then with --resume and --resume-args: its CSV and
+JSON must be byte-identical to the uninterrupted run's.
+
 bench: runs bench_perf_suite --quick --out <out>, then diff_bench_golden.py
 <golden> <out>. The deterministic fields must match exactly; perf rates are
 compared warn-only, since ctest runs tests side by side.
@@ -40,6 +48,8 @@ import argparse
 import copy
 import json
 import shlex
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +60,15 @@ ROOT = Path(__file__).resolve().parent.parent
 def run_sweep(sweep, args, csv):
     subprocess.run([sweep, *args, "--csv", str(csv), "--quiet"], check=True)
     return csv.read_bytes()
+
+
+def run_outputs(sweep, args, stem):
+    """Runs churnet_sweep with --csv <stem>.csv and --json <stem>.json;
+    returns the two files' bytes."""
+    csv, summary = Path(f"{stem}.csv"), Path(f"{stem}.json")
+    subprocess.run([sweep, *args, "--csv", str(csv), "--json", str(summary),
+                    "--quiet"], check=True)
+    return csv.read_bytes(), summary.read_bytes()
 
 
 def run_workload(sweep, workload, threads, csv):
@@ -126,6 +145,42 @@ def check_fnv(args):
     return 0
 
 
+def check_resume(args):
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    shared = shlex.split(args.args)
+    whole = run_outputs(args.sweep, shared, out / args.name)
+
+    checkpoint = out / f"{args.name}_checkpoint"
+    shutil.rmtree(checkpoint, ignore_errors=True)
+    killed = subprocess.run(
+        [args.sweep, *shared, "--checkpoint", str(checkpoint), "--kill-after",
+         str(args.kill_after), "--quiet"], check=False)
+    if killed.returncode != -signal.SIGKILL:
+        print(f"{args.name}: --kill-after {args.kill_after} exited "
+              f"{killed.returncode}, not by SIGKILL", file=sys.stderr)
+        return 1
+    journal = checkpoint / "journal.ndjson"
+    if not journal.is_file() or journal.stat().st_size == 0:
+        print(f"{args.name}: the killed run left no journal at {journal}",
+              file=sys.stderr)
+        return 1
+
+    resumed = run_outputs(
+        args.sweep,
+        shared + ["--checkpoint", str(checkpoint), "--resume",
+                  *shlex.split(args.resume_args)],
+        out / f"{args.name}_resumed")
+    for what, want, got in zip(("CSV", "JSON"), whole, resumed):
+        if got != want:
+            print(f"{args.name}: resumed {what} differs from the "
+                  f"uninterrupted run's", file=sys.stderr)
+            return 1
+    print(f"{args.name}: killed after {args.kill_after} jobs, resumed CSV "
+          f"and JSON byte-identical")
+    return 0
+
+
 def check_bench(args):
     subprocess.run([args.suite, "--quick", "--out", args.out], check=True)
     return subprocess.run([sys.executable,
@@ -196,6 +251,13 @@ def main():
     fnv.add_argument("--out", required=True)
     fnv.add_argument("--args", required=True)
     fnv.add_argument("--expect", required=True)
+    resume = kinds.add_parser("resume")
+    resume.add_argument("name")
+    resume.add_argument("--sweep", required=True)
+    resume.add_argument("--out", required=True)
+    resume.add_argument("--args", required=True)
+    resume.add_argument("--kill-after", type=int, required=True)
+    resume.add_argument("--resume-args", default="")
     bench = kinds.add_parser("bench")
     bench.add_argument("--suite", required=True)
     bench.add_argument("--golden", required=True)
@@ -205,7 +267,7 @@ def main():
     perf_gate.add_argument("--out", required=True)
     args = parser.parse_args()
     checks = {"campaign": check_campaign, "same": check_same,
-              "fnv": check_fnv, "bench": check_bench,
+              "fnv": check_fnv, "resume": check_resume, "bench": check_bench,
               "perf-gate": check_perf_gate}
     try:
         return checks[args.kind](args)

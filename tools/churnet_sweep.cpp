@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   cli.add_int("max-in-degree", 0, "bounded-degree cap (0 = unbounded)");
   cli.add_int("threads", 1, "worker threads (0 = all cores)");
   cli.add_int("intra-threads", 0,
-              "intra-trial worker threads per job (0 = config/default); "
-              "output is byte-identical at every value");
+              "accepted with no effect: each trial runs on one thread, and "
+              "the flag and its spec key stay so that older specs still run");
   cli.add_string("csv", "", "write long-format CSV here ('-' = stdout)");
   cli.add_string("json", "", "write JSON summary here ('-' = stdout)");
   cli.add_string("telemetry", "",
