@@ -28,7 +28,15 @@ BenchScale scale_from_cli(const Cli& cli) {
     scale.size_factor = 4.0;
     scale.rep_factor = 4.0;
   }
-  scale.rep_factor *= cli.get_double("reps-factor");
+  const double reps_factor = cli.get_double("reps-factor");
+  if (!std::isfinite(reps_factor) || reps_factor <= 0.0) {
+    std::fprintf(stderr,
+                 "option '--reps-factor' must be a finite number > 0, got "
+                 "%g\n",
+                 reps_factor);
+    std::exit(2);
+  }
+  scale.rep_factor *= reps_factor;
   return scale;
 }
 
@@ -57,6 +65,15 @@ std::uint32_t checked_node_count(std::uint64_t n, std::uint64_t d) {
 std::uint64_t scaled(std::uint64_t base, double factor,
                      std::uint64_t minimum) {
   const double value = static_cast<double>(base) * factor;
+  // Negated so that NaN fails too; llround is unspecified past int64.
+  if (!(value >= 0.0 && value <= static_cast<double>(kMaxBenchCount))) {
+    std::fprintf(stderr,
+                 "scaled count %llu x %g = %g must be in [0, %lld] (check "
+                 "--reps-factor)\n",
+                 static_cast<unsigned long long>(base), factor, value,
+                 static_cast<long long>(kMaxBenchCount));
+    std::exit(2);
+  }
   return std::max<std::uint64_t>(minimum,
                                  static_cast<std::uint64_t>(std::llround(value)));
 }

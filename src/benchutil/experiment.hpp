@@ -23,7 +23,8 @@ struct BenchScale {
 void add_standard_options(Cli& cli);
 
 /// Reads the standard options; --quick halves sizes and reps, --full
-/// quadruples them.
+/// quadruples them. A --reps-factor that is not finite or not > 0 prints
+/// the rule and exits 2.
 BenchScale scale_from_cli(const Cli& cli);
 
 /// Base seed from --seed.
@@ -44,7 +45,9 @@ inline constexpr std::int64_t kMaxBenchCount = std::int64_t{1} << 53;
 /// exits 2, as Cli::get_int_in does.
 std::uint32_t checked_node_count(std::uint64_t n, std::uint64_t d);
 
-/// Scales a default count by a factor with a floor of `minimum`.
+/// Scales a default count by a factor with a floor of `minimum`. A
+/// product that is negative, NaN or past kMaxBenchCount prints the bound
+/// and exits 2.
 std::uint64_t scaled(std::uint64_t base, double factor,
                      std::uint64_t minimum = 1);
 

@@ -140,7 +140,8 @@ ChurnSpec Scenario::effective_churn(const ScenarioParams& params) const {
   return *spec;
 }
 
-AnyNetwork Scenario::make(const ScenarioParams& params) const {
+AnyNetwork Scenario::make(const ScenarioParams& params,
+                          DynamicGraph recycled) const {
   switch (model_) {
     case ModelKind::kStreaming: {
       StreamingConfig config;
@@ -150,14 +151,15 @@ AnyNetwork Scenario::make(const ScenarioParams& params) const {
       config.seed = params.seed;
       config.max_in_degree = params.max_in_degree;
       config.churn = effective_churn(params);  // stream or adversarial
-      return AnyNetwork(StreamingNetwork(config));
+      return AnyNetwork(StreamingNetwork(config, std::move(recycled)));
     }
     case ModelKind::kPoisson: {
       PoissonConfig config =
           PoissonConfig::with_n(params.n, params.d, policy_, params.seed);
       config.max_in_degree = params.max_in_degree;
       config.churn = effective_churn(params);
-      return AnyNetwork(PoissonNetwork(std::move(config)));
+      return AnyNetwork(
+          PoissonNetwork(std::move(config), std::move(recycled)));
     }
     case ModelKind::kStaticDOut: {
       if (!params.churn.empty()) {
@@ -169,7 +171,7 @@ AnyNetwork Scenario::make(const ScenarioParams& params) const {
       config.d = params.d;
       config.topology = StaticConfig::Topology::kDOut;
       config.seed = params.seed;
-      return AnyNetwork(StaticNetwork(config));
+      return AnyNetwork(StaticNetwork(config, std::move(recycled)));
     }
     case ModelKind::kErdosRenyi: {
       if (!params.churn.empty()) {
@@ -181,16 +183,17 @@ AnyNetwork Scenario::make(const ScenarioParams& params) const {
       config.d = params.d;  // p defaults to 2d/n inside StaticNetwork
       config.topology = StaticConfig::Topology::kErdosRenyi;
       config.seed = params.seed;
-      return AnyNetwork(StaticNetwork(config));
+      return AnyNetwork(StaticNetwork(config, std::move(recycled)));
     }
   }
   CHURNET_ASSERT(false);
   return AnyNetwork();
 }
 
-AnyNetwork Scenario::make_warmed(const ScenarioParams& params) const {
+AnyNetwork Scenario::make_warmed(const ScenarioParams& params,
+                                 DynamicGraph recycled) const {
   const telemetry::PhaseTimer span(telemetry::Phase::kGenesis);
-  AnyNetwork net = make(params);
+  AnyNetwork net = make(params, std::move(recycled));
   net.warm_up();
   return net;
 }

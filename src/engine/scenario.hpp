@@ -97,12 +97,20 @@ class Scenario {
   /// a "+spec" suffix when the spec is not the default flood).
   Scenario with_protocol(const ProtocolSpec& protocol) const;
 
-  /// Builds a fresh, seeded, NOT-warmed-up network.
-  AnyNetwork make(const ScenarioParams& params) const;
+  /// Builds a seeded, NOT-warmed-up network, on `recycled`'s storage when
+  /// one is passed (typically the graph an earlier job handed back
+  /// through AnyNetwork::release_graph). The graph is cleared first, so
+  /// the network equals a fresh one bit for bit; once the graph's arrays
+  /// have grown to a cell's size, a build reuses them instead of
+  /// allocating.
+  AnyNetwork make(const ScenarioParams& params,
+                  DynamicGraph recycled = {}) const;
 
   /// Builds and warms up (streaming: 2n rounds; Poisson-family: 10
-  /// expected lifetimes; baselines: born stationary).
-  AnyNetwork make_warmed(const ScenarioParams& params) const;
+  /// expected lifetimes; baselines: born stationary), on `recycled`'s
+  /// storage as make() does.
+  AnyNetwork make_warmed(const ScenarioParams& params,
+                         DynamicGraph recycled = {}) const;
 
  private:
   /// The spec this build uses: params.churn (parsed; aborts on errors) or

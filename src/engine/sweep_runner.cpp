@@ -23,29 +23,57 @@
 namespace churnet {
 namespace {
 
+/// What a metric reads.
+enum class MetricSource : std::uint8_t {
+  kAlive,       // the live graph's alive count
+  kDegrees,     // the live graph's degrees (degree_stats)
+  kComponents,  // a snapshot's connected components
+  kFlood,       // one run of the cell's protocol
+};
+
 struct MetricInfo {
   const char* name;
   SweepMetric id;
-  bool needs_snapshot;
-  bool needs_flood;
+  MetricSource source;
 };
 
 constexpr MetricInfo kCatalog[] = {
-    {"alive", SweepMetric::kAlive, false, false},
-    {"mean_degree", SweepMetric::kMeanDegree, true, false},
-    {"max_degree", SweepMetric::kMaxDegree, true, false},
-    {"isolated", SweepMetric::kIsolated, true, false},
-    {"largest_component_frac", SweepMetric::kLargestComponentFrac, true,
-     false},
-    {"completion_step", SweepMetric::kCompletionStep, false, true},
-    {"final_fraction", SweepMetric::kFinalFraction, false, true},
-    {"peak_informed", SweepMetric::kPeakInformed, false, true},
-    {"flood_steps", SweepMetric::kFloodSteps, false, true},
-    {"messages", SweepMetric::kMessages, false, true},
-    {"useful_deliveries", SweepMetric::kUsefulDeliveries, false, true},
-    {"duplicate_deliveries", SweepMetric::kDuplicateDeliveries, false, true},
-    {"lost_messages", SweepMetric::kLostMessages, false, true},
+    {"alive", SweepMetric::kAlive, MetricSource::kAlive},
+    {"mean_degree", SweepMetric::kMeanDegree, MetricSource::kDegrees},
+    {"max_degree", SweepMetric::kMaxDegree, MetricSource::kDegrees},
+    {"isolated", SweepMetric::kIsolated, MetricSource::kDegrees},
+    {"largest_component_frac", SweepMetric::kLargestComponentFrac,
+     MetricSource::kComponents},
+    {"completion_step", SweepMetric::kCompletionStep, MetricSource::kFlood},
+    {"final_fraction", SweepMetric::kFinalFraction, MetricSource::kFlood},
+    {"peak_informed", SweepMetric::kPeakInformed, MetricSource::kFlood},
+    {"flood_steps", SweepMetric::kFloodSteps, MetricSource::kFlood},
+    {"messages", SweepMetric::kMessages, MetricSource::kFlood},
+    {"useful_deliveries", SweepMetric::kUsefulDeliveries,
+     MetricSource::kFlood},
+    {"duplicate_deliveries", SweepMetric::kDuplicateDeliveries,
+     MetricSource::kFlood},
+    {"lost_messages", SweepMetric::kLostMessages, MetricSource::kFlood},
 };
+
+/// What a worker thread keeps across the jobs it runs: the graph its
+/// last job handed back, whose arrays stay sized for the largest cell the
+/// worker has run, and the observer set and protocol instance with the
+/// protocol's scratch. Destroyed, and the graph's pages unmapped, when the
+/// thread exits.
+struct WorkerState {
+  DynamicGraph graph;
+  ObserverSet observers;
+  std::string observers_key;
+  ProtocolScratch scratch;
+  std::unique_ptr<DisseminationProtocol> protocol;
+  std::string protocol_key;
+};
+
+WorkerState& worker_state() {
+  thread_local WorkerState state;
+  return state;
+}
 
 const MetricInfo* find_metric(std::string_view name) {
   for (const MetricInfo& info : kCatalog) {
@@ -525,8 +553,9 @@ SweepPlan::SweepPlan(SweepSpec spec, const ScenarioRegistry& registry)
     const MetricInfo* info = find_metric(name);
     CHURNET_ASSERT(info != nullptr);  // validate() already checked
     metric_ids_.push_back(info->id);
-    needs_snapshot_ |= info->needs_snapshot;
-    needs_flood_ |= info->needs_flood;
+    needs_degrees_ |= info->source == MetricSource::kDegrees;
+    needs_components_ |= info->source == MetricSource::kComponents;
+    needs_flood_ |= info->source == MetricSource::kFlood;
   }
 
   // The attached observer set: parsed once here; instantiated per worker
@@ -584,6 +613,10 @@ SweepPlan::SweepPlan(SweepSpec spec, const ScenarioRegistry& registry)
   fingerprint_ = h;
 }
 
+std::size_t SweepPlan::worker_arena_bytes() {
+  return worker_state().graph.arena_bytes();
+}
+
 std::uint64_t SweepPlan::job_seed(std::uint64_t job) const {
   return derive_seed(spec_.base_seed, job_cell(job), job_replication(job));
 }
@@ -607,7 +640,12 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   params.d = cell.d;
   params.seed = derive_seed(spec_.base_seed, cell_index, replication);
   params.max_in_degree = spec_.max_in_degree;
-  AnyNetwork net = scenarios_[cell.scenario].make_warmed(params);
+  // The worker's graph comes back from its previous job with its arrays
+  // still sized, and make_warmed clears it, so on a warm worker the build
+  // reuses them and the job's value is unchanged.
+  WorkerState& worker = worker_state();
+  AnyNetwork net = scenarios_[cell.scenario].make_warmed(
+      params, std::move(worker.graph));
 
   // Observer instances live per worker like protocol instances;
   // begin_trial resets them under a stream (params.seed, 2, ·)
@@ -617,32 +655,29 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
   // is part of the cell's definition, identical at every thread
   // count — so observe_window runs before `alive` is read. The set's
   // one shared snapshot (built only when some observer wants one)
-  // doubles as the engine metrics' snapshot; a local capture covers
+  // doubles as the component metric's snapshot; a local capture covers
   // the sets without a snapshot observer. Capture itself is RNG-free,
   // so sharing it changes no measured value.
-  thread_local ObserverSet observers;
-  thread_local std::string observers_key;
+  ObserverSet& observers = worker.observers;
   const Snapshot* snap = nullptr;
   if (has_observers) {
-    if (observers.empty() || observers_key != observer_key_) {
+    if (observers.empty() || worker.observers_key != observer_key_) {
       observers = make_observer_set(observer_spec_);
-      observers_key = observer_key_;
+      worker.observers_key = observer_key_;
     }
     snap = observe_window(net, observers, derive_seed(params.seed, 2, 0));
   }
 
+  // The degree metrics read the live graph: degree_stats is exact in any
+  // visiting order, so only the component metric needs a snapshot.
   const double alive =
       static_cast<double>(net.graph().alive_count());
   DegreeStats degrees;
+  if (needs_degrees_) degrees = degree_stats(net.graph());
   Components components;
-  Snapshot local;
-  if (needs_snapshot_ && snap == nullptr) {
-    local = net.snapshot();
-    snap = &local;
-  }
-  if (needs_snapshot_) {
-    degrees = degree_stats(*snap);
-    components = connected_components(*snap);
+  if (needs_components_) {
+    components = snap != nullptr ? connected_components(*snap)
+                                 : connected_components(net.snapshot());
   }
   FloodTrace trace;
   ProtocolStats proto_stats;
@@ -654,23 +689,22 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
     // Protocol instances are reusable across runs (begin_run resets
     // everything), so each worker keeps one per canonical spec —
     // jobs are cell-contiguous, making rebuilds rare.
-    thread_local ProtocolScratch scratch;
-    thread_local std::unique_ptr<DisseminationProtocol> protocol;
-    thread_local std::string protocol_key;
     const std::string& key = keys_[cell_index].protocol;
-    if (protocol == nullptr || protocol_key != key) {
-      protocol = make_protocol(cell.protocol);
-      protocol_key = key;
+    if (worker.protocol == nullptr || worker.protocol_key != key) {
+      worker.protocol = make_protocol(cell.protocol);
+      worker.protocol_key = key;
     }
     const ProtocolOptions options = protocol_options(
         cell.protocol, derive_seed(params.seed, 1, 0));
-    ProtocolResult run = net.disseminate(*protocol, options, scratch);
+    ProtocolResult run =
+        net.disseminate(*worker.protocol, options, worker.scratch);
     if (has_observers) {
       observers.on_dissemination(run.trace, &run.stats);
     }
     trace = std::move(run.trace);
     proto_stats = run.stats;
   }
+  worker.graph = net.release_graph();
 
   std::vector<double> values;
   values.reserve(metric_ids_.size());

@@ -58,10 +58,10 @@ class JsonValue;
 /// semantics — flood cells are plain flooding (flood_dynamic) bit for bit.
 enum class SweepMetric : std::uint8_t {
   kAlive,                 // |N| after warm-up
-  kMeanDegree,            // snapshot mean degree
-  kMaxDegree,             // snapshot max degree
-  kIsolated,              // snapshot isolated-node count
-  kLargestComponentFrac,  // largest component / alive
+  kMeanDegree,            // mean degree (read from the live graph)
+  kMaxDegree,             // max degree (live graph)
+  kIsolated,              // isolated-node count (live graph)
+  kLargestComponentFrac,  // largest component / alive (snapshot)
   kCompletionStep,        // completion step (NaN if not completed)
   kFinalFraction,         // informed/alive when the run stopped
   kPeakInformed,          // max |I_t| over the run
@@ -203,8 +203,15 @@ class SweepPlan {
 
   /// Runs one job (build, warm, observe, disseminate, measure) and returns
   /// its sample row, one value per metric_names() entry. Emits a job event
-  /// to the installed telemetry sink, if any. Thread-safe.
+  /// to the installed telemetry sink, if any. Thread-safe. Each calling
+  /// thread keeps one graph across its jobs (the `recycled` argument of
+  /// Scenario::make_warmed), so a job on a warm worker reuses the graph
+  /// arrays earlier jobs grew instead of allocating its own.
   std::vector<double> run_job(std::uint64_t job) const;
+
+  /// DynamicGraph::arena_bytes of the graph the calling thread keeps
+  /// between run_job calls (0 before its first job).
+  static std::size_t worker_arena_bytes();
 
   /// Folds flat job-order samples (samples[job], NaN-padded for metrics
   /// a replication did not observe) into a SweepResult. The fold reads
@@ -226,7 +233,8 @@ class SweepPlan {
   std::vector<Cell> cells_;
   std::vector<SweepCellKey> keys_;
   std::vector<SweepMetric> metric_ids_;
-  bool needs_snapshot_ = false;
+  bool needs_degrees_ = false;
+  bool needs_components_ = false;
   bool needs_flood_ = false;
   ObserverSpec observer_spec_;
   std::string observer_key_;

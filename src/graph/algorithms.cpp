@@ -1,6 +1,7 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assertx.hpp"
 
@@ -85,6 +86,25 @@ DegreeStats degree_stats(const Snapshot& snapshot) {
     if (d == 0) ++stats.isolated;
   }
   stats.mean = sum / static_cast<double>(n);
+  return stats;
+}
+
+DegreeStats degree_stats(const DynamicGraph& graph) {
+  DegreeStats stats;
+  const std::uint32_t n = graph.alive_count();
+  if (n == 0) return stats;
+  stats.min = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t sum = 0;
+  for (std::uint32_t slot = 0; slot < graph.slot_upper_bound(); ++slot) {
+    if (!graph.slot_alive(slot)) continue;
+    const std::uint32_t d = graph.degree(graph.alive_id_at(slot));
+    sum += d;
+    stats.min = std::min(stats.min, d);
+    stats.max = std::max(stats.max, d);
+    if (d == 0) ++stats.isolated;
+  }
+  CHURNET_ASSERT(sum == 2 * graph.edge_count());
+  stats.mean = static_cast<double>(sum) / static_cast<double>(n);
   return stats;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/dynamic_graph.hpp"
 #include "graph/snapshot.hpp"
 
 namespace churnet {
@@ -34,5 +35,13 @@ struct DegreeStats {
   std::uint32_t isolated = 0;  // degree-0 node count
 };
 DegreeStats degree_stats(const Snapshot& snapshot);
+
+/// The same summary read from the live graph's alive nodes, without a
+/// snapshot or an allocation. Equal to degree_stats(Snapshot::capture(
+/// graph, t)) bit for bit: min, max and the isolated count do not depend
+/// on the visiting order, and the mean divides the integer degree sum
+/// (2|E| in any order), which the snapshot's double sum also holds
+/// exactly below 2^53.
+DegreeStats degree_stats(const DynamicGraph& graph);
 
 }  // namespace churnet

@@ -2,15 +2,21 @@
 // few streaming passes instead of n·d random-access set_out_edge calls.
 //
 // During the growth phase of a streaming warm-up every round is a birth, so
-// the model layer can record all n·d wiring draws (owner slot r-1 targeting
-// a uniform slot < r-1) and hand the flat list here. Random insertion order
-// is what makes sequential wiring slow at n=10M — every edge touches a
-// random target's slot record and in-list, a guaranteed cache miss per
-// edge. This path radix-buckets the edge list by target block (2^15 slots,
-// so one block's records and in-lists stay cache-resident), then applies
-// each block's edges in ascending edge order.
+// the model layer can run all n births first (the round schedule draws no
+// wiring randomness) and then let this path draw the n·d requests in round
+// order (owner slot r-1 targeting a uniform slot < r-1), each straight into
+// its out-slot's peer word. Random insertion order is what makes
+// sequential wiring slow at n=10M — every edge touches a random target's
+// slot record and in-list, a guaranteed cache miss per edge. This path
+// radix-buckets the drawn edges by target block (2^15 slots, so one
+// block's records and in-lists stay cache-resident), then applies each
+// block's edges in ascending edge order. No separate draw list is held:
+// the out-pool itself carries the targets until their in-lists are built.
 //
 // Equivalence with the sequential path is by construction:
+//   * RNG stream: the draws are rng.below(r-1) in round order, d per
+//     round, none in round 1 — exactly what random_alive_other consumes
+//     when slot r-1 is the newest of r alive nodes.
 //   * per-target in-list contents: edges arrive in ascending e order inside
 //     a block (the scatter is stable), which is the global chronological
 //     order restricted to that target — exactly the sequential insert
@@ -20,8 +26,8 @@
 //     doubling; where the chunk *lives* differs (block-contiguous carve vs
 //     upgrade-and-recycle), but no observable API exposes placement.
 //   * out runs: a freshly grown graph allocates out runs sequentially, so
-//     slot s's run base is s·out_slots (asserted); entries are written with
-//     the same {peer, in_pos} values set_out_edge would store.
+//     slot s's run base is s·out_slots (asserted); entries end with the
+//     same {peer, in_pos} values set_out_edge would store.
 #include <algorithm>
 
 #include "graph/dynamic_graph.hpp"
@@ -36,18 +42,29 @@ constexpr std::uint32_t kBlockBits = 15;
 
 }  // namespace
 
-void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
-                                     std::span<const std::uint32_t> targets) {
-  const std::size_t edges = targets.size();
-  if (edges == 0) return;
-  CHURNET_EXPECTS(out_slots > 0 && edges % out_slots == 0);
-  CHURNET_EXPECTS(edges / out_slots == core_.size());
+void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots, Rng& rng) {
+  const std::uint32_t slot_count = static_cast<std::uint32_t>(core_.size());
+  if (out_slots == 0 || slot_count == 0) return;
+  const std::size_t edges = static_cast<std::size_t>(slot_count) * out_slots;
   CHURNET_EXPECTS(edges <= NodeId::kInvalidSlot);  // edge ids fit u32
+  CHURNET_EXPECTS(alive_slots_.size() == slot_count);
+  CHURNET_EXPECTS(out_pool_.size() == edges);
   // Bulk wiring bypasses the per-edge mutators and emits no deltas; a
   // consumer expecting the feed must use the sequential path instead.
   CHURNET_EXPECTS(feed_ == nullptr && "bulk wiring does not record deltas");
 
-  const std::uint32_t slot_count = static_cast<std::uint32_t>(core_.size());
+  // The draws, in round order: slot s joined a network of s other nodes,
+  // which hold slots 0..s-1.
+  for (std::uint32_t s = 1; s < slot_count; ++s) {
+    CHURNET_ASSERT(alive_slots_[s] == s && core_[s].out_count == out_slots);
+    OutEdge* const run = out_pool_.data() + static_cast<std::size_t>(s) *
+                                                out_slots;
+    for (std::uint32_t t = 0; t < out_slots; ++t) {
+      CHURNET_ASSERT(run[t].peer == NodeId::kInvalidSlot);
+      run[t].peer = static_cast<std::uint32_t>(rng.below(s));
+    }
+  }
+
   const std::size_t block_count =
       (static_cast<std::size_t>(slot_count) + (std::size_t{1} << kBlockBits) -
        1) >>
@@ -56,7 +73,8 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
   // Pass A: per-block histogram of valid edges, prefix-summed so that
   // block b's bucket is [block_begin[b], block_begin[b + 1]).
   std::vector<std::uint64_t> block_begin(block_count + 1, 0);
-  for (const std::uint32_t target : targets) {
+  for (std::size_t e = 0; e < edges; ++e) {
+    const std::uint32_t target = out_pool_[e].peer;
     if (target == NodeId::kInvalidSlot) continue;
     ++block_begin[(target >> kBlockBits) + 1];
   }
@@ -71,7 +89,7 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
                                     block_begin.end() - 1);
   std::vector<std::uint32_t> bucket(total);
   for (std::size_t e = 0; e < edges; ++e) {
-    const std::uint32_t target = targets[e];
+    const std::uint32_t target = out_pool_[e].peer;
     if (target == NodeId::kInvalidSlot) continue;
     bucket[cursor[target >> kBlockBits]++] = static_cast<std::uint32_t>(e);
   }
@@ -86,7 +104,7 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
         slot_count, static_cast<std::uint32_t>((b + 1) << kBlockBits));
     degree.assign(s1 - s0, 0);
     for (std::uint64_t i = block_begin[b]; i < block_begin[b + 1]; ++i) {
-      ++degree[targets[bucket[i]] - s0];
+      ++degree[out_pool_[bucket[i]].peer - s0];
     }
     return std::pair<std::uint32_t, std::uint32_t>{s0, s1};
   };
@@ -107,7 +125,10 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
 
   // Carve one contiguous in-pool region per block. Headroom of one
   // first-sized chunk per slot keeps the post-growth churn rounds carving
-  // within capacity (the steady-state zero-allocation invariant).
+  // within capacity (the steady-state zero-allocation invariant). A slab
+  // that must grow takes 1/64 more, so that a recycled graph's next job of
+  // the same cell, whose in-degrees differ by chance, fits what this one
+  // grew (DynamicGraph::clear keeps the capacity).
   const std::size_t pool_base = in_pool_.size();
   std::vector<std::uint64_t> block_pool_base(block_count, 0);
   std::uint64_t pool_need = 0;
@@ -118,9 +139,8 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
   CHURNET_EXPECTS(pool_base + pool_need <= NodeId::kInvalidSlot);
   const std::size_t headroom =
       static_cast<std::size_t>(slot_count) * first_in_cap_ / 2;
-  if (in_pool_.capacity() < pool_base + pool_need + headroom) {
-    in_pool_.reserve(pool_base + pool_need + headroom);
-  }
+  const std::size_t want = pool_base + pool_need + headroom;
+  if (in_pool_.capacity() < want) in_pool_.reserve(want + want / 64);
   in_pool_.resize(pool_base + pool_need);
 
   // Pass D: per-block apply. Each block's slots take the block's in-pool
@@ -146,7 +166,7 @@ void DynamicGraph::bulk_wire_genesis(std::uint32_t out_slots,
     CHURNET_ASSERT(carve == block_pool_base[b] + block_cap[b]);
     for (std::uint64_t i = block_begin[b]; i < block_begin[b + 1]; ++i) {
       const std::uint32_t e = bucket[i];
-      const std::uint32_t target = targets[e];
+      const std::uint32_t target = out_pool_[e].peer;
       const std::uint32_t owner = e / out_slots;
       const std::uint32_t out_index = e % out_slots;
       CHURNET_ASSERT(owner != target);

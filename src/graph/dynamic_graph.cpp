@@ -28,6 +28,25 @@ void DynamicGraph::reserve(std::uint32_t nodes, std::uint32_t out_slots_hint) {
   in_pool_.reserve(slots * first_in_cap_ + slots * first_in_cap_ / 2);
 }
 
+void DynamicGraph::clear() {
+  core_.clear();
+  birth_seqs_.clear();
+  birth_times_.clear();
+  out_pool_.clear();
+  in_pool_.clear();
+  alive_slots_.clear();
+  free_slots_.clear();
+  // A stride entry with no bases behaves as an absent one (acquire grows
+  // the pool, release appends), so the entries and their capacity stay.
+  for (OutFreeList& list : out_free_) list.bases.clear();
+  for (std::vector<std::uint32_t>& list : in_free_) list.clear();
+  first_in_cap_ = kMinInChunk;
+  next_birth_seq_ = 0;
+  edge_count_ = 0;
+  feed_ = nullptr;
+  degree_index_.reset();
+}
+
 std::size_t DynamicGraph::arena_bytes() const {
   const auto bytes = [](const auto& array) {
     return array.capacity() * sizeof(array[0]);

@@ -36,9 +36,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "graph/change_feed.hpp"
 #include "graph/degree_index.hpp"
@@ -76,6 +76,16 @@ class DynamicGraph {
   /// capacity hint: the graph remains correct (and merely reallocates) for
   /// any workload.
   void reserve(std::uint32_t nodes, std::uint32_t out_slots_hint);
+
+  /// Returns the graph to the empty state of a default-constructed one,
+  /// keeping the capacity of every array: empties the arenas and free
+  /// lists, zeroes the birth and edge counters, forgets reserve()'s chunk
+  /// hint, detaches the change feed and drops the degree index. A model
+  /// built on a cleared graph behaves exactly as on a fresh one (slot,
+  /// run and chunk placement restart from the same empty pools), so a
+  /// worker can recycle one graph across jobs without touching the
+  /// allocator once its arrays have grown.
+  void clear();
 
   /// Creates a node with `out_slots` (initially dangling) out-edge slots.
   /// `birth_time` is the model-level timestamp (round or continuous time).
@@ -421,16 +431,17 @@ class DynamicGraph {
     return NodeId{slot, core_[slot].generation};
   }
 
-  /// Bulk genesis wiring (src/graph/bulk_wiring.cpp): installs the edge
-  /// list of a pure-growth phase — edge e points out-slot (e % out_slots)
-  /// of slot (e / out_slots) at slot targets[e], kInvalidSlot entries
-  /// dangle — producing per-node adjacency *contents* identical to issuing
-  /// the same set_out_edge calls in ascending e order. Requires a freshly
-  /// grown graph: every slot alive at generation 0 with `out_slots`
+  /// Bulk genesis wiring (src/graph/bulk_wiring.cpp) for a pure-growth
+  /// phase in which slot s was born in round s + 1: in slot order, each
+  /// of slot s's `out_slots` requests draws rng.below(s), a uniform
+  /// earlier slot (slot 0's requests dangle and draw nothing), straight
+  /// into its out-slot. The per-node adjacency *contents* and the RNG
+  /// stream are identical to issuing random_alive_other + set_out_edge
+  /// round by round. Requires a freshly grown graph: every slot alive at
+  /// generation 0 in the alive list's position s, with `out_slots`
   /// dangling out-edges and an empty in-list. Radix-buckets edges by
   /// target block so in-list inserts are cache-resident.
-  void bulk_wire_genesis(std::uint32_t out_slots,
-                         std::span<const std::uint32_t> targets);
+  void bulk_wire_genesis(std::uint32_t out_slots, Rng& rng);
 
   /// Attaches a caller-owned change feed: every subsequent mutation records
   /// a GraphDelta (see graph/change_feed.hpp for the delta contract).
@@ -550,11 +561,14 @@ class DynamicGraph {
   void grow_in_chunk(SlotCore& core);                    // cold: upgrade
 
   // ---- arenas ----------------------------------------------------------
-  std::vector<SlotCore> core_;
-  std::vector<std::uint64_t> birth_seqs_;   // cold, parallel to core_
-  std::vector<double> birth_times_;         // cold, parallel to core_
-  std::vector<OutEdge> out_pool_;           // strided out-slot runs
-  std::vector<InEdge> in_pool_;             // capacity-class in-list chunks
+  // The seven per-slot and per-edge arrays are page-backed
+  // (common/page_allocator.hpp): a growth step or the graph's destruction
+  // returns their pages to the OS instead of leaving allocator holes.
+  PageVector<SlotCore> core_;
+  PageVector<std::uint64_t> birth_seqs_;   // cold, parallel to core_
+  PageVector<double> birth_times_;         // cold, parallel to core_
+  PageVector<OutEdge> out_pool_;           // strided out-slot runs
+  PageVector<InEdge> in_pool_;             // capacity-class in-list chunks
 
   // Free runs, recycled without touching the allocator. Out runs are keyed
   // by stride (one entry per distinct out-slot count ever used — in
@@ -567,8 +581,8 @@ class DynamicGraph {
   std::vector<std::uint32_t> in_free_[kInClassCount];
   std::uint32_t first_in_cap_ = kMinInChunk;  // reserve()'s chunk-size hint
 
-  std::vector<std::uint32_t> alive_slots_;
-  std::vector<std::uint32_t> free_slots_;
+  PageVector<std::uint32_t> alive_slots_;
+  PageVector<std::uint32_t> free_slots_;
   std::uint64_t next_birth_seq_ = 0;
   std::uint64_t edge_count_ = 0;
   ChangeFeed* feed_ = nullptr;  // optional delta recording (attach_change_feed)

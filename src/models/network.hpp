@@ -4,9 +4,9 @@
 // churn-free static baselines — exposes the same surface, captured by the
 // DynamicNetwork concept: advance one churn step, run to a model time,
 // warm up to stationarity, observe the alive graph, capture snapshots,
-// attach a change feed, and access the model's RNG. Processes and the
-// experiment engine are written once against this concept instead of per
-// model.
+// attach a change feed, access the model's RNG, and hand the graph back.
+// Processes and the experiment engine are written once against this
+// concept instead of per model.
 //
 // AnyNetwork type-erases the concept for runtime scenario selection (the
 // ScenarioRegistry hands out AnyNetwork instances chosen by name). It also
@@ -32,7 +32,8 @@
 namespace churnet {
 
 /// A dynamic network model: churn steps, run-to-time, warm-up, alive-graph
-/// access, snapshots, a change feed, and a per-model RNG stream.
+/// access, snapshots, a change feed, a per-model RNG stream, and the
+/// hand-back of its graph for a later build to recycle.
 ///
 /// `step()` executes the model's smallest churn unit (a streaming round, a
 /// Poisson event); its return value is model-specific and not part of the
@@ -49,6 +50,7 @@ concept DynamicNetwork = requires(Net& net, const Net& cnet, double time,
   { cnet.graph() } -> std::same_as<const DynamicGraph&>;
   { cnet.now() } -> std::convertible_to<double>;
   { cnet.snapshot() } -> std::same_as<Snapshot>;
+  { net.release_graph() } -> std::same_as<DynamicGraph>;
 };
 
 /// A DynamicNetwork that additionally declares flooding semantics for the
@@ -85,6 +87,15 @@ class AnyNetwork {
   const DynamicGraph& graph() const { return checked().graph(); }
   double now() const { return checked().now(); }
   Snapshot snapshot() const { return checked().snapshot(); }
+
+  /// Ends the wrapped model and hands back its graph, whose storage a
+  /// later build can recycle (the `recycled` argument of Scenario::make
+  /// and make_warmed). Leaves this AnyNetwork empty.
+  DynamicGraph release_graph() {
+    DynamicGraph graph = checked().release_graph();
+    impl_.reset();
+    return graph;
+  }
 
   /// Runs the wrapped model's flooding process: FloodProtocol through
   /// disseminate(). The terminal informed set is scratch.flood's.
@@ -133,6 +144,7 @@ class AnyNetwork {
     virtual const DynamicGraph& graph() const = 0;
     virtual double now() const = 0;
     virtual Snapshot snapshot() const = 0;
+    virtual DynamicGraph release_graph() = 0;
     virtual ProtocolResult disseminate(DisseminationProtocol& protocol,
                                        const ProtocolOptions& options,
                                        ProtocolScratch& scratch) = 0;
@@ -151,6 +163,7 @@ class AnyNetwork {
     const DynamicGraph& graph() const override { return net.graph(); }
     double now() const override { return net.now(); }
     Snapshot snapshot() const override { return net.snapshot(); }
+    DynamicGraph release_graph() override { return net.release_graph(); }
     ProtocolResult disseminate(DisseminationProtocol& protocol,
                                const ProtocolOptions& options,
                                ProtocolScratch& scratch) override {

@@ -1,5 +1,7 @@
 #include "models/poisson_network.hpp"
 
+#include <utility>
+
 #include "models/graph_view.hpp"
 #include "models/wiring.hpp"
 
@@ -17,10 +19,11 @@ PoissonConfig PoissonConfig::with_n(std::uint32_t n, std::uint32_t d,
   return config;
 }
 
-PoissonNetwork::PoissonNetwork(PoissonConfig config)
+PoissonNetwork::PoissonNetwork(PoissonConfig config, DynamicGraph recycled)
     : config_(config),
       churn_(make_churn_process(config.churn, config.lambda, config.mu,
                                 config.seed)),
+      graph_(std::move(recycled)),
       rng_(config.seed + 0x51ED270B9F9B42A5ULL) {
   CHURNET_EXPECTS(config.lambda > 0.0);
   CHURNET_EXPECTS(config.mu > 0.0);
@@ -28,6 +31,7 @@ PoissonNetwork::PoissonNetwork(PoissonConfig config)
   // StreamingNetwork can drive.
   CHURNET_EXPECTS(churn_ != nullptr &&
                   "continuous churn spec required (not 'stream')");
+  graph_.clear();
   graph_.reserve(stationary_reserve_hint(config.lambda, config.mu), config.d);
 }
 

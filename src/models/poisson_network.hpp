@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "churn/churn_process.hpp"
 #include "churn/churn_spec.hpp"
@@ -57,7 +58,10 @@ class PoissonNetwork {
   /// Flooding semantics under the generic driver (paper Def. 4.3).
   using flood_semantics = DiscretizedFloodSemantics;
 
-  explicit PoissonNetwork(PoissonConfig config);
+  /// Builds the network on `recycled`'s storage when one is passed: the
+  /// graph is cleared first (DynamicGraph::clear), so the network equals
+  /// one built fresh.
+  explicit PoissonNetwork(PoissonConfig config, DynamicGraph recycled = {});
 
   /// One churn event (paper Definition 4.5: one "round" T_r).
   struct EventReport {
@@ -86,6 +90,9 @@ class PoissonNetwork {
   Snapshot snapshot() const { return Snapshot::capture(graph_, now()); }
 
   const DynamicGraph& graph() const { return graph_; }
+  /// Moves the graph out for reuse by a later build; the network is left
+  /// without a graph and must not be stepped again.
+  DynamicGraph release_graph() { return std::move(graph_); }
   /// Current clock: time of the last executed event, or the `run_until`
   /// barrier if that is later.
   double now() const { return now_; }

@@ -77,9 +77,10 @@ void wire_erdos_renyi(DynamicGraph& graph, Rng& rng, std::uint32_t n,
 
 }  // namespace
 
-StaticNetwork::StaticNetwork(StaticConfig config)
-    : config_(config), rng_(config.seed) {
+StaticNetwork::StaticNetwork(StaticConfig config, DynamicGraph recycled)
+    : config_(config), graph_(std::move(recycled)), rng_(config.seed) {
   CHURNET_EXPECTS(config.n >= 1);
+  graph_.clear();
   switch (config_.topology) {
     case StaticConfig::Topology::kDOut:
       graph_.reserve(config_.n, config_.d);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "common/assertx.hpp"
 #include "common/rng.hpp"
@@ -39,7 +40,10 @@ class StaticNetwork {
   /// Flooding on a frozen graph: BFS rounds, uniform random source.
   using flood_semantics = StaticFloodSemantics;
 
-  explicit StaticNetwork(StaticConfig config);
+  /// Builds the network on `recycled`'s storage when one is passed: the
+  /// graph is cleared first (DynamicGraph::clear), so the network equals
+  /// one built fresh.
+  explicit StaticNetwork(StaticConfig config, DynamicGraph recycled = {});
 
   /// Advances the clock by one round. No churn: the topology is immutable.
   void step() { now_ += 1.0; }
@@ -56,6 +60,8 @@ class StaticNetwork {
   Snapshot snapshot() const { return Snapshot::capture(graph_, now_); }
 
   const DynamicGraph& graph() const { return graph_; }
+  /// Moves the graph out for reuse by a later build.
+  DynamicGraph release_graph() { return std::move(graph_); }
   double now() const { return now_; }
   const StaticConfig& config() const { return config_; }
   Rng& rng() { return rng_; }

@@ -1,6 +1,6 @@
 #include "models/streaming_network.hpp"
 
-#include <vector>
+#include <utility>
 
 #include "models/graph_view.hpp"
 #include "models/wiring.hpp"
@@ -8,8 +8,12 @@
 
 namespace churnet {
 
-StreamingNetwork::StreamingNetwork(StreamingConfig config)
-    : config_(config), churn_(config.n), rng_(config.seed) {
+StreamingNetwork::StreamingNetwork(StreamingConfig config,
+                                   DynamicGraph recycled)
+    : config_(config),
+      churn_(config.n),
+      graph_(std::move(recycled)),
+      rng_(config.seed) {
   CHURNET_EXPECTS(config.n >= 1);
   if (config.churn.adversarial()) {
     // The schedule (and its budget-0 byte-identity to plain kStream) is
@@ -21,6 +25,7 @@ StreamingNetwork::StreamingNetwork(StreamingConfig config)
   } else {
     CHURNET_EXPECTS(config.churn.kind == ChurnSpec::Kind::kStream);
   }
+  graph_.clear();
   // The population is pinned at n, so warm-up fills every arena once and
   // the steady-state round loop never grows a pool.
   graph_.reserve(config.n, config.d);
@@ -87,36 +92,27 @@ void StreamingNetwork::run_growth_phase() {
     return;
   }
 
-  // Phase 1 (serial): replay rounds 1..n exactly — churn bookkeeping,
-  // births, and the wiring RNG draws — but only *record* each draw. During
-  // pure growth round r the newborn takes slot r-1 (appended last in the
-  // alive list, alive_slots_[i] == i), so random_alive_other over the r-1
-  // other nodes is exactly rng.below(r-1) naming the target slot, never
-  // entering the skip-the-owner branch; round 1 has no other node and
-  // consumes no draw (the requests dangle). Tiling in wire_uniform_tiled
-  // does not reorder draws, so the RNG stream here is byte-identical to
-  // the sequential path's.
+  // Phase 1: replay rounds 1..n exactly — churn bookkeeping and births —
+  // but leave every request dangling. The round schedule draws no wiring
+  // randomness, so moving the draws after the births keeps the wiring RNG
+  // stream byte-identical. During pure growth round r's newborn takes slot
+  // r-1 (appended last in the alive list, alive_slots_[i] == i).
   const std::uint32_t n = config_.n;
   const std::uint32_t d = config_.d;
-  std::vector<std::uint32_t> targets(static_cast<std::size_t>(n) * d,
-                                     NodeId::kInvalidSlot);
   for (std::uint32_t r = 1; r <= n; ++r) {
     const ChurnProcess::Step event = churn_.next(graph_.alive_count());
     CHURNET_ASSERT(event.is_birth);  // pure growth: deaths need a full ring
     const NodeId born = graph_.add_node(d, event.time);
     CHURNET_ASSERT(born.slot == r - 1 && born.generation == 0);
-    const std::uint32_t others = r - 1;
-    if (others > 0 && d > 0) {
-      std::uint32_t* row = targets.data() + static_cast<std::size_t>(r - 1) * d;
-      for (std::uint32_t t = 0; t < d; ++t) {
-        row[t] = static_cast<std::uint32_t>(rng_.below(others));
-      }
-    }
     churn_.on_birth(born, event.time);
   }
 
-  // Phase 2: install the recorded edge list in cache-blocked bulk.
-  graph_.bulk_wire_genesis(d, targets);
+  // Phase 2: the draws, in round order, and their cache-blocked install.
+  // random_alive_other over the r-1 nodes other than round r's newborn is
+  // exactly rng.below(r-1) naming the target slot, never entering the
+  // skip-the-owner branch; round 1 has no other node and consumes no draw
+  // (the requests dangle).
+  graph_.bulk_wire_genesis(d, rng_);
   CHURNET_ENSURES(graph_.alive_count() == config_.n);
 }
 

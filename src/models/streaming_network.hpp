@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "churn/churn_spec.hpp"
 #include "churn/streaming_churn.hpp"
@@ -49,7 +50,11 @@ class StreamingNetwork {
   /// Flooding semantics under the generic driver (paper Def. 3.3).
   using flood_semantics = StreamingFloodSemantics;
 
-  explicit StreamingNetwork(StreamingConfig config);
+  /// Builds the network on `recycled`'s storage when one is passed: the
+  /// graph is cleared first (DynamicGraph::clear), so the network equals
+  /// one built fresh.
+  explicit StreamingNetwork(StreamingConfig config,
+                            DynamicGraph recycled = {});
 
   /// What happened in one round.
   struct RoundReport {
@@ -71,10 +76,10 @@ class StreamingNetwork {
   /// Runs rounds 1..n — the pure-growth phase in which every round is a
   /// birth and nobody dies. Produces a graph (and RNG/churn state)
   /// identical to run_rounds(n) from round 0, but in the paper's unbounded
-  /// models with no change feed attached it records the n·d wiring draws
-  /// serially and installs them through DynamicGraph::bulk_wire_genesis —
-  /// a cache-blocked streaming pass instead of n·d random-access inserts.
-  /// Callable only from round 0.
+  /// models with no change feed attached it runs the n births first and
+  /// then lets DynamicGraph::bulk_wire_genesis draw the n·d requests in
+  /// round order and install them — a cache-blocked streaming pass
+  /// instead of n·d random-access inserts. Callable only from round 0.
   void run_growth_phase();
 
   /// Runs the initial 2n rounds: after n rounds the network reaches its
@@ -93,6 +98,9 @@ class StreamingNetwork {
   Snapshot snapshot() const { return Snapshot::capture(graph_, now()); }
 
   const DynamicGraph& graph() const { return graph_; }
+  /// Moves the graph out for reuse by a later build; the network is left
+  /// without a graph and must not be stepped again.
+  DynamicGraph release_graph() { return std::move(graph_); }
   std::uint64_t round() const { return churn_.round(); }
   double now() const { return static_cast<double>(churn_.round()); }
   const StreamingConfig& config() const { return config_; }

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "engine/scenario.hpp"
 
 namespace churnet {
 namespace {
@@ -110,6 +115,58 @@ TEST(DegreeStats, HandshakeLemma) {
       Snapshot::from_edges(6, Edges{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 5}});
   const DegreeStats stats = degree_stats(snap);
   EXPECT_DOUBLE_EQ(stats.mean * 6.0, 2.0 * 5.0);
+}
+
+// The live-graph summary the sweep's degree metrics read must equal the
+// snapshot summary bit for bit.
+void expect_live_equals_snapshot(const DynamicGraph& graph,
+                                 const std::string& what) {
+  const DegreeStats live = degree_stats(graph);
+  const DegreeStats snap = degree_stats(Snapshot::capture(graph, 0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(live.mean),
+            std::bit_cast<std::uint64_t>(snap.mean))
+      << what << ": mean " << live.mean << " vs " << snap.mean;
+  EXPECT_EQ(live.min, snap.min) << what;
+  EXPECT_EQ(live.max, snap.max) << what;
+  EXPECT_EQ(live.isolated, snap.isolated) << what;
+}
+
+TEST(DegreeStats, LiveGraphEqualsSnapshotOnEveryScenario) {
+  // Small d leaves SDG and PDG with isolated nodes after their churn.
+  for (const Scenario& scenario : ScenarioRegistry::paper().scenarios()) {
+    for (const std::uint32_t d : {1u, 6u}) {
+      ScenarioParams params;
+      params.n = 700;
+      params.d = d;
+      params.seed = 29;
+      const AnyNetwork net = scenario.make_warmed(params);
+      expect_live_equals_snapshot(net.graph(),
+                                  scenario.name() + " d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(DegreeStats, LiveGraphEqualsSnapshotUnderAnInDegreeCap) {
+  // A cap leaves requests dangling, so the degree sum is not n * 2d.
+  for (const char* name : {"SDGR", "PDGR"}) {
+    ScenarioParams params;
+    params.n = 700;
+    params.d = 6;
+    params.seed = 31;
+    params.max_in_degree = 7;
+    const AnyNetwork net =
+        ScenarioRegistry::paper().at(name).make_warmed(params);
+    EXPECT_LT(net.graph().edge_count(),
+              std::uint64_t{net.graph().alive_count()} * params.d)
+        << name;
+    expect_live_equals_snapshot(net.graph(), name);
+  }
+}
+
+TEST(DegreeStats, LiveGraphEqualsSnapshotOnAnEmptyGraph) {
+  const DynamicGraph graph;
+  expect_live_equals_snapshot(graph, "empty");
+  EXPECT_EQ(degree_stats(graph).max, 0u);
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "graph/change_feed.hpp"
+#include "graph/snapshot.hpp"
 #include "models/poisson_network.hpp"
+#include "models/static_network.hpp"
 #include "models/streaming_network.hpp"
 
 namespace churnet {
@@ -321,6 +324,107 @@ TEST(DynamicGraph, RegenerationChurnKeepsTheGenesisArena) {
   net.run_rounds(3ull * config.n);
   EXPECT_EQ(net.graph().arena_bytes(), arena);
   EXPECT_TRUE(net.graph().check_consistency());
+}
+
+// A graph dirtied by churn under a degree index and a change feed: out
+// runs of two strides, retired in-chunks, recycled slots and generations.
+DynamicGraph churned_graph(ChangeFeed& feed) {
+  DynamicGraph graph;
+  graph.attach_change_feed(&feed);
+  Rng rng(5);
+  std::vector<NodeId> nodes;
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    nodes.push_back(graph.add_node(i % 3 == 0 ? 2 : 12, 0.5 * i));
+  }
+  EXPECT_TRUE(graph.extreme_degree(true).valid());  // builds the index
+  for (const NodeId owner : nodes) {
+    for (std::uint32_t k = 0; k < graph.out_slot_count(owner); ++k) {
+      graph.set_out_edge(owner, k, graph.random_alive_other(rng, owner));
+    }
+  }
+  RemovalScratch scratch;
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    graph.remove_node(graph.random_alive(rng), scratch);
+    graph.add_node(5, 1000.0 + i);
+  }
+  EXPECT_TRUE(graph.check_consistency());
+  return graph;
+}
+
+void expect_same_snapshot(const Snapshot& a, const Snapshot& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_EQ(a.edge_count(), b.edge_count());
+  EXPECT_EQ(a.time(), b.time());
+  for (std::uint32_t i = 0; i < a.node_count(); ++i) {
+    ASSERT_EQ(a.node_id(i), b.node_id(i)) << i;
+    ASSERT_EQ(a.birth_seq(i), b.birth_seq(i)) << i;
+    ASSERT_EQ(a.age(i), b.age(i)) << i;
+    const auto na = a.neighbors(i);
+    const auto nb = b.neighbors(i);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end())) << i;
+  }
+}
+
+TEST(DynamicGraph, ClearReturnsToTheFreshEmptyState) {
+  ChangeFeed feed;
+  DynamicGraph graph = churned_graph(feed);
+  const std::size_t arena = graph.arena_bytes();
+  graph.clear();
+  EXPECT_EQ(graph.alive_count(), 0u);
+  EXPECT_EQ(graph.edge_count(), 0u);
+  EXPECT_EQ(graph.total_births(), 0u);
+  EXPECT_EQ(graph.slot_upper_bound(), 0u);
+  EXPECT_EQ(graph.change_feed(), nullptr);
+  EXPECT_FALSE(graph.extreme_degree(true).valid());
+  EXPECT_EQ(graph.arena_bytes(), arena);  // capacity is kept
+  EXPECT_TRUE(graph.check_consistency());
+}
+
+TEST(DynamicGraph, ModelsWarmedOnACleanedGraphEqualFreshOnes) {
+  ChangeFeed feed;
+  {
+    StreamingConfig config;
+    config.n = 300;
+    config.d = 4;
+    config.policy = EdgePolicy::kRegenerate;
+    config.seed = 41;
+    DynamicGraph graph = churned_graph(feed);
+    graph.clear();
+    StreamingNetwork recycled(config, std::move(graph));
+    StreamingNetwork fresh(config);
+    recycled.warm_up();
+    fresh.warm_up();
+    recycled.run_rounds(100);
+    fresh.run_rounds(100);
+    EXPECT_TRUE(recycled.graph().check_consistency());
+    expect_same_snapshot(recycled.snapshot(), fresh.snapshot());
+  }
+  {
+    const PoissonConfig config =
+        PoissonConfig::with_n(300, 4, EdgePolicy::kRegenerate, 43);
+    DynamicGraph graph = churned_graph(feed);
+    graph.clear();
+    PoissonNetwork recycled(config, std::move(graph));
+    PoissonNetwork fresh(config);
+    recycled.warm_up();
+    fresh.warm_up();
+    recycled.run_events(500);
+    fresh.run_events(500);
+    EXPECT_TRUE(recycled.graph().check_consistency());
+    expect_same_snapshot(recycled.snapshot(), fresh.snapshot());
+  }
+  {
+    StaticConfig config;
+    config.n = 300;
+    config.d = 4;
+    config.seed = 47;
+    DynamicGraph graph = churned_graph(feed);
+    graph.clear();
+    const StaticNetwork recycled(config, std::move(graph));
+    const StaticNetwork fresh(config);
+    EXPECT_TRUE(recycled.graph().check_consistency());
+    expect_same_snapshot(recycled.snapshot(), fresh.snapshot());
+  }
 }
 
 // neighbor_slot_at(slot, k) is entry k of append_neighbor_slots' order for

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 
 namespace churnet {
@@ -58,6 +60,27 @@ TEST(ScaleFromCli, FullQuadruplesAndRepsFactorStacks) {
   const BenchScale scale = scale_from_cli(cli);
   EXPECT_DOUBLE_EQ(scale.size_factor, 4.0);
   EXPECT_DOUBLE_EQ(scale.rep_factor, 8.0);
+}
+
+TEST(ScaleFromCli, RejectsARepsFactorThatIsNotFiniteAndPositive) {
+  for (const char* factor : {"-1", "0", "nan", "inf"}) {
+    Cli cli("test");
+    add_standard_options(cli);
+    const char* argv[] = {"prog", "--reps-factor", factor};
+    ASSERT_TRUE(cli.parse(3, argv)) << factor;
+    EXPECT_EXIT(scale_from_cli(cli), ::testing::ExitedWithCode(2),
+                "option '--reps-factor' must be a finite number > 0")
+        << factor;
+  }
+}
+
+TEST(Scaled, RejectsACountPastTheBenchLimit) {
+  EXPECT_EQ(scaled(std::uint64_t{1} << 52, 2.0),
+            static_cast<std::uint64_t>(kMaxBenchCount));
+  EXPECT_EXIT(scaled(8, 1e300), ::testing::ExitedWithCode(2),
+              "must be in \\[0, 9007199254740992\\]");
+  EXPECT_EXIT(scaled(8, std::nan("")), ::testing::ExitedWithCode(2),
+              "check --reps-factor");
 }
 
 TEST(Verdict, Strings) {

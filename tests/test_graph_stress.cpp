@@ -12,12 +12,16 @@
 // adjacency must equal the shadow model's, which pins the change-feed
 // contract (graph/change_feed.hpp) under the same randomized interleave.
 //
-// Part 2 verifies the PR's zero-allocation contract with a counting global
+// Part 2 verifies the zero-allocation contract with a counting global
 // allocator: after warm-up plus one conditioning window (which absorbs any
 // residual free-list high-water growth), a steady-state churn window on
 // both streaming and Poisson models must perform ZERO heap allocations —
 // including with a ChangeFeed attached and cleared per round (delta
-// recording reuses the feed's capacity).
+// recording reuses the feed's capacity) — and make no page mapping, so
+// arena growth cannot hide behind the graph's page-backed arrays
+// (common/page_allocator.hpp). A second job of a sweep cell on the same
+// thread then maps no graph storage at all: the worker's graph is
+// recycled.
 #include "graph/dynamic_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -28,7 +32,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
+#include "engine/sweep_runner.hpp"
 #include "graph/change_feed.hpp"
 #include "models/poisson_network.hpp"
 #include "models/streaming_network.hpp"
@@ -285,10 +291,12 @@ TEST(GraphAllocation, StreamingChurnLoopIsAllocationFree) {
   net.run_rounds(2ull * config.n);
 
   const std::uint64_t before = g_allocations.load();
+  const std::uint64_t maps_before = page_map_count();
   net.run_rounds(4ull * config.n);
   const std::uint64_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in the steady-state streaming loop";
+  EXPECT_EQ(page_map_count(), maps_before);
 }
 
 TEST(GraphAllocation, StreamingChurnWithChangeFeedIsAllocationFree) {
@@ -312,6 +320,7 @@ TEST(GraphAllocation, StreamingChurnWithChangeFeedIsAllocationFree) {
   }
 
   const std::uint64_t before = g_allocations.load();
+  const std::uint64_t maps_before = page_map_count();
   for (std::uint64_t round = 0; round < 4ull * config.n; ++round) {
     feed.clear();
     net.step();
@@ -320,6 +329,7 @@ TEST(GraphAllocation, StreamingChurnWithChangeFeedIsAllocationFree) {
   const std::uint64_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations while recording the change feed";
+  EXPECT_EQ(page_map_count(), maps_before);
   net.attach_change_feed(nullptr);
 }
 
@@ -331,10 +341,32 @@ TEST(GraphAllocation, PoissonChurnLoopIsAllocationFree) {
   net.run_events(20000);  // conditioning window
 
   const std::uint64_t before = g_allocations.load();
+  const std::uint64_t maps_before = page_map_count();
   net.run_events(20000);
   const std::uint64_t during = g_allocations.load() - before;
   EXPECT_EQ(during, 0u)
       << during << " heap allocations in the steady-state Poisson loop";
+  EXPECT_EQ(page_map_count(), maps_before);
+}
+
+TEST(GraphAllocation, SecondJobOfACellOnAWorkerMapsNoGraphStorage) {
+  // Cells large enough that every graph array is page-mapped; the second
+  // replication on this thread must reuse the graph the first handed back.
+  for (const char* scenario : {"SDGR", "PDGR"}) {
+    SweepSpec spec;
+    spec.scenarios = {scenario};
+    spec.n_values = {6000};
+    spec.d_values = {8};
+    spec.replications = 2;
+    const SweepPlan plan(spec, ScenarioRegistry::paper());
+    plan.run_job(0);
+    const std::size_t arena = SweepPlan::worker_arena_bytes();
+    const std::uint64_t maps = page_map_count();
+    EXPECT_GE(arena, std::size_t{6000} * 8 * 8) << scenario;
+    plan.run_job(1);
+    EXPECT_EQ(page_map_count(), maps) << scenario;
+    EXPECT_EQ(SweepPlan::worker_arena_bytes(), arena) << scenario;
+  }
 }
 
 }  // namespace

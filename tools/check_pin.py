@@ -5,6 +5,7 @@
                  [--also-threads N]
     check_pin.py same <name> --sweep <churnet_sweep> --out <dir>
                  --args "<shared args>" --variant="<args>" --variant=...
+                 [--json] [--trace]
     check_pin.py fnv <name> --sweep <churnet_sweep> --out <dir>
                  --args "<args>" --expect <16 hex digits>
     check_pin.py resume <name> --sweep <churnet_sweep> --out <dir>
@@ -21,7 +22,11 @@ workload at N threads and requires the same CSV bytes.
 
 same: runs churnet_sweep once per --variant, on the shared --args plus the
 variant's own, and requires every CSV to be byte-identical to the first
-variant's. Arguments are split like a shell would split them.
+variant's. Arguments are split like a shell would split them. --json
+compares the --json summaries the same way. --trace makes every variant
+after the first also stream --results rows and a --telemetry trace into
+<out>; each trace must pass tools/telemetry_report.py --check and fold
+into its report.
 
 fnv: runs churnet_sweep once on --args and compares the CSV's FNV-1a with
 --expect, a value recorded from a known-good build. fnv1a comes from
@@ -110,6 +115,21 @@ def check_campaign(args):
     return 0
 
 
+def check_trace(trace):
+    """telemetry_report.py --check on `trace`, then its report; returns
+    whether both exit 0."""
+    report = str(ROOT / "tools" / "telemetry_report.py")
+    for mode in (["--check"], []):
+        got = subprocess.run([sys.executable, report, *mode, str(trace)],
+                             capture_output=True, text=True, check=False)
+        if got.returncode != 0:
+            sys.stderr.write(got.stdout[-2000:] + got.stderr[-2000:])
+            print(f"{trace}: telemetry_report.py {' '.join(mode)} exited "
+                  f"{got.returncode}", file=sys.stderr)
+            return False
+    return True
+
+
 def check_same(args):
     if len(args.variant) < 2:
         print(f"{args.name}: needs at least two --variant", file=sys.stderr)
@@ -119,15 +139,32 @@ def check_same(args):
     shared = shlex.split(args.args)
     first = None
     for i, variant in enumerate(args.variant):
-        data = run_sweep(args.sweep, shared + shlex.split(variant),
-                         out / f"{args.name}_{i}.csv")
+        stem = out / f"{args.name}_{i}"
+        extra = []
+        if args.json:
+            extra += ["--json", f"{stem}.json"]
+        trace = Path(f"{stem}.trace.ndjson") if args.trace and i > 0 else None
+        if trace is not None:
+            extra += ["--results", f"{stem}.rows.ndjson", "--telemetry",
+                      str(trace)]
+        outputs = {"CSV": run_sweep(args.sweep,
+                                    shared + shlex.split(variant) + extra,
+                                    Path(f"{stem}.csv"))}
+        if args.json:
+            outputs["JSON"] = Path(f"{stem}.json").read_bytes()
         if first is None:
-            first = data
-        elif data != first:
-            print(f"{args.name}: CSV with '{variant}' differs from "
-                  f"'{args.variant[0]}'", file=sys.stderr)
+            first = outputs
+        for what, data in outputs.items():
+            if data != first[what]:
+                print(f"{args.name}: {what} with '{variant}' differs from "
+                      f"'{args.variant[0]}'", file=sys.stderr)
+                return 1
+        if trace is not None and not check_trace(trace):
             return 1
-    print(f"{args.name}: {len(args.variant)} variants byte-identical")
+    compared = "CSV and JSON" if args.json else "CSV"
+    traced = ", traces valid" if args.trace else ""
+    print(f"{args.name}: {len(args.variant)} variants' {compared} "
+          f"byte-identical{traced}")
     return 0
 
 
@@ -245,6 +282,8 @@ def main():
     same.add_argument("--out", required=True)
     same.add_argument("--args", required=True)
     same.add_argument("--variant", action="append", required=True)
+    same.add_argument("--json", action="store_true")
+    same.add_argument("--trace", action="store_true")
     fnv = kinds.add_parser("fnv")
     fnv.add_argument("name")
     fnv.add_argument("--sweep", required=True)
