@@ -22,6 +22,11 @@ void* map_pages(std::size_t bytes) {
                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (pointer == MAP_FAILED) throw std::bad_alloc();
   g_page_maps.fetch_add(1, std::memory_order_relaxed);
+  // A hint, so its result is ignored: where the kernel has no transparent
+  // huge pages the mapping simply keeps base pages.
+  if (bytes >= kHugePageAdviceBytes) {
+    ::madvise(pointer, bytes, MADV_HUGEPAGE);
+  }
   return pointer;
 }
 

@@ -617,6 +617,10 @@ std::size_t SweepPlan::worker_arena_bytes() {
   return worker_state().graph.arena_bytes();
 }
 
+std::size_t SweepPlan::worker_protocol_bytes() {
+  return worker_state().scratch.buffer_bytes();
+}
+
 std::uint64_t SweepPlan::job_seed(std::uint64_t job) const {
   return derive_seed(spec_.base_seed, job_cell(job), job_replication(job));
 }
@@ -704,6 +708,9 @@ std::vector<double> SweepPlan::run_job(std::uint64_t job) const {
     trace = std::move(run.trace);
     proto_stats = run.stats;
   }
+  // The next job of this cell reuses what this one grew; after the cell's
+  // last job the next job runs another cell, which may need none of it.
+  if (replication + 1 == spec_.replications) worker.scratch.release();
   worker.graph = net.release_graph();
 
   std::vector<double> values;

@@ -213,6 +213,10 @@ class SweepPlan {
   /// between run_job calls (0 before its first job).
   static std::size_t worker_arena_bytes();
 
+  /// ProtocolScratch::buffer_bytes of the protocol scratch the calling
+  /// thread keeps between run_job calls.
+  static std::size_t worker_protocol_bytes();
+
   /// Folds flat job-order samples (samples[job], NaN-padded for metrics
   /// a replication did not observe) into a SweepResult. The fold reads
   /// rows by index, so it is independent of the completion order that

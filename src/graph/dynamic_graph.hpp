@@ -10,7 +10,9 @@
 //                                       and reports which out-slots of other
 //                                       nodes were orphaned so the model
 //                                       layer can regenerate them (Def 3.13)
-//   * random_alive / random_alive_other -- uniform sampling for requests
+//   * random_alive / random_alive_other(s) -- uniform sampling for
+//                                       requests, one at a time or staged
+//                                       for a wiring tile
 //   * extreme_degree                 -- the max/min-degree node (degree
 //                                       adversaries), from a bucket-queue
 //                                       index built on the first call
@@ -36,6 +38,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/page_allocator.hpp"
@@ -129,9 +132,14 @@ class DynamicGraph {
     CHURNET_EXPECTS(core.alive != 0);
     if (degree_index_) degree_index_->erase(node.slot);
 
-    // The victim's edge runs name ~degree random peers; issue all the
-    // prefetches up front so the detach loops overlap their cache misses
-    // instead of serializing them.
+    // The victim's edge runs name ~degree random peers, and each detach
+    // follows pointers from a peer's record into the pools. The misses go
+    // out in dependency waves: each wave reads only lines the wave before
+    // it prefetched, so a level's misses overlap instead of serializing.
+    // The waves only read and prefetch: the detach loops below make every
+    // write, so the orphan order and the feed records do not depend on
+    // them.
+    // Wave 1: the peers' slot records.
     for (std::uint32_t i = 0; i < core.out_count; ++i) {
       const std::uint32_t target_slot = out_pool_[core.out_base + i].peer;
       if (target_slot != NodeId::kInvalidSlot) {
@@ -140,6 +148,34 @@ class DynamicGraph {
     }
     for (std::uint32_t i = 0; i < core.in_count; ++i) {
       __builtin_prefetch(&core_[in_pool_[core.in_base + i].peer]);
+    }
+    // Wave 2: the pool entries the detach loops write. An out-target's
+    // in-list entry at in_pos and its last entry (the swap-with-last), and
+    // an in-source's out-slot.
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      const OutEdge& edge = out_pool_[core.out_base + i];
+      if (edge.peer == NodeId::kInvalidSlot) continue;
+      const SlotCore& target = core_[edge.peer];
+      __builtin_prefetch(&in_pool_[target.in_base + edge.in_pos], 1);
+      __builtin_prefetch(&in_pool_[target.in_base + target.in_count - 1], 1);
+    }
+    for (std::uint32_t i = 0; i < core.in_count; ++i) {
+      const InEdge& in_edge = in_pool_[core.in_base + i];
+      __builtin_prefetch(
+          &out_pool_[core_[in_edge.peer].out_base + in_edge.out_index], 1);
+    }
+    // Waves 3 and 4: the source record of each last entry that the swap
+    // moves, then that source's out-slot, whose in_pos the move rewrites.
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      if (const InEdge* moved = moved_in_entry(out_pool_[core.out_base + i])) {
+        __builtin_prefetch(&core_[moved->peer]);
+      }
+    }
+    for (std::uint32_t i = 0; i < core.out_count; ++i) {
+      if (const InEdge* moved = moved_in_entry(out_pool_[core.out_base + i])) {
+        __builtin_prefetch(
+            &out_pool_[core_[moved->peer].out_base + moved->out_index], 1);
+      }
     }
 
     // Detach this node's out-edges from their targets' in-lists, leaving
@@ -280,17 +316,39 @@ class DynamicGraph {
 
   /// Uniformly random alive node != exclude; invalid id if none exists.
   NodeId random_alive_other(Rng& rng, NodeId exclude) const {
-    const bool exclude_alive = is_alive(exclude);
-    const std::size_t candidates =
-        alive_slots_.size() - (exclude_alive ? 1 : 0);
-    if (candidates == 0) return kInvalidNode;
-    if (!exclude_alive) return random_alive(rng);
-    // Draw from the alive list skipping the excluded node's position.
-    std::size_t pick = static_cast<std::size_t>(rng.below(candidates));
-    const std::size_t excluded_pos = core_[exclude.slot].alive_pos;
-    if (pick >= excluded_pos) ++pick;
+    const std::size_t pick = pick_alive_other(rng, exclude);
+    if (pick == kNoPick) return kInvalidNode;
     const std::uint32_t slot_index = alive_slots_[pick];
     return NodeId{slot_index, core_[slot_index].generation};
+  }
+
+  /// random_alive_other for a batch, staged: targets[i] is what
+  /// random_alive_other(rng, excludes[i]) returns when called for i = 0,
+  /// 1, ... in turn, and `rng` ends in the same state. All the draws come
+  /// first (they read only the alive count and each excluded node's
+  /// record), then the picked alive-list entries, then the targets' slot
+  /// records, so each level's cache misses overlap across the batch.
+  void random_alive_others(Rng& rng, std::span<const NodeId> excludes,
+                           std::span<NodeId> targets) const {
+    CHURNET_EXPECTS(targets.size() == excludes.size());
+    // A target's slot field holds its alive-list position until resolved.
+    for (std::size_t i = 0; i < excludes.size(); ++i) {
+      const std::size_t pick = pick_alive_other(rng, excludes[i]);
+      if (pick == kNoPick) {
+        targets[i] = kInvalidNode;
+        continue;
+      }
+      __builtin_prefetch(&alive_slots_[pick]);
+      targets[i].slot = static_cast<std::uint32_t>(pick);
+    }
+    for (NodeId& target : targets) {
+      if (!target.valid()) continue;
+      target.slot = alive_slots_[target.slot];
+      __builtin_prefetch(&core_[target.slot]);
+    }
+    for (NodeId& target : targets) {
+      if (target.valid()) target.generation = core_[target.slot].generation;
+    }
   }
 
   /// Prefetch hints for wiring loops: pull a node's hot slot record (and,
@@ -534,6 +592,33 @@ class DynamicGraph {
   /// (Re)fills degree_index_ from the arenas: every alive slot at its
   /// current degree.
   void build_degree_index() const;
+
+  /// The draw of random_alive_other and random_alive_others: the
+  /// alive-list position of a uniformly random alive node != exclude,
+  /// or kNoPick (drawing nothing) if none exists. It reads only the alive
+  /// count and the excluded node's record.
+  static constexpr std::size_t kNoPick = static_cast<std::size_t>(-1);
+  std::size_t pick_alive_other(Rng& rng, NodeId exclude) const {
+    const bool exclude_alive = is_alive(exclude);
+    const std::size_t candidates =
+        alive_slots_.size() - (exclude_alive ? 1 : 0);
+    if (candidates == 0) return kNoPick;
+    // Draw from the alive list skipping the excluded node's position.
+    std::size_t pick = static_cast<std::size_t>(rng.below(candidates));
+    if (exclude_alive && pick >= core_[exclude.slot].alive_pos) ++pick;
+    return pick;
+  }
+
+  /// The in-list entry that detaching `edge` moves into its place: the
+  /// target's last entry, or nullptr when the edge dangles or is itself
+  /// last. remove_node's prefetch waves read it before any detach.
+  const InEdge* moved_in_entry(const OutEdge& edge) const {
+    if (edge.peer == NodeId::kInvalidSlot) return nullptr;
+    const SlotCore& target = core_[edge.peer];
+    const std::uint32_t last = target.in_count - 1;
+    if (edge.in_pos == last) return nullptr;
+    return &in_pool_[target.in_base + last];
+  }
 
   /// Swap-with-last removal from a node's in-list; fixes the moved entry's
   /// back-pointer in its source's out-slot run.

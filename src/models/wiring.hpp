@@ -70,25 +70,33 @@ inline constexpr std::uint32_t kWiringTile = 16;
 /// wires slot_at(0..count-1) to uniform random other nodes, a tile at a
 /// time. In unbounded mode a request's target depends only on the alive set
 /// and the RNG stream, and wiring earlier requests changes neither, so a
-/// tile's draws can all be issued (prefetching each target's in-list insert
-/// position) before its edges are written: draw order and edge order are
-/// identical to the one-at-a-time loop, batching only overlaps the misses.
-/// `slot_at(i)` names the i-th out-slot to fill.
+/// tile's draws can all be made before its edges are written. They go in
+/// waves: the staged draw (DynamicGraph::random_alive_others) makes the
+/// picks and resolves the alive-list entries and slot records, then the
+/// targets' in-list insert positions are prefetched, and last the edges
+/// are written. Draw order and edge order are those of the one-at-a-time
+/// loop; the waves only overlap the misses. `slot_at(i)` names the i-th
+/// out-slot to fill.
 template <typename SlotAt>
 inline void wire_uniform_tiled(DynamicGraph& graph, Rng& rng,
                                std::size_t count, const SlotAt& slot_at) {
+  OutSlotRef slots[kWiringTile];
+  NodeId owners[kWiringTile];
   NodeId targets[kWiringTile];
   for (std::size_t base = 0; base < count; base += kWiringTile) {
     const auto tile = static_cast<std::uint32_t>(
         std::min<std::size_t>(kWiringTile, count - base));
     for (std::uint32_t t = 0; t < tile; ++t) {
-      targets[t] = graph.random_alive_other(rng, slot_at(base + t).owner);
+      slots[t] = slot_at(base + t);
+      owners[t] = slots[t].owner;
+    }
+    graph.random_alive_others(rng, {owners, tile}, {targets, tile});
+    for (std::uint32_t t = 0; t < tile; ++t) {
       graph.prefetch_in_insert(targets[t]);
     }
     for (std::uint32_t t = 0; t < tile; ++t) {
       if (!targets[t].valid()) continue;  // no other node alive
-      const OutSlotRef slot = slot_at(base + t);
-      graph.set_out_edge(slot.owner, slot.index, targets[t]);
+      graph.set_out_edge(slots[t].owner, slots[t].index, targets[t]);
     }
   }
 }

@@ -42,6 +42,9 @@ void ExpansionObserver::begin_trial(std::uint64_t seed) {
 }
 
 void ExpansionObserver::on_snapshot(const Snapshot& snapshot) {
+  // A set and its complement need two nodes: with fewer, the columns stay
+  // NaN, as for a trial with no observation.
+  if (snapshot.node_count() < 2) return;
   last_ = probe_expansion(snapshot, rng_, options_);
   observed_ = true;
 }
@@ -74,6 +77,9 @@ void SpectralObserver::begin_trial(std::uint64_t seed) {
 }
 
 void SpectralObserver::on_snapshot(const Snapshot& snapshot) {
+  // The walk has no second eigenvalue on fewer than two nodes: the
+  // columns stay NaN, as for a trial with no observation.
+  if (snapshot.node_count() < 2) return;
   last_ = spectral_gap(snapshot, rng_, max_iterations_, tolerance_);
   observed_ = true;
 }

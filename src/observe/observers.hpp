@@ -21,7 +21,8 @@ namespace churnet {
 
 /// Vertex-expansion probe over random/adversarial candidate set families
 /// (expansion/expansion.hpp). Metrics: expansion_min_ratio,
-/// expansion_argmin_size, expansion_sets_probed.
+/// expansion_argmin_size, expansion_sets_probed; NaN on a snapshot of
+/// fewer than two nodes.
 class ExpansionObserver final : public MetricObserver {
  public:
   explicit ExpansionObserver(ProbeOptions options = {})
@@ -45,7 +46,7 @@ class ExpansionObserver final : public MetricObserver {
 
 /// Spectral gap of the lazy random walk via deflated power iteration
 /// (expansion/spectral.hpp). Metrics: spectral_gap, spectral_lambda2,
-/// spectral_converged.
+/// spectral_converged; NaN on a snapshot of fewer than two nodes.
 class SpectralObserver final : public MetricObserver {
  public:
   static constexpr std::uint32_t kDefaultIterations = 500;

@@ -104,6 +104,34 @@ struct ProtocolScratch {
   std::vector<NodeId> informed;
   /// Reusable alive-node buffer for PULL-style full scans.
   std::vector<NodeId> alive;
+
+  /// Frees the buffers that scale with the messages and the alive count
+  /// (the pair list, both frontiers, the inform-order and alive lists). A
+  /// sweep worker calls it after a cell's last replication, so one cell's
+  /// buffers are not held through the next cell's jobs (a push(3) job's
+  /// pair list is three entries per alive node), while every job of a
+  /// cell reuses what the jobs before it grew.
+  void release() {
+    free_buffer(flood.cand_pairs);
+    free_buffer(flood.frontier);
+    free_buffer(flood.frontier_slots);
+    free_buffer(informed);
+    free_buffer(alive);
+  }
+
+  /// Bytes the buffers release() frees hold (capacity times element size).
+  std::size_t buffer_bytes() const {
+    return flood.cand_pairs.capacity() * sizeof(flood.cand_pairs[0]) +
+           flood.frontier.capacity() * sizeof(NodeId) +
+           flood.frontier_slots.capacity() * sizeof(std::uint32_t) +
+           (informed.capacity() + alive.capacity()) * sizeof(NodeId);
+  }
+
+ private:
+  template <typename T>
+  static void free_buffer(std::vector<T>& buffer) {
+    std::vector<T>().swap(buffer);
+  }
 };
 
 /// Outcome of one dissemination run: the flood-compatible trace plus the

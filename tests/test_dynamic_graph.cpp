@@ -15,6 +15,7 @@
 #include "models/poisson_network.hpp"
 #include "models/static_network.hpp"
 #include "models/streaming_network.hpp"
+#include "models/wiring.hpp"
 
 namespace churnet {
 namespace {
@@ -458,6 +459,117 @@ TEST(DynamicGraph, NeighborSlotAtMatchesAppendNeighbors) {
     EXPECT_GT(dangling, 0u);
     EXPECT_GT(isolated, 0u);
   }
+}
+
+// The staged draw against random_alive_other called in turn: never the
+// owner, the same targets, and the stream left in the same state. The
+// batch repeats each owner (as a newborn's requests do) and holds a stale
+// and an invalid id.
+void expect_staged_draws_match(const DynamicGraph& graph, std::uint64_t seed) {
+  const std::vector<NodeId> alive = graph.alive_nodes();
+  std::vector<NodeId> owners;
+  for (std::size_t i = 0; i < std::min<std::size_t>(alive.size(), 40); ++i) {
+    owners.insert(owners.end(), {alive[i], alive[i]});
+  }
+  owners.push_back(NodeId{alive[0].slot, alive[0].generation + 1});
+  owners.push_back(kInvalidNode);
+  Rng staged(seed);
+  Rng sequential(seed);
+  std::vector<NodeId> targets(owners.size());
+  graph.random_alive_others(staged, owners, targets);
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    ASSERT_NE(targets[i], owners[i]) << "draw " << i;
+    ASSERT_EQ(targets[i], graph.random_alive_other(sequential, owners[i]))
+        << "draw " << i;
+  }
+  EXPECT_EQ(staged.next_u64(), sequential.next_u64());
+}
+
+// The tiled wiring helpers against the one-at-a-time loop on a copy of
+// the graph: a newborn's d requests, then the orphans of the death with
+// the most in-edges, leave the same out-targets and the same stream.
+void expect_tiled_wiring_matches(const DynamicGraph& graph, std::uint32_t d,
+                                 std::uint64_t seed) {
+  DynamicGraph tiled = graph;
+  DynamicGraph reference = graph;
+  Rng tiled_rng(seed);
+  Rng reference_rng(seed);
+  const NodeId born = tiled.add_node(d, 0.0);
+  ASSERT_EQ(reference.add_node(d, 0.0), born);
+  detail::issue_initial_requests(tiled, tiled_rng, born);
+  for (std::uint32_t i = 0; i < d; ++i) {
+    reference.set_out_edge(born, i,
+                           reference.random_alive_other(reference_rng, born));
+  }
+  const std::vector<NodeId> alive = graph.alive_nodes();
+  const NodeId victim = *std::max_element(
+      alive.begin(), alive.end(), [&graph](NodeId a, NodeId b) {
+        return graph.in_degree(a) < graph.in_degree(b);
+      });
+  RemovalScratch tiled_scratch;
+  RemovalScratch reference_scratch;
+  tiled.remove_node(victim, tiled_scratch);
+  reference.remove_node(victim, reference_scratch);
+  ASSERT_EQ(tiled_scratch.orphans, reference_scratch.orphans);
+  detail::regenerate_requests(tiled, tiled_rng, tiled_scratch.orphans);
+  for (const OutSlotRef& orphan : reference_scratch.orphans) {
+    reference.set_out_edge(
+        orphan.owner, orphan.index,
+        reference.random_alive_other(reference_rng, orphan.owner));
+  }
+  EXPECT_TRUE(tiled.check_consistency());
+  for (const NodeId node : reference.alive_nodes()) {
+    for (std::uint32_t i = 0; i < reference.out_slot_count(node); ++i) {
+      ASSERT_EQ(tiled.out_target(node, i), reference.out_target(node, i));
+    }
+  }
+  EXPECT_EQ(tiled_rng.next_u64(), reference_rng.next_u64());
+}
+
+TEST(DynamicGraph, BatchedDrawsMatchSequentialDraws) {
+  // d = 21 passes kWiringTile, so a newborn's requests and a death's
+  // orphans span two tiles.
+  for (const std::uint32_t d : {4u, 21u}) {
+    for (const EdgePolicy policy : {EdgePolicy::kNone, EdgePolicy::kRegenerate}) {
+      StreamingConfig config;
+      config.n = 2000;
+      config.d = d;
+      config.policy = policy;
+      config.seed = 51 + d;
+      StreamingNetwork streaming(config);
+      streaming.warm_up();
+      PoissonNetwork poisson(PoissonConfig::with_n(2000, d, policy, 53 + d));
+      poisson.warm_up();
+      for (const DynamicGraph* graph : {&streaming.graph(), &poisson.graph()}) {
+        SCOPED_TRACE(testing::Message() << "d=" << d << " policy="
+                                        << static_cast<int>(policy));
+        expect_staged_draws_match(*graph, 61 + d);
+        expect_tiled_wiring_matches(*graph, d, 67 + d);
+      }
+    }
+  }
+
+  // No other node alive: the target is invalid and nothing is drawn.
+  const NodeId owners[] = {kInvalidNode, NodeId{0, 0}};
+  NodeId targets[2];
+  DynamicGraph empty;
+  Rng rng(71);
+  empty.random_alive_others(rng, owners, targets);
+  EXPECT_EQ(targets[0], kInvalidNode);
+  EXPECT_EQ(targets[1], kInvalidNode);
+  EXPECT_EQ(rng.next_u64(), Rng(71).next_u64());
+
+  DynamicGraph one;
+  const NodeId only = one.add_node(2, 0.0);
+  const NodeId one_owners[] = {only, kInvalidNode};
+  Rng staged(73);
+  Rng sequential(73);
+  one.random_alive_others(staged, one_owners, targets);
+  EXPECT_EQ(targets[0], kInvalidNode);
+  EXPECT_EQ(targets[1], only);
+  EXPECT_EQ(one.random_alive_other(sequential, only), kInvalidNode);
+  EXPECT_EQ(one.random_alive_other(sequential, kInvalidNode), only);
+  EXPECT_EQ(staged.next_u64(), sequential.next_u64());
 }
 
 // Property test: random add/remove/wire churn keeps the structure

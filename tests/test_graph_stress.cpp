@@ -21,14 +21,22 @@
 // arena growth cannot hide behind the graph's page-backed arrays
 // (common/page_allocator.hpp). A second job of a sweep cell on the same
 // thread then maps no graph storage at all: the worker's graph is
-// recycled.
+// recycled. A mapping at the huge-page floor carries the kernel's `hg`
+// (MADV_HUGEPAGE) flag, and one below it does not.
 #include "graph/dynamic_graph.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -367,6 +375,51 @@ TEST(GraphAllocation, SecondJobOfACellOnAWorkerMapsNoGraphStorage) {
     EXPECT_EQ(page_map_count(), maps) << scenario;
     EXPECT_EQ(SweepPlan::worker_arena_bytes(), arena) << scenario;
   }
+}
+
+// The VmFlags line of the /proc/self/smaps mapping that holds `address`,
+// empty when none does.
+std::string vm_flags_of(const void* address) {
+  const auto where = reinterpret_cast<std::uintptr_t>(address);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= where && where < hi;
+    } else if (inside && line.starts_with("VmFlags:")) {
+      return line;
+    }
+  }
+  return {};
+}
+
+bool has_vm_flag(const std::string& flags, std::string_view flag) {
+  std::istringstream words(flags);
+  for (std::string word; words >> word;) {
+    if (word == flag) return true;
+  }
+  return false;
+}
+
+TEST(PageAllocator, AdvisesHugePagesAtTheFloor) {
+  if (CHURNET_PAGE_ALLOCATOR_MAPS == 0) {
+    GTEST_SKIP() << "AddressSanitizer build: arrays come from operator new";
+  }
+  if (!std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled")) {
+    GTEST_SKIP() << "the kernel has no transparent huge pages";
+  }
+  PageVector<std::byte> large;
+  large.reserve(kHugePageAdviceBytes);
+  PageVector<std::byte> small;
+  small.reserve(std::size_t{1} << 20);
+  const std::string large_flags = vm_flags_of(large.data());
+  const std::string small_flags = vm_flags_of(small.data());
+  ASSERT_FALSE(large_flags.empty());
+  ASSERT_FALSE(small_flags.empty());
+  EXPECT_TRUE(has_vm_flag(large_flags, "hg")) << large_flags;
+  EXPECT_FALSE(has_vm_flag(small_flags, "hg")) << small_flags;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -389,6 +390,41 @@ TEST(SweepResult, NanSamplesAreExcludedFromStatsButKeptInSamples) {
   ASSERT_EQ(result.samples()[0].size(), 4u);
   EXPECT_TRUE(std::isnan(result.samples()[0][1][1]));
   EXPECT_TRUE(std::isnan(result.samples()[0][3][1]));
+}
+
+// A worker frees its protocol scratch after a cell's last job: a flood
+// job that follows a push(3) cell's last job holds no more than the flood
+// job alone grows (a buffer never shrinks within a job, so that bounds
+// what it held throughout), and after the flood cell's last job nothing
+// is held. The scratch is thread-local, so each worker is a fresh thread.
+TEST(SweepPlan, FloodAfterPushKeepsOnlyWhatTheFloodNeeds) {
+  SweepSpec spec;
+  spec.scenarios = {"SDGR+push(3)", "SDGR"};
+  spec.n_values = {4000};
+  spec.d_values = {8};
+  spec.replications = 2;
+  const SweepPlan plan(spec, ScenarioRegistry::paper());
+  // Jobs 0 and 1 push, jobs 2 and 3 flood; jobs 1 and 3 end their cells.
+  std::size_t flood_alone = 0;
+  std::thread([&] {
+    plan.run_job(2);
+    flood_alone = SweepPlan::worker_protocol_bytes();
+  }).join();
+  std::size_t after_push = 0;
+  std::size_t after_flood = 0;
+  std::size_t after_cell = 1;
+  std::thread([&] {
+    plan.run_job(0);
+    after_push = SweepPlan::worker_protocol_bytes();
+    plan.run_job(1);
+    plan.run_job(2);
+    after_flood = SweepPlan::worker_protocol_bytes();
+    plan.run_job(3);
+    after_cell = SweepPlan::worker_protocol_bytes();
+  }).join();
+  EXPECT_GT(after_push, 3 * flood_alone);
+  EXPECT_LE(after_flood, flood_alone);
+  EXPECT_EQ(after_cell, 0u);
 }
 
 }  // namespace
